@@ -10,9 +10,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from ._accel import NUMBA_ENABLED, lane
 from .numerics import McEstimate, Rng
 
 __version__ = "0.1.0"
 
-__all__ = ["NUMBA_ENABLED", "lane", "McEstimate", "Rng", "__version__"]
+__all__ = ["McEstimate", "Rng", "__version__"]

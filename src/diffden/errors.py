@@ -67,3 +67,7 @@ class DimensionTooLarge(DiffdenError):
 
 class EmptyReport(DiffdenError):
     pass
+
+
+class CorruptFile(DiffdenError, ValueError):
+    """A binary file is truncated, over-long or not of the expected kind."""

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .densities import Dataset
 from .errors import EmptyDataset
 
@@ -51,6 +50,19 @@ def fit(dataset, kernel="gaussian", bandwidth=None):
     return KdeModel(np.array(x, dtype=np.float64), float(bandwidth), kernel)
 
 
+def _gauss_logsum(train, x, inv_two_h2):
+    # log sum_i exp(-|x - X_i|^2 * inv_two_h2), stabilised per query
+    d2 = np.sum((x[:, None, :] - train[None, :, :]) ** 2, axis=2)
+    e = -d2 * inv_two_h2
+    m = e.max(axis=1)
+    return m + np.log(np.sum(np.exp(e - m[:, None]), axis=1))
+
+
+def _box_count(train, x, h):
+    inside = np.all(np.abs(x[:, None, :] - train[None, :, :]) <= h, axis=2)
+    return inside.sum(axis=1).astype(np.float64)
+
+
 def density(model, x):
     """(1/n) sum_i K_h(x - X_i); accepts one point or a (q, D) batch."""
     x = np.asarray(x, dtype=np.float64)
@@ -58,11 +70,11 @@ def density(model, x):
     pts = np.atleast_2d(x)
     h = model.bandwidth
     if model.kernel == "gaussian":
-        ls = _accel.kde_gauss_logsum(model.train, pts, 1.0 / (2.0 * h * h))
+        ls = _gauss_logsum(model.train, pts, 1.0 / (2.0 * h * h))
         norm = (2.0 * math.pi * h * h) ** (-model.dim / 2.0)
         out = norm * np.exp(ls) / model.n
     else:
-        counts = _accel.kde_box_count(model.train, pts, h)
+        counts = _box_count(model.train, pts, h)
         out = counts / (model.n * (2.0 * h) ** model.dim)
     return float(out[0]) if single else out
 

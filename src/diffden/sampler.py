@@ -19,8 +19,8 @@ import numpy as np
 
 from . import wsnn
 from .diffusion import AdamState, TraceRow, _canonical_order
-from .errors import (DimensionMismatch, DimensionTooLarge, EmptyDataset,
-                     InvalidSize, NonFiniteState)
+from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
+                     EmptyDataset, InvalidSize, NonFiniteState)
 from .numerics import Rng
 
 _BLOWUP = 1e6
@@ -190,7 +190,7 @@ def vanilla_sm_loss(arch, params, x, method="exact"):
     return float(np.mean(vanilla_sm_pointwise(arch, params, x, method)))
 
 
-def _divergence_grads(arch, params, mats, biases, x):
+def _divergence_grads(arch, mats, biases, x):
     """Parameter gradients of mean tr(grad f) over the batch.
 
     With masks M_i = diag(z_i > 0), the Jacobian is
@@ -211,15 +211,11 @@ def _divergence_grads(arch, params, mats, biases, x):
         d_effective[k] = np.einsum("bdo,bhd->oh", u_masked, prefixes[k])
         u = np.einsum("bdo,oh->bdh", u_masked, mats[k])
     d_grads = []
-    for k in range(depth):
-        dA = d_effective[k] / b
-        if k == depth - 1:
-            d_grads.append(dA)
-        else:
-            g = np.zeros_like(params.weights[k])
-            for q, r in zip(arch.q_perms[k], arch.r_perms[k]):
-                g += dA[r.idx][:, q.idx]
-            d_grads.append(g)
+    for k in range(depth - 1):
+        dW, _ = wsnn.replica_fold(d_effective[k] / b, np.zeros(mats[k].shape[0]),
+                                  arch.q_perms[k], arch.r_perms[k])
+        d_grads.append(dW)
+    d_grads.append(d_effective[depth - 1] / b)
     return d_grads
 
 
@@ -237,7 +233,7 @@ def vanilla_sm_value_and_grads(arch, params, x):
     div = _divergence_exact(mats, bs, x)
     loss = float(np.mean(div + 0.5 * np.sum(f * f, axis=1)))
     grads, _ = wsnn.backward(arch, params, x, f / b)
-    div_w = _divergence_grads(arch, params, mats, bs, x)
+    div_w = _divergence_grads(arch, mats, bs, x)
     for gw, dw in zip(grads.weights, div_w):
         gw += dw
     return loss, grads
@@ -330,5 +326,9 @@ def write_samples_binary(path, x):
 
 def read_samples_binary(path):
     with open(path, "rb") as fh:
-        n, dim = np.fromfile(fh, np.int64, 2)
-        return np.fromfile(fh, np.float64, int(n) * int(dim)).reshape(int(n), int(dim))
+        n, dim = wsnn.read_exact(fh, np.int64, 2).tolist()
+        if n < 0 or dim < 0:
+            raise CorruptFile(f"{path}: negative sample block shape ({n}, {dim})")
+        x = wsnn.read_exact(fh, np.float64, n * dim).reshape(n, dim)
+        wsnn.expect_eof(fh)
+    return x

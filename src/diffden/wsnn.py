@@ -8,17 +8,19 @@ form
 followed by an affine output layer.  Q_i^(j) / R_i^(j) are permutations, so
 one weight block W_i is shared across all replicas of a layer; with a single
 identity replica per layer the class reduces to a plain MLP.  Permutations
-are stored as index arrays and applied as gathers, never as dense matrices,
-except in the materialisation helpers used as test oracles.
+are stored as index arrays.  Since the replica sum is linear in v, each
+layer is evaluated as one dense matrix A_i = sum_j R_i^(j) W_i Q_i^(j)
+(`replica_sum`), and dense gradients are folded back onto the shared block
+by its adjoint (`replica_fold`).
 """
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
-from .errors import DimensionMismatch, InvalidSize
+from .errors import CorruptFile, DimensionMismatch, InvalidSize
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,6 @@ class WsnnArchitecture:
     sparsity: int = 0
     weight_bound: float = 0.0
     weight_masks: tuple = None  # optional per-layer 0/1 arrays, None = dense
-    _qidx: tuple = field(init=False, repr=False, default=None)
-    _ridx: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -87,12 +87,6 @@ class WsnnArchitecture:
             for r in self.r_perms[i]:
                 if r.size != widths[i + 1]:
                     raise InvalidSize(f"layer {i}: R permutations must have size {widths[i + 1]}")
-        object.__setattr__(
-            self, "_qidx",
-            tuple(np.stack([q.idx for q in qs]) for qs in self.q_perms))
-        object.__setattr__(
-            self, "_ridx",
-            tuple(np.stack([r.idx for r in rs]) for rs in self.r_perms))
 
     @property
     def depth(self):
@@ -195,31 +189,55 @@ def _check_params(arch, params):
         if params.weights[i].shape != arch.layer_shape(i):
             raise DimensionMismatch(f"W_{i + 1} shape {params.weights[i].shape} "
                                     f"!= {arch.layer_shape(i)}")
+        if params.biases[i].shape != (arch.widths[i + 1],):
+            raise DimensionMismatch(f"b_{i + 1} shape {params.biases[i].shape} "
+                                    f"!= {(arch.widths[i + 1],)}")
+
+
+def replica_sum(W, b, q_perms, r_perms):
+    """Dense (A, c) = (sum_j R^(j) W Q^(j), sum_j R^(j) b) of one layer.
+
+    Replica j routes input coordinate q.idx[d] into weight column d and
+    weight row k onto output coordinate r.idx[k], so it scatters W into
+    A[r.idx][:, q.idx].  `replica_fold` is the exact adjoint gather.
+    """
+    A = np.zeros_like(W)
+    c = np.zeros_like(b)
+    for q, r in zip(q_perms, r_perms):
+        A[np.ix_(r.idx, q.idx)] += W
+        c[r.idx] += b
+    return A, c
+
+
+def replica_fold(dA, dc, q_perms, r_perms):
+    """Gradients on the shared (W, b) from gradients on the dense (A, c)."""
+    dW = np.zeros_like(dA)
+    db = np.zeros_like(dc)
+    for q, r in zip(q_perms, r_perms):
+        dW += dA[np.ix_(r.idx, q.idx)]
+        db += dc[r.idx]
+    return dW, db
 
 
 def forward(arch, params, x):
     """Evaluate the network; accepts a single vector or a (B, d_1) batch."""
     _check_params(arch, params)
     a, single = _as_batch(x, arch.input_dim)
-    for i in range(arch.depth - 1):
-        z = _accel.wsnn_layer_forward(a, params.weights[i], params.biases[i],
-                                      arch._qidx[i], arch._ridx[i])
-        a = np.maximum(z, 0.0)
-    out = a @ params.weights[-1].T + params.biases[-1]
+    out = _forward_cache(arch, params, a)[0]
     return out[0] if single else out
 
 
 def _forward_cache(arch, params, a):
+    mats, bs = effective_layers(arch, params)
     acts = [a]
     pres = []
-    for i in range(arch.depth - 1):
-        z = _accel.wsnn_layer_forward(a, params.weights[i], params.biases[i],
-                                      arch._qidx[i], arch._ridx[i])
+    for A, b in zip(mats[:-1], bs[:-1]):
+        z = a @ A.T + b
         pres.append(z)
         a = np.maximum(z, 0.0)
         acts.append(a)
-    out = a @ params.weights[-1].T + params.biases[-1]
-    return out, acts, pres
+    out = a @ mats[-1].T + bs[-1]
+    return out, mats, acts, pres
 
 
 def backward(arch, params, x, grad_output):
@@ -234,50 +252,42 @@ def backward(arch, params, x, grad_output):
     g, gsingle = _as_batch(grad_output, arch.output_dim)
     if g.shape[0] != a.shape[0]:
         raise DimensionMismatch("grad_output batch size does not match input")
-    _, acts, pres = _forward_cache(arch, params, a)
+    _, mats, acts, pres = _forward_cache(arch, params, a)
 
     grads = zero_params(arch)
     grads.weights[-1] = g.T @ acts[-1]
     grads.biases[-1] = g.sum(axis=0)
-    delta = g @ params.weights[-1]
+    delta = g @ mats[-1]
     for i in range(arch.depth - 2, -1, -1):
         delta = delta * (pres[i] > 0.0)
-        dW, db, delta = _accel.wsnn_layer_backward(
-            acts[i], params.weights[i], delta, arch._qidx[i], arch._ridx[i])
-        grads.weights[i] = dW
-        grads.biases[i] = db
+        grads.weights[i], grads.biases[i] = replica_fold(
+            delta.T @ acts[i], delta.sum(axis=0), arch.q_perms[i], arch.r_perms[i])
+        delta = delta @ mats[i]
     if arch.weight_masks is not None:
         apply_masks(grads, arch)
     return grads, (delta[0] if single else delta)
 
 
 def materialize_layer(arch, params, i):
-    """Dense replica-sum matrix of hidden layer i (test oracle).
-
-    Replica j routes input coordinate q.idx[d] into weight column d and
-    weight row k onto output coordinate r.idx[k], so its dense block is
-    W[inv(r)][:, inv(q)]; the layer matrix is the sum over replicas.
-    """
-    W = params.weights[i]
-    out = np.zeros_like(W)
-    for q, r in zip(arch.q_perms[i], arch.r_perms[i]):
-        out += W[np.argsort(r.idx)][:, np.argsort(q.idx)]
-    return out
+    """Dense replica-sum matrix of hidden layer i."""
+    return replica_sum(params.weights[i], params.biases[i],
+                       arch.q_perms[i], arch.r_perms[i])[0]
 
 
 def materialize_bias(arch, params, i):
-    b = params.biases[i]
-    out = np.zeros_like(b)
-    for r in arch.r_perms[i]:
-        out += b[np.argsort(r.idx)]
-    return out
+    return replica_sum(params.weights[i], params.biases[i],
+                       arch.q_perms[i], arch.r_perms[i])[1]
 
 
 def effective_layers(arch, params):
     """All layers as plain (A_i, b_i) affine maps, replica sums materialised."""
-    mats = [materialize_layer(arch, params, i) for i in range(arch.depth - 1)]
+    mats, bs = [], []
+    for i in range(arch.depth - 1):
+        A, c = replica_sum(params.weights[i], params.biases[i],
+                           arch.q_perms[i], arch.r_perms[i])
+        mats.append(A)
+        bs.append(c)
     mats.append(params.weights[-1])
-    bs = [materialize_bias(arch, params, i) for i in range(arch.depth - 1)]
     bs.append(params.biases[-1])
     return mats, bs
 
@@ -305,11 +315,8 @@ class ConvAsWsnn:
         return W
 
     def materialize(self, filter_vec):
-        W = self.place_filter(filter_vec)
-        out = np.zeros_like(W)
-        for q, r in zip(self.q_perms, self.r_perms):
-            out += W[np.argsort(r.idx)][:, np.argsort(q.idx)]
-        return out
+        return replica_sum(self.place_filter(filter_vec), np.zeros(self.d_out),
+                           self.q_perms, self.r_perms)[0]
 
 
 def conv_as_wsnn(input_side, filter_side):
@@ -423,27 +430,45 @@ def save_checkpoint(path, arch, params):
             np.ascontiguousarray(b, dtype=np.float64).tofile(fh)
 
 
+def read_exact(fh, dtype, count):
+    """Read exactly `count` items of `dtype` from a binary file or raise
+    CorruptFile; the size is checked before anything is allocated."""
+    count = int(count)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count < 0 or count * np.dtype(dtype).itemsize > left:
+        raise CorruptFile(f"{fh.name}: wanted {count} x {np.dtype(dtype).name}, "
+                          f"{left} bytes left")
+    return np.fromfile(fh, dtype, count)
+
+
+def expect_eof(fh):
+    if fh.read(1):
+        raise CorruptFile(f"{fh.name}: trailing bytes")
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a network checkpoint file")
-        depth = int(np.fromfile(fh, np.int64, 1)[0])
-        widths = tuple(np.fromfile(fh, np.int64, depth + 1).tolist())
-        replicas = tuple(np.fromfile(fh, np.int64, depth - 1).tolist())
-        sparsity = int(np.fromfile(fh, np.int64, 1)[0])
-        bound = float(np.fromfile(fh, np.float64, 1)[0])
+            raise CorruptFile("not a network checkpoint file")
+        depth = int(read_exact(fh, np.int64, 1)[0])
+        if depth < 2:
+            raise CorruptFile(f"checkpoint depth {depth} < 2")
+        widths = tuple(read_exact(fh, np.int64, depth + 1).tolist())
+        replicas = tuple(read_exact(fh, np.int64, depth - 1).tolist())
+        sparsity = int(read_exact(fh, np.int64, 1)[0])
+        bound = float(read_exact(fh, np.float64, 1)[0])
         q_perms, r_perms = [], []
         for i in range(depth - 1):
-            qs = tuple(Permutation(np.fromfile(fh, np.int64, widths[i]))
+            qs = tuple(Permutation(read_exact(fh, np.int64, widths[i]))
                        for _ in range(replicas[i]))
-            rs = tuple(Permutation(np.fromfile(fh, np.int64, widths[i + 1]))
+            rs = tuple(Permutation(read_exact(fh, np.int64, widths[i + 1]))
                        for _ in range(replicas[i]))
             q_perms.append(qs)
             r_perms.append(rs)
         masks = None
-        if int(np.fromfile(fh, np.int64, 1)[0]):
+        if int(read_exact(fh, np.int64, 1)[0]):
             masks = tuple(
-                np.fromfile(fh, np.uint8, widths[i + 1] * widths[i])
+                read_exact(fh, np.uint8, widths[i + 1] * widths[i])
                 .reshape(widths[i + 1], widths[i]).astype(np.float64)
                 for i in range(depth))
         arch = WsnnArchitecture(widths, replicas, tuple(q_perms), tuple(r_perms),
@@ -451,6 +476,7 @@ def load_checkpoint(path):
         weights, biases = [], []
         for i in range(depth):
             dout, din = arch.layer_shape(i)
-            weights.append(np.fromfile(fh, np.float64, dout * din).reshape(dout, din))
-            biases.append(np.fromfile(fh, np.float64, dout))
+            weights.append(read_exact(fh, np.float64, dout * din).reshape(dout, din))
+            biases.append(read_exact(fh, np.float64, dout))
+        expect_eof(fh)
     return arch, WsnnParams(weights, biases)

@@ -34,3 +34,81 @@ def relative_error(approx, exact, floor=1e-8):
     exact = np.asarray(exact, dtype=float)
     scale = np.maximum(np.abs(exact), floor)
     return float(np.max(np.abs(approx - exact) / scale))
+
+
+# --- replica-sum reference ---------------------------------------------------
+#
+# Independent of the dense path in diffden.wsnn: each hidden layer gathers
+# its input through every Q permutation and scatters through every R
+# permutation, z[n, r_j[k]] += sum_d W[k, d] * a[n, q_j[d]] + b[k];
+# qidx/ridx hold one permutation row per replica.
+
+
+def wsnn_layer_forward_np(a, W, b, qidx, ridx):
+    B = a.shape[0]
+    dout = W.shape[0]
+    z = np.zeros((B, dout))
+    for j in range(qidx.shape[0]):
+        pre = a[:, qidx[j]] @ W.T + b
+        z[:, ridx[j]] += pre
+    return z
+
+
+def wsnn_layer_backward_np(a, W, delta, qidx, ridx):
+    dW = np.zeros_like(W)
+    db = np.zeros_like(W[:, 0])
+    da = np.zeros_like(a)
+    for j in range(qidx.shape[0]):
+        dg = delta[:, ridx[j]]
+        dW += dg.T @ a[:, qidx[j]]
+        db += dg.sum(axis=0)
+        da[:, qidx[j]] += dg @ W
+    return dW, db, da
+
+
+def perm_tables(arch, i):
+    return (np.stack([q.idx for q in arch.q_perms[i]]),
+            np.stack([r.idx for r in arch.r_perms[i]]))
+
+
+def reference_forward_cache(arch, params, x):
+    """Replica-sum network pass on a (B, d_1) batch: (out, acts, pres)."""
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    acts, pres = [a], []
+    for i in range(arch.depth - 1):
+        z = wsnn_layer_forward_np(a, params.weights[i], params.biases[i],
+                                  *perm_tables(arch, i))
+        pres.append(z)
+        a = np.maximum(z, 0.0)
+        acts.append(a)
+    return a @ params.weights[-1].T + params.biases[-1], acts, pres
+
+
+def reference_forward(arch, params, x):
+    return reference_forward_cache(arch, params, x)[0]
+
+
+def reference_backward(arch, params, x, g):
+    """Replica-sum gradients of sum(g * forward(x)) on a (B, d_1) batch:
+    (weight grads, bias grads, input grad), weight masks applied."""
+    _, acts, pres = reference_forward_cache(arch, params, x)
+    g = np.atleast_2d(g)
+    dws = [None] * arch.depth
+    dbs = [None] * arch.depth
+    dws[-1] = g.T @ acts[-1]
+    dbs[-1] = g.sum(axis=0)
+    delta = g @ params.weights[-1]
+    for i in range(arch.depth - 2, -1, -1):
+        delta = delta * (pres[i] > 0.0)
+        dws[i], dbs[i], delta = wsnn_layer_backward_np(
+            acts[i], params.weights[i], delta, *perm_tables(arch, i))
+    if arch.weight_masks is not None:
+        dws = [w if m is None else w * m for w, m in zip(dws, arch.weight_masks)]
+    return dws, dbs, delta
+
+
+def max_scaled_dev(got, want):
+    """max |got - want| over max(1, max |want|), the 1e-12 agreement measure."""
+    want = np.asarray(want)
+    return float(np.max(np.abs(np.asarray(got) - want))
+                 / max(1.0, float(np.max(np.abs(want)))))

@@ -22,8 +22,9 @@ from diffden.sampler import (SamplerConfig, ScoreFunction, analytic_score,
                              langevin_sample, learned_score,
                              reverse_sde_sample, vanilla_sm_pointwise)
 from diffden.wsnn import covering_bound_numerator, covering_log_bound
+from conftest import max_scaled_dev, reference_forward
 from test_quadrature import QCFG, grid_convolution_2d, riemann_1d
-from test_wsnn import dense_forward, random_arch, random_params
+from test_wsnn import random_arch, random_params
 
 SCHED = DiffusionSchedule()
 
@@ -65,14 +66,14 @@ def test_criterion_1_schedule_identities():
 @criterion(2, 30.0, "WSNN replica-sum forward, gradients, conv embedding")
 def test_criterion_2_wsnn_correctness():
     gen = np.random.default_rng(2)
-    # (a) replica-sum forward equals materialised dense forward, 50 archs
+    # (a) materialised dense forward equals replica-sum reference, 50 archs
     for _ in range(50):
         arch = random_arch(gen)
         params = random_params(gen, arch)
         x = gen.normal(size=(3, arch.input_dim))
         got = wsnn.forward(arch, params, x)
-        want = dense_forward(arch, params, x)
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        want = reference_forward(arch, params, x)
+        assert max_scaled_dev(got, want) <= 1e-12
     # (b) every parameter gradient matches central finite differences
     checked = 0
     while checked < 5:

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
-from diffden import cli
+from diffden import cli, wsnn
 from diffden.bench import (BpdReport, BpdRow, ExperimentConfig,
                            config_from_values, emit_plots, load_config,
                            make_density, parse_config_text, run_case,
                            score_mse_study, write_score_mse_csv)
 from diffden.densities import iso_gaussian_bpd
 from diffden.errors import EmptyReport
+from diffden.numerics import Rng
 
 
 def tiny_config(**kw):
@@ -233,3 +234,13 @@ class TestCli:
         rc = cli.main(["evaluate", "--case", "1", "--samples", str(missing)])
         assert rc == 2
         assert "EmptyDataset" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exit_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.ckpt"
+        arch = wsnn.mlp((5, 8, 4))
+        wsnn.save_checkpoint(ckpt, arch, wsnn.init_params(arch, Rng(0)))
+        ckpt.write_bytes(ckpt.read_bytes()[:-16])
+        rc = cli.main(["sample", "--checkpoint", str(ckpt), "--n", "8",
+                       "--out", str(tmp_path / "samples.csv")])
+        assert rc == 2
+        assert "CorruptFile" in capsys.readouterr().err

@@ -7,8 +7,8 @@ from conftest import finite_diff_param_grads, relative_error
 from diffden import wsnn
 from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
 from diffden.diffusion import DiffusionSchedule, TrainConfig
-from diffden.errors import (DimensionMismatch, DimensionTooLarge, InvalidSize,
-                            NonFiniteState)
+from diffden.errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
+                            InvalidSize, NonFiniteState)
 from diffden.numerics import Rng
 from diffden.sampler import (SamplerConfig, ScoreFunction, analytic_score,
                              langevin_sample, learned_score_time_free,
@@ -236,3 +236,12 @@ class TestSampleIo:
         path = tmp_path / "samples.bin"
         write_samples_binary(path, x)
         assert np.array_equal(read_samples_binary(path), x)
+
+    def test_binary_rejects_truncated_and_trailing(self, tmp_path, rng):
+        path = tmp_path / "samples.bin"
+        write_samples_binary(path, rng.normal_matrix(5, 2))
+        data = path.read_bytes()
+        for bad in (data[:-8], data + b"\0", data[:12]):
+            path.write_bytes(bad)
+            with pytest.raises(CorruptFile):
+                read_samples_binary(path)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_diff_param_grads, relative_error
-from diffden.errors import DimensionMismatch, InvalidSize
+from conftest import (finite_diff_param_grads, max_scaled_dev, perm_tables,
+                      reference_backward, reference_forward, relative_error,
+                      wsnn_layer_forward_np)
+from diffden.errors import CorruptFile, DimensionMismatch, InvalidSize
 from diffden.numerics import Rng
 from diffden.wsnn import (Permutation, WsnnArchitecture,
                           WsnnParams, backward, conv2d_valid, conv_as_wsnn,
@@ -34,16 +36,6 @@ def random_params(gen, arch):
     return WsnnParams(
         [gen.normal(size=arch.layer_shape(i)) for i in range(arch.depth)],
         [gen.normal(size=arch.widths[i + 1]) for i in range(arch.depth)])
-
-
-def dense_forward(arch, params, x):
-    """Oracle: evaluate through explicitly materialised dense matrices."""
-    mats, biases = effective_layers(arch, params)
-    a = np.atleast_2d(x)
-    for i in range(arch.depth - 1):
-        a = np.maximum(a @ mats[i].T + biases[i], 0.0)
-    out = a @ mats[-1].T + biases[-1]
-    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 class TestPermutation:
@@ -88,13 +80,17 @@ class TestForward:
             params = random_params(gen, arch)
             x = gen.normal(size=(4, arch.input_dim))
             got = forward(arch, params, x)
-            want = dense_forward(arch, params, x)
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            want = reference_forward(arch, params, x)
+            assert max_scaled_dev(got, want) <= 1e-12
 
     def test_dimension_mismatch(self):
         arch = mlp((3, 4, 2))
         with pytest.raises(DimensionMismatch):
             forward(arch, zero_params(arch), np.ones(5))
+        params = zero_params(arch)
+        params.biases[-1] = np.zeros(1)
+        with pytest.raises(DimensionMismatch):
+            forward(arch, params, np.ones(3))
 
     def test_single_vector_matches_batch_row(self):
         gen = np.random.default_rng(4)
@@ -118,6 +114,21 @@ def _away_from_kinks(arch, params, x, margin=1e-4):
 
 
 class TestBackward:
+    def test_matches_replica_sum_reference(self):
+        # the 50 architectures of test_replica_sum_equals_materialized_dense
+        gen = np.random.default_rng(3)
+        gen_g = np.random.default_rng(30)
+        for _ in range(50):
+            arch = random_arch(gen)
+            params = random_params(gen, arch)
+            x = gen.normal(size=(4, arch.input_dim))
+            g = gen_g.normal(size=(4, arch.output_dim))
+            grads, gx = backward(arch, params, x, g)
+            dws, dbs, want_x = reference_backward(arch, params, x, g)
+            for got, want in zip(grads.weights + grads.biases + [gx],
+                                 dws + dbs + [want_x]):
+                assert max_scaled_dev(got, want) <= 1e-12
+
     def test_zero_grad_output(self):
         gen = np.random.default_rng(5)
         arch = random_arch(gen)
@@ -328,6 +339,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_rejects_truncated_and_trailing(self, tmp_path):
+        gen = np.random.default_rng(18)
+        arch = random_arch(gen)
+        path = tmp_path / "net.bin"
+        save_checkpoint(path, arch, random_params(gen, arch))
+        data = path.read_bytes()
+        for bad in (data[:-8], data + b"\0"):  # one float short, one byte over
+            path.write_bytes(bad)
+            with pytest.raises(CorruptFile):
+                load_checkpoint(path)
+
 
 class TestLinearNetwork:
     def test_exact_affine(self):
@@ -346,10 +368,7 @@ class TestMaterialize:
         params = random_params(gen, arch)
         mats, biases = effective_layers(arch, params)
         x = gen.normal(size=arch.input_dim)
-        kernel_z = None
-        from diffden import _accel
-
-        kernel_z = _accel.wsnn_layer_forward(
+        ref_z = wsnn_layer_forward_np(
             x[None, :], params.weights[0], params.biases[0],
-            arch._qidx[0], arch._ridx[0])[0]
-        assert np.allclose(kernel_z, mats[0] @ x + biases[0], atol=1e-12)
+            *perm_tables(arch, 0))[0]
+        assert np.allclose(ref_z, mats[0] @ x + biases[0], atol=1e-12)

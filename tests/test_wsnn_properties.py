@@ -1,0 +1,95 @@
+"""Property tests: the dense layer path against the replica-sum reference.
+
+Architectures are drawn with random widths, replica counts, permutations
+and weight masks, plus first layers taken from `conv_as_wsnn` plans.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import max_scaled_dev, reference_backward, reference_forward
+from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
+                          apply_masks, backward, conv_as_wsnn, forward,
+                          replica_fold, replica_sum)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _perms(draw, n, m):
+    return tuple(Permutation(np.array(draw(st.permutations(range(n))), dtype=np.int64))
+                 for _ in range(m))
+
+
+@st.composite
+def architectures(draw):
+    """(arch, params, x, g) with masks applied to params."""
+    depth = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.integers(1, 10), min_size=depth + 1,
+                           max_size=depth + 1))
+    replicas = draw(st.lists(st.integers(1, 3), min_size=depth - 1,
+                             max_size=depth - 1))
+    q, r = [], []
+    if draw(st.booleans()):
+        filter_side = draw(st.integers(1, 3))
+        plan = conv_as_wsnn(draw(st.integers(filter_side, 4)), filter_side)
+        widths[:2] = [plan.d_in, plan.d_out]
+        replicas[0] = plan.m
+        q.append(plan.q_perms)
+        r.append(plan.r_perms)
+    for i in range(len(q), depth - 1):
+        q.append(_perms(draw, widths[i], replicas[i]))
+        r.append(_perms(draw, widths[i + 1], replicas[i]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = None
+    if draw(st.booleans()):
+        masks = tuple((gen.random((widths[i + 1], widths[i])) < 0.7).astype(float)
+                      if draw(st.booleans()) else None for i in range(depth))
+    arch = WsnnArchitecture(widths, replicas, tuple(q), tuple(r),
+                            weight_masks=masks)
+    params = WsnnParams(
+        [gen.normal(size=arch.layer_shape(i)) for i in range(depth)],
+        [gen.normal(size=widths[i + 1]) for i in range(depth)])
+    apply_masks(params, arch)
+    batch = draw(st.integers(1, 5))
+    x = gen.normal(size=(batch, widths[0]))
+    g = gen.normal(size=(batch, widths[-1]))
+    return arch, params, x, g
+
+
+@SETTINGS
+@given(architectures())
+def test_dense_forward_matches_replica_sum(case):
+    arch, params, x, _ = case
+    assert max_scaled_dev(forward(arch, params, x),
+                          reference_forward(arch, params, x)) <= 1e-12
+
+
+@SETTINGS
+@given(architectures())
+def test_dense_backward_matches_replica_sum(case):
+    arch, params, x, g = case
+    grads, gx = backward(arch, params, x, g)
+    dws, dbs, want_x = reference_backward(arch, params, x, g)
+    for got, want in zip(grads.weights + grads.biases + [gx],
+                         dws + dbs + [want_x]):
+        assert max_scaled_dev(got, want) <= 1e-12
+
+
+@SETTINGS
+@given(architectures(), st.integers(0, 2 ** 32 - 1))
+def test_fold_is_adjoint_of_materialize(case, seed):
+    """<replica_sum(W, b), (dA, dc)> == <(W, b), replica_fold(dA, dc)>."""
+    arch, params, _, _ = case
+    gen = np.random.default_rng(seed)
+    for i in range(arch.depth - 1):
+        W, b = params.weights[i], params.biases[i]
+        dA = gen.normal(size=W.shape)
+        dc = gen.normal(size=b.shape)
+        A, c = replica_sum(W, b, arch.q_perms[i], arch.r_perms[i])
+        dW, db = replica_fold(dA, dc, arch.q_perms[i], arch.r_perms[i])
+        lhs = np.sum(A * dA) + np.sum(c * dc)
+        rhs = np.sum(W * dW) + np.sum(b * db)
+        scale = np.sum(np.abs(A * dA)) + np.sum(np.abs(c * dc))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale)
