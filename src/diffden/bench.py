@@ -14,7 +14,7 @@ import numpy as np
 
 from . import densities, kde, sampler, wsnn
 from .diffusion import DiffusionSchedule, TrainConfig, network_score, score_mse, train
-from .errors import DiffdenError, EmptyReport
+from .errors import BadConfig, DiffdenError, EmptyReport
 from .numerics import Rng
 
 METHODS = ("diffusion", "kde-g", "kde-u", "vanilla-sm", "analytic")
@@ -44,14 +44,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.case not in (1, 2, 3):
-            raise ValueError("case must be 1, 2, or 3")
+            raise BadConfig("case must be 1, 2, or 3")
         if self.grid_side < 2:
-            raise ValueError("grid_side must be >= 2")
+            raise BadConfig("grid_side must be >= 2")
         if self.mixture_size < 1 or self.n_eval < 1:
-            raise ValueError("mixture_size and n_eval must be >= 1")
+            raise BadConfig("mixture_size and n_eval must be >= 1")
         for m in self.methods:
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
+                raise BadConfig(f"unknown method {m!r}")
 
     @property
     def dim(self):
@@ -374,17 +374,21 @@ def parse_config_text(text):
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value")
+            raise BadConfig(f"config line {lineno}: expected key=value")
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise BadConfig(f"config line {lineno}: unknown key {key!r}")
         kind = _CONFIG_KEYS[key]
-        if kind == "ints":
-            values[key] = tuple(int(v) for v in val.split(",") if v.strip())
-        elif kind == "strs":
-            values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-        else:
-            values[key] = kind(val)
+        try:
+            if kind == "ints":
+                values[key] = tuple(int(v) for v in val.split(",") if v.strip())
+            elif kind == "strs":
+                values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
+            else:
+                values[key] = kind(val)
+        except ValueError:
+            raise BadConfig(
+                f"config line {lineno}: cannot parse {val!r} for {key!r}") from None
     return values
 
 

@@ -12,8 +12,15 @@ import sys
 from . import bench, densities, sampler, wsnn
 from .bench import BpdReport, ExperimentConfig, load_config, make_density
 from .diffusion import TrainConfig, train, write_trace_csv
-from .errors import DiffdenError
+from .errors import BadConfig, DiffdenError
 from .numerics import Rng
+
+
+def _ints(text, flag):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise BadConfig(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _experiment_config(args):
@@ -31,11 +38,11 @@ def _experiment_config(args):
         if val is not None:
             overrides[attr] = val
     if getattr(args, "n_list", None):
-        overrides["train_sizes"] = tuple(int(v) for v in args.n_list.split(","))
+        overrides["train_sizes"] = _ints(args.n_list, "--n-list")
     if getattr(args, "methods", None):
         overrides["methods"] = tuple(args.methods.split(","))
     if getattr(args, "widths", None):
-        overrides["hidden_widths"] = tuple(int(v) for v in args.widths.split(","))
+        overrides["hidden_widths"] = _ints(args.widths, "--widths")
     if overrides:
         from dataclasses import replace
 
@@ -62,18 +69,8 @@ def _add_common(p):
     p.add_argument("--repetitions", type=int)
 
 
-def _fix_km(args, cfg):
-    from dataclasses import replace
-
-    if getattr(args, "k", None) is not None:
-        cfg = replace(cfg, grid_side=args.k)
-    if getattr(args, "m", None) is not None:
-        cfg = replace(cfg, mixture_size=args.m)
-    return cfg
-
-
 def cmd_gen_data(args):
-    cfg = _fix_km(args, _experiment_config(args))
+    cfg = _experiment_config(args)
     density = make_density(cfg)
     data = density.sample(args.n, Rng(cfg.seed).child(cfg.case, cfg.k_or_m, args.n, 0, 0))
     data.to_csv(args.out)
@@ -84,7 +81,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = _fix_km(args, _experiment_config(args))
+    cfg = _experiment_config(args)
     data = densities.Dataset.from_csv(args.data)
     arch = bench._score_net_arch(data.dim, cfg.hidden_widths)
     params = wsnn.init_params(arch, Rng(cfg.seed).child(2))
@@ -99,7 +96,7 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
-    cfg = _fix_km(args, _experiment_config(args))
+    cfg = _experiment_config(args)
     arch, params = wsnn.load_checkpoint(args.checkpoint)
     score = sampler.learned_score(arch, params)
     scfg = sampler.SamplerConfig(cfg.em_steps, args.n)
@@ -111,7 +108,7 @@ def cmd_sample(args):
 
 
 def cmd_evaluate(args):
-    cfg = _fix_km(args, _experiment_config(args))
+    cfg = _experiment_config(args)
     density = make_density(cfg)
     samples = densities.Dataset.from_csv(args.samples)
     value = densities.bpd(density, samples)
@@ -120,7 +117,7 @@ def cmd_evaluate(args):
 
 
 def cmd_run_case(args):
-    cfg = _fix_km(args, _experiment_config(args))
+    cfg = _experiment_config(args)
     report = bench.run_case(cfg, flush_path=args.out)
     if args.out:
         report.to_csv(args.out)
@@ -133,7 +130,7 @@ def cmd_run_case(args):
 
 
 def cmd_score_mse(args):
-    cfg = _fix_km(args, _experiment_config(args))
+    cfg = _experiment_config(args)
     rows = bench.score_mse_study(cfg)
     bench.write_score_mse_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")

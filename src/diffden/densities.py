@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionTooLarge, EmptyDataset, NoAnalyticScore,
-                     OutOfSupport, RejectionBudgetExceeded)
-from .numerics import McEstimate, cholesky, solve_spd, spd_logdet
+from .errors import (CorruptFile, DimensionTooLarge, EmptyDataset,
+                     NoAnalyticScore, NotPositiveDefinite, OutOfSupport,
+                     RejectionBudgetExceeded)
+from .numerics import McEstimate, cholesky
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -53,8 +54,25 @@ class Dataset:
         with open(path) as fh:
             header = fh.readline()
             if not header.startswith("x1"):
-                raise ValueError("dataset CSV must start with an x1,..,xD header")
-            rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
+                raise CorruptFile(
+                    f"{path} line 1: dataset CSV must start with an x1,..,xD header")
+            width = len(header.split(","))
+            rows = []
+            for lineno, line in enumerate(fh, 2):
+                if not line.strip():
+                    continue
+                cells = line.split(",")
+                if len(cells) != width:
+                    raise CorruptFile(
+                        f"{path} line {lineno}: {len(cells)} cells, header has {width}")
+                try:
+                    row = [float(c) for c in cells]
+                except ValueError:
+                    raise CorruptFile(
+                        f"{path} line {lineno}: non-numeric cell") from None
+                if not all(map(math.isfinite, row)):
+                    raise CorruptFile(f"{path} line {lineno}: non-finite cell")
+                rows.append(row)
         if not rows:
             raise EmptyDataset(f"no rows in {path}")
         return Dataset(np.array(rows), meta or {})
@@ -70,7 +88,6 @@ class IsoGaussian:
     score is -x at every time."""
 
     family = "iso_gaussian"
-    time_invariant_score = True
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -95,7 +112,9 @@ class GridMrfGaussian:
 
     Precision has `diag_value` on the diagonal and `coupling` between grid
     neighbors; diagonal dominance (diag > 4|coupling|) keeps it positive
-    definite.  Sampling maps z through the Cholesky factor of the covariance.
+    definite.  The precision is eigendecomposed once, Lambda = V diag(lam) V^T:
+    the covariance, the log-determinant and the noised score all come from
+    (lam, V).  Sampling maps z through the Cholesky factor of the covariance.
     """
 
     family = "grid_mrf"
@@ -106,11 +125,14 @@ class GridMrfGaussian:
         self.diag_value = float(diag_value)
         self.coupling = float(coupling)
         self.precision = self._build_precision()
-        eye = np.eye(self.dim)
-        self.covariance = solve_spd(self.precision, eye)
+        self._eigvals, self._eigvecs = np.linalg.eigh(self.precision)
+        if self._eigvals[0] <= 0:
+            raise NotPositiveDefinite(
+                f"MRF precision has smallest eigenvalue {self._eigvals[0]!r}")
+        self.covariance = (self._eigvecs / self._eigvals) @ self._eigvecs.T
         self.covariance = 0.5 * (self.covariance + self.covariance.T)
         self._chol_cov = cholesky(self.covariance)
-        self._logdet_prec = spd_logdet(self.precision)
+        self._logdet_prec = float(np.sum(np.log(self._eigvals)))
 
     def _build_precision(self):
         k = self.side
@@ -135,10 +157,15 @@ class GridMrfGaussian:
         return 0.5 * self._logdet_prec - 0.5 * self.dim * _LOG_2PI - 0.5 * quad
 
     def score_t(self, x, t, schedule):
+        # -(mu_t^2 Sigma + sigma_t^2 I)^-1 x, diagonal in the eigenbasis of
+        # the precision; t is a scalar or one time per row of x
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         mu_t, sigma_t = schedule.mu_sigma(t)
-        cov_t = mu_t ** 2 * self.covariance + sigma_t ** 2 * np.eye(self.dim)
-        return -solve_spd(cov_t, x.T).T
+        mu_t = np.reshape(mu_t, (-1, 1))
+        sigma_t = np.reshape(sigma_t, (-1, 1))
+        z = x @ self._eigvecs
+        z /= mu_t ** 2 / self._eigvals + sigma_t ** 2
+        return -z @ self._eigvecs.T
 
     def meta(self):
         return {"family": self.family, "dim": self.dim, "K": self.side,
@@ -177,14 +204,16 @@ class GaussMixture:
 
     def score_t(self, x, t, schedule):
         # X_t = mu_t X_0 + sigma_t Z with unit component covariance keeps the
-        # noised law a mixture of N(mu_t * mean_k, I)
+        # noised law a mixture of N(mu_t * mean_k, I); t is a scalar or one
+        # time per row of x
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         mu_t, _ = schedule.mu_sigma(t)
-        lp = self._component_logpdfs(x, mean_scale=mu_t)
+        mean_scale = np.reshape(mu_t, (-1, 1, 1))
+        lp = self._component_logpdfs(x, mean_scale)
         lp -= lp.max(axis=1, keepdims=True)
         resp = np.exp(lp)
         resp /= resp.sum(axis=1, keepdims=True)
-        centered = mu_t * self.means[None, :, :] - x[:, None, :]
+        centered = mean_scale * self.means[None, :, :] - x[:, None, :]
         return np.sum(resp[:, :, None] * centered, axis=1)
 
     def meta(self):

@@ -315,12 +315,5 @@ def score_mse(score, density, schedule, n_mc, rng):
 
 
 def score_t_batch(density, x, t, schedule):
-    """Analytic noised score for per-element times (loops where needed)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 0 or getattr(density, "time_invariant_score", False):
-        return density.score_t(x, float(t.ravel()[0]), schedule)
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        out[i] = density.score_t(x[i:i + 1], float(t[i]), schedule)[0]
-    return out
+    """Analytic noised score at one time per row of x (or one shared time)."""
+    return density.score_t(x, t, schedule)

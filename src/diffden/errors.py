@@ -70,4 +70,8 @@ class EmptyReport(DiffdenError):
 
 
 class CorruptFile(DiffdenError, ValueError):
-    """A binary file is truncated, over-long or not of the expected kind."""
+    """A file is truncated, over-long, malformed or not of the expected kind."""
+
+
+class BadConfig(DiffdenError, ValueError):
+    """A config line or an experiment setting is malformed or out of range."""

@@ -1,6 +1,7 @@
-"""Dense linear-algebra and randomness substrate.
+"""Cholesky factorisation with a typed failure, and the randomness substrate.
 
-Vectors and matrices are plain float64 ndarrays.  The Rng wraps a
+Vectors and matrices are plain float64 ndarrays; solves and
+eigendecompositions call numpy.linalg (LAPACK) directly.  The Rng wraps a
 counter-based Philox bit generator so that `split` yields independent,
 reproducible substreams; normal draws go through an explicit Box-Muller
 transform so the number of uniforms consumed per call is fixed.
@@ -24,25 +25,11 @@ class McEstimate(NamedTuple):
         return self.value
 
 
-def as_vector(x):
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected 1-D array, got shape {v.shape}")
-    return v
-
-
 def as_matrix(a):
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected 2-D array, got shape {m.shape}")
     return m
-
-
-def check_finite(arr, what="array"):
-    arr = np.asarray(arr)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return arr
 
 
 def is_symmetric(a, tol=1e-12):
@@ -54,8 +41,7 @@ def is_symmetric(a, tol=1e-12):
 def cholesky(a):
     """Lower-triangular L with L @ L.T == a for symmetric positive-definite a.
 
-    Raises NotPositiveDefinite when a pivot fails, which is how an invalid
-    MRF precision matrix surfaces.
+    Raises NotPositiveDefinite when a pivot fails.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -66,44 +52,6 @@ def cholesky(a):
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-
-
-def solve_lower(lower, b):
-    """Forward substitution for a lower-triangular system."""
-    lower = as_matrix(lower)
-    b = np.asarray(b, dtype=np.float64)
-    n = lower.shape[0]
-    x = np.array(b, dtype=np.float64, copy=True)
-    for i in range(n):
-        if i:
-            x[i] = x[i] - lower[i, :i] @ x[:i]
-        x[i] = x[i] / lower[i, i]
-    return x
-
-
-def solve_upper(upper, b):
-    """Back substitution for an upper-triangular system."""
-    upper = as_matrix(upper)
-    b = np.asarray(b, dtype=np.float64)
-    n = upper.shape[0]
-    x = np.array(b, dtype=np.float64, copy=True)
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            x[i] = x[i] - upper[i, i + 1:] @ x[i + 1:]
-        x[i] = x[i] / upper[i, i]
-    return x
-
-
-def solve_spd(a, b):
-    """Solve a @ x = b for symmetric positive-definite a via Cholesky."""
-    lower = cholesky(a)
-    return solve_upper(lower.T, solve_lower(lower, b))
-
-
-def spd_logdet(a):
-    """log det of a symmetric positive-definite matrix."""
-    lower = cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
 class Rng:

@@ -8,7 +8,7 @@ from diffden.bench import (BpdReport, BpdRow, ExperimentConfig,
                            make_density, parse_config_text, run_case,
                            score_mse_study, write_score_mse_csv)
 from diffden.densities import iso_gaussian_bpd
-from diffden.errors import EmptyReport
+from diffden.errors import BadConfig, EmptyReport
 from diffden.numerics import Rng
 
 
@@ -169,6 +169,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config_text("bogus = 1")
 
+    @pytest.mark.parametrize("text", ["case 2", "bogus = 1", "case = x",
+                                      "n_list = 100, many"])
+    def test_bad_lines_raise_bad_config(self, text):
+        with pytest.raises(BadConfig):
+            parse_config_text(text)
+
+    def test_bad_setting_raises_bad_config(self):
+        with pytest.raises(BadConfig):
+            ExperimentConfig(case=4)
+
     def test_load_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("case = 1\nseed = 9\nn_eval = 123\n")
@@ -234,6 +244,29 @@ class TestCli:
         rc = cli.main(["evaluate", "--case", "1", "--samples", str(missing)])
         assert rc == 2
         assert "EmptyDataset" in capsys.readouterr().err
+
+    def test_bad_config_exit_code(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.cfg"
+        bogus.write_text("bogus = 3\n")
+        unparsable = tmp_path / "unparsable.cfg"
+        unparsable.write_text("case = x\n")
+        for argv in (["--config", str(bogus)], ["--config", str(unparsable)],
+                     ["--case", "4"], ["--n-list", "100,many"]):
+            assert cli.main(["run-case", *argv]) == 2
+            assert "BadConfig" in capsys.readouterr().err
+
+    def test_malformed_dataset_exit_code(self, tmp_path, capsys):
+        for text in ("y1,y2\n1,2\n", "x1,x2\n1,abc\n", "x1,x2\n1,2\n3\n"):
+            path = tmp_path / "bad.csv"
+            path.write_text(text)
+            assert cli.main(["evaluate", "--case", "1", "--K", "2",
+                             "--samples", str(path)]) == 2
+            assert "CorruptFile" in capsys.readouterr().err
+
+    def test_k_and_m_flags_reach_config(self):
+        args = cli.build_parser().parse_args(["run-case", "--K", "4", "--M", "5"])
+        cfg = cli._experiment_config(args)
+        assert (cfg.grid_side, cfg.mixture_size) == (4, 5)
 
     def test_truncated_checkpoint_exit_code(self, tmp_path, capsys):
         ckpt = tmp_path / "net.ckpt"

@@ -9,9 +9,9 @@ from diffden.densities import (Dataset, FactorDensity, GaussMixture,
                                bpd, cosine_bump, grid_mrf_bpd,
                                iso_gaussian_bpd, log_density, reference_bpd,
                                sample)
-from diffden.diffusion import DiffusionSchedule
-from diffden.errors import (NoAnalyticScore, NotPositiveDefinite, OutOfSupport,
-                            RejectionBudgetExceeded)
+from diffden.diffusion import DiffusionSchedule, score_t_batch
+from diffden.errors import (CorruptFile, NoAnalyticScore, NotPositiveDefinite,
+                            OutOfSupport, RejectionBudgetExceeded)
 
 SCHED = DiffusionSchedule()
 
@@ -38,7 +38,7 @@ class TestIsoGaussian:
     def test_score_is_negative_x(self, rng):
         d = IsoGaussian(3)
         x = rng.normal_matrix(5, 3)
-        for t in (1e-3, 0.4, 2.7):
+        for t in (1e-3, 0.4, 2.7, rng.uniform(5, SCHED.t_min, SCHED.t_max)):
             assert np.array_equal(analytic_score_t(d, x, t, SCHED), -x)
 
 
@@ -142,6 +142,42 @@ class TestGaussMixture:
         want_cov = np.eye(2) + centered.T @ centered / 3.0
         assert np.max(np.abs(xt.mean(axis=0) - want_mean)) < 0.05
         assert np.max(np.abs(np.cov(xt.T) - want_cov)) < 0.08
+
+
+def max_rel_dev(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestPerRowTime:
+    """score_t with one time per row against independent per-row references."""
+
+    def test_mrf_matches_dense_solve(self, rng):
+        for side in (3, 5):
+            mrf = GridMrfGaussian(side, 1.0, -0.2)
+            cov = np.linalg.inv(mrf.precision)
+            x = rng.normal_matrix(64, mrf.dim)
+            t = rng.uniform(64, SCHED.t_min, SCHED.t_max)
+            mu, sigma = SCHED.mu_sigma(t)
+            want = np.stack([
+                -np.linalg.solve(m ** 2 * cov + s ** 2 * np.eye(mrf.dim), row)
+                for row, m, s in zip(x, mu, sigma)])
+            assert max_rel_dev(mrf.score_t(x, t, SCHED), want) <= 1e-12
+
+    def test_mixture_matches_scalar_rows(self, rng):
+        mix = GaussMixture(4, 3, rng)
+        x = 2.0 * rng.normal_matrix(64, 4)
+        t = rng.uniform(64, SCHED.t_min, SCHED.t_max)
+        want = np.stack([mix.score_t(x[i:i + 1], float(t[i]), SCHED)[0]
+                         for i in range(64)])
+        assert max_rel_dev(mix.score_t(x, t, SCHED), want) <= 1e-12
+
+    def test_score_t_batch_is_score_t(self, rng):
+        x = rng.normal_matrix(16, 9)
+        t = rng.uniform(16, SCHED.t_min, SCHED.t_max)
+        for density in (IsoGaussian(9), GridMrfGaussian(3), GaussMixture(9, 3, rng)):
+            for times in (0.7, t):
+                assert np.array_equal(score_t_batch(density, x, times, SCHED),
+                                      density.score_t(x, times, SCHED))
 
 
 class TestFactorDensity:
@@ -258,6 +294,19 @@ class TestDataset:
         again = Dataset.from_csv(path)
         assert np.array_equal(again.x, data.x)
         assert path.read_text().splitlines()[0] == "x1,x2,x3"
+
+    @pytest.mark.parametrize("text, line", [
+        ("y1,y2\n1,2\n", 1),           # bad header
+        ("x1,x2\n1,2\n3,abc\n", 3),    # non-numeric cell
+        ("x1,x2\n1,2\n\n3\n", 4),      # ragged row
+        ("x1,x2\n1,2,3\n", 2),         # ragged row, too long
+        ("x1,x2\n1,nan\n", 2),         # non-finite cell
+    ])
+    def test_malformed_csv_raises_corrupt_file(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CorruptFile, match=f"line {line}:"):
+            Dataset.from_csv(path)
 
     def test_meta_sidecar(self, tmp_path, rng):
         data = sample(GridMrfGaussian(3), 5, rng)

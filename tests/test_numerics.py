@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from diffden.errors import NotPositiveDefinite
-from diffden.numerics import (Rng, cholesky, solve_spd, spd_logdet,
-                              standard_normal)
+from diffden.numerics import Rng, cholesky, standard_normal
 
 
 class TestCholesky:
@@ -35,34 +34,6 @@ class TestCholesky:
             lower[np.diag_indices(n)] = 0.5 + gen.random(n)
             again = cholesky(lower @ lower.T)
             assert np.max(np.abs(again - lower)) <= 1e-9
-
-    def test_logdet_matches_slogdet(self):
-        gen = np.random.default_rng(3)
-        b = gen.normal(size=(6, 6))
-        a = b @ b.T + 6 * np.eye(6)
-        sign, ref = np.linalg.slogdet(a)
-        assert sign == 1.0
-        assert abs(spd_logdet(a) - ref) < 1e-10
-
-
-class TestSolve:
-    def test_residual_bound(self):
-        gen = np.random.default_rng(11)
-        for _ in range(20):
-            n = int(gen.integers(2, 30))
-            b_mat = gen.normal(size=(n, n))
-            a = b_mat @ b_mat.T + 1e-3 * np.eye(n)
-            if np.linalg.cond(a) > 1e6:
-                continue
-            rhs = gen.normal(size=n)
-            x = solve_spd(a, rhs)
-            assert np.max(np.abs(a @ x - rhs)) <= 1e-8 * max(np.max(np.abs(rhs)), 1.0)
-
-    def test_matrix_rhs(self):
-        a = np.array([[4.0, 1.0], [1.0, 3.0]])
-        rhs = np.eye(2)
-        inv = solve_spd(a, rhs)
-        assert np.allclose(a @ inv, np.eye(2), atol=1e-12)
 
 
 class TestRng:
