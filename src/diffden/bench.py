@@ -49,6 +49,7 @@ class ExperimentConfig:
             raise BadConfig("grid_side must be >= 2")
         if self.mixture_size < 1 or self.n_eval < 1:
             raise BadConfig("mixture_size and n_eval must be >= 1")
+        self.train_config(self.seed)  # TrainConfig checks steps, batch and lr
         for m in self.methods:
             if m not in METHODS:
                 raise BadConfig(f"unknown method {m!r}")
@@ -63,6 +64,11 @@ class ExperimentConfig:
 
     def schedule(self):
         return DiffusionSchedule(t_min=self.t_min, t_max=self.t_max)
+
+    def train_config(self, seed):
+        return TrainConfig(batch_size=self.batch_size,
+                           learning_rate=self.learning_rate, steps=self.steps,
+                           seed=seed)
 
 
 def make_density(config, rng=None):
@@ -154,10 +160,8 @@ def _generate_for_method(config, density, method, data, cell_rng, cell_seed):
     if method == "diffusion":
         arch = _score_net_arch(density.dim, config.hidden_widths)
         params = wsnn.init_params(arch, cell_rng.child(2))
-        tc = TrainConfig(batch_size=config.batch_size,
-                         learning_rate=config.learning_rate,
-                         steps=config.steps, seed=cell_seed)
-        params, _ = train(data, arch, params, schedule, tc)
+        params, _ = train(data, arch, params, schedule,
+                          config.train_config(cell_seed))
         score = sampler.learned_score(arch, params)
         cfg = sampler.SamplerConfig(config.em_steps, config.n_eval)
         return sampler.reverse_sde_sample(score, schedule, cfg, density.dim,
@@ -165,10 +169,8 @@ def _generate_for_method(config, density, method, data, cell_rng, cell_seed):
     if method == "vanilla-sm":
         arch = _vanilla_arch(density.dim, config.hidden_widths)
         params = wsnn.init_params(arch, cell_rng.child(2))
-        tc = TrainConfig(batch_size=config.batch_size,
-                         learning_rate=config.learning_rate,
-                         steps=config.steps, seed=cell_seed)
-        params, _ = sampler.train_vanilla_sm(data, arch, params, tc)
+        params, _ = sampler.train_vanilla_sm(data, arch, params,
+                                             config.train_config(cell_seed))
         score = sampler.learned_score_time_free(arch, params)
         return sampler.langevin_sample(score, config.langevin_step,
                                        config.langevin_steps, config.n_eval,
@@ -235,10 +237,7 @@ def score_mse_study(config, n_mc=4096):
             params0 = wsnn.init_params(arch, cell_rng.child(2))
             init = score_mse(network_score(arch, params0), density, schedule,
                              n_mc, cell_rng.child(3))
-            tc = TrainConfig(batch_size=config.batch_size,
-                             learning_rate=config.learning_rate,
-                             steps=config.steps,
-                             seed=config.seed * 1000003 + cell_index)
+            tc = config.train_config(config.seed * 1000003 + cell_index)
             params, _ = train(data, arch, params0, schedule, tc)
             trained = score_mse(network_score(arch, params), density, schedule,
                                 n_mc, cell_rng.child(3))
@@ -356,15 +355,49 @@ def emit_plots(report, out_dir):
     return written
 
 
-# --- flat key=value config files ---------------------------------------------
+# --- experiment settings: config-file keys and CLI flags --------------------
 
-_CONFIG_KEYS = {
-    "case": int, "K": int, "M": int, "n_list": "ints", "n_eval": int,
-    "methods": "strs", "seed": int, "repetitions": int, "steps": int,
-    "batch": int, "lr": float, "T_min": float, "T_max": float,
-    "em_steps": int, "arch.widths": "ints", "langevin_step": float,
-    "langevin_steps": int, "mrf_diag": float, "mrf_coupling": float,
+
+def _ints(text):
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _strs(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# config key -> (ExperimentConfig field, value parser, CLI flag or None for
+# keys that only a config file sets); file and flag values parse alike
+SETTINGS = {
+    "case": ("case", int, "--case"),
+    "K": ("grid_side", int, "--K"),
+    "M": ("mixture_size", int, "--M"),
+    "n_list": ("train_sizes", _ints, "--n-list"),
+    "n_eval": ("n_eval", int, "--n-eval"),
+    "methods": ("methods", _strs, "--methods"),
+    "seed": ("seed", int, "--seed"),
+    "repetitions": ("repetitions", int, "--repetitions"),
+    "steps": ("steps", int, "--steps"),
+    "batch": ("batch_size", int, "--batch"),
+    "lr": ("learning_rate", float, "--lr"),
+    "T_min": ("t_min", float, "--T-min"),
+    "T_max": ("t_max", float, "--T-max"),
+    "em_steps": ("em_steps", int, "--em-steps"),
+    "arch.widths": ("hidden_widths", _ints, "--widths"),
+    "langevin_step": ("langevin_step", float, None),
+    "langevin_steps": ("langevin_steps", int, None),
+    "mrf_diag": ("mrf_diag", float, None),
+    "mrf_coupling": ("mrf_coupling", float, None),
 }
+
+
+def parse_setting(key, text, where):
+    """Value of one setting from its text; `where` names the source in the
+    BadConfig message (a config line or a flag)."""
+    try:
+        return SETTINGS[key][1](text)
+    except ValueError:
+        raise BadConfig(f"{where}: cannot parse {text!r} for {key!r}") from None
 
 
 def parse_config_text(text):
@@ -376,36 +409,15 @@ def parse_config_text(text):
         if "=" not in line:
             raise BadConfig(f"config line {lineno}: expected key=value")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise BadConfig(f"config line {lineno}: unknown key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        try:
-            if kind == "ints":
-                values[key] = tuple(int(v) for v in val.split(",") if v.strip())
-            elif kind == "strs":
-                values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-            else:
-                values[key] = kind(val)
-        except ValueError:
-            raise BadConfig(
-                f"config line {lineno}: cannot parse {val!r} for {key!r}") from None
+        values[key] = parse_setting(key, val, f"config line {lineno}")
     return values
 
 
 def config_from_values(values, base=None):
     cfg = base or ExperimentConfig()
-    mapping = {"case": "case", "K": "grid_side", "M": "mixture_size",
-               "n_list": "train_sizes", "n_eval": "n_eval",
-               "methods": "methods", "seed": "seed",
-               "repetitions": "repetitions", "steps": "steps",
-               "batch": "batch_size", "lr": "learning_rate",
-               "T_min": "t_min", "T_max": "t_max", "em_steps": "em_steps",
-               "arch.widths": "hidden_widths",
-               "langevin_step": "langevin_step",
-               "langevin_steps": "langevin_steps", "mrf_diag": "mrf_diag",
-               "mrf_coupling": "mrf_coupling"}
-    kwargs = {mapping[k]: v for k, v in values.items()}
-    return replace(cfg, **kwargs)
+    return replace(cfg, **{SETTINGS[k][0]: v for k, v in values.items()})
 
 
 def load_config(path, base=None):

@@ -11,68 +11,31 @@ import sys
 
 from . import bench, densities, sampler, wsnn
 from .bench import BpdReport, ExperimentConfig, load_config, make_density
-from .diffusion import TrainConfig, train, write_trace_csv
-from .errors import BadConfig, DiffdenError
+from .diffusion import train, write_trace_csv
+from .errors import DiffdenError
 from .numerics import Rng
 
 
-def _ints(text, flag):
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise BadConfig(f"{flag} expects comma-separated integers, got {text!r}") from None
-
-
 def _experiment_config(args):
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    overrides = {}
-    for flag, attr in [("case", "case"), ("K", "grid_side"), ("M", "mixture_size"),
-                       ("n_eval", "n_eval"), ("seed", "seed"),
-                       ("repetitions", "repetitions"), ("steps", "steps"),
-                       ("batch", "batch_size"), ("lr", "learning_rate"),
-                       ("T_min", "t_min"), ("T_max", "t_max"),
-                       ("em_steps", "em_steps")]:
-        val = getattr(args, flag.replace("-", "_").lower(), None)
-        if val is not None:
-            overrides[attr] = val
-    if getattr(args, "n_list", None):
-        overrides["train_sizes"] = _ints(args.n_list, "--n-list")
-    if getattr(args, "methods", None):
-        overrides["methods"] = tuple(args.methods.split(","))
-    if getattr(args, "widths", None):
-        overrides["hidden_widths"] = _ints(args.widths, "--widths")
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    values = {key: bench.parse_setting(key, getattr(args, key), flag)
+              for key, (_, _, flag) in bench.SETTINGS.items()
+              if flag and getattr(args, key) is not None}
+    return bench.config_from_values(values, cfg)
 
 
 def _add_common(p):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--case", type=int)
-    p.add_argument("--K", dest="k", type=int)
-    p.add_argument("--M", dest="m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--T-min", dest="t_min", type=float)
-    p.add_argument("--T-max", dest="t_max", type=float)
-    p.add_argument("--em-steps", dest="em_steps", type=int)
-    p.add_argument("--n-eval", dest="n_eval", type=int)
-    p.add_argument("--n-list", dest="n_list")
-    p.add_argument("--methods")
-    p.add_argument("--widths", help="hidden widths, comma separated")
-    p.add_argument("--repetitions", type=int)
+    for key, (_, _, flag) in bench.SETTINGS.items():
+        if flag:
+            p.add_argument(flag, dest=key)
 
 
 def cmd_gen_data(args):
     cfg = _experiment_config(args)
     density = make_density(cfg)
-    data = density.sample(args.n, Rng(cfg.seed).child(cfg.case, cfg.k_or_m, args.n, 0, 0))
+    data = densities.sample(density, args.n,
+                            Rng(cfg.seed).child(cfg.case, cfg.k_or_m, args.n, 0, 0))
     data.to_csv(args.out)
     if args.meta:
         data.write_meta(args.meta)
@@ -85,9 +48,8 @@ def cmd_train(args):
     data = densities.Dataset.from_csv(args.data)
     arch = bench._score_net_arch(data.dim, cfg.hidden_widths)
     params = wsnn.init_params(arch, Rng(cfg.seed).child(2))
-    tc = TrainConfig(batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-                     steps=cfg.steps, seed=cfg.seed)
-    params, trace = train(data, arch, params, cfg.schedule(), tc)
+    params, trace = train(data, arch, params, cfg.schedule(),
+                          cfg.train_config(cfg.seed))
     wsnn.save_checkpoint(args.out, arch, params)
     if args.trace:
         write_trace_csv(args.trace, trace)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CorruptFile, DimensionTooLarge, EmptyDataset,
-                     NoAnalyticScore, NotPositiveDefinite, OutOfSupport,
-                     RejectionBudgetExceeded)
+from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
+                     EmptyDataset, InvalidSize, NoAnalyticScore,
+                     NotPositiveDefinite, OutOfSupport, RejectionBudgetExceeded)
 from .numerics import McEstimate, cholesky
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -328,7 +328,7 @@ def cosine_bump(dim):
 
 def sample(density, n, rng):
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSize("n must be >= 1")
     return density.sample(n, rng)
 
 
@@ -346,6 +346,9 @@ def bpd(density, samples):
     x = samples.x if isinstance(samples, Dataset) else np.atleast_2d(samples)
     if x.shape[0] < 1:
         raise EmptyDataset("bpd requires at least one sample")
+    if x.shape[1] != density.dim:
+        raise DimensionMismatch(
+            f"samples have {x.shape[1]} columns, the density has dim {density.dim}")
     logp = density.log_density(x)
     if np.any(np.isneginf(logp)):
         return math.inf

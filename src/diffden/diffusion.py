@@ -15,7 +15,8 @@ from typing import Callable, Union
 import numpy as np
 
 from . import wsnn
-from .errors import DimensionMismatch, EmptyDataset, NegativeTime, SingularTime
+from .errors import (BadConfig, DimensionMismatch, EmptyDataset, NegativeTime,
+                     SingularTime)
 from .numerics import McEstimate, Rng
 
 
@@ -159,23 +160,30 @@ def dsm_loss(arch, params, schedule, x0, x_t, t):
     return float(np.mean(np.sum(np.atleast_2d(resid) ** 2, axis=1)))
 
 
+def dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
+    """(loss, parameter gradients) of the batch-mean denoising loss for
+    batched x0, x_t and per-row t."""
+    net_in = time_input(x_t, t)
+    resid = wsnn.forward(arch, params, net_in) - conditional_score(schedule, x0, x_t, t)
+    grads, _ = wsnn.backward(arch, params, net_in, 2.0 * resid / x_t.shape[0])
+    return float(np.mean(np.sum(resid ** 2, axis=1))), grads
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-3
     steps: int = 2000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    clip_to_bound: bool = False
     epoch_len: int = None  # trace bucket size; defaults to max(1, n // batch)
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise BadConfig("steps must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise BadConfig("batch_size must be >= 1")
         if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+            raise BadConfig("learning_rate must be >= 0")
 
 
 class AdamState:
@@ -186,10 +194,9 @@ class AdamState:
         self.v = [np.zeros_like(a) for a in params.weights + params.biases]
         self.t = 0
 
-    def step(self, params, grads, config):
+    def step(self, params, grads, lr):
         self.t += 1
-        lr, b1, b2, eps = (config.learning_rate, config.beta1,
-                           config.beta2, config.eps)
+        b1, b2, eps = 0.9, 0.999, 1e-8
         arrays = params.weights + params.biases
         gs = grads.weights + grads.biases
         c1 = 1.0 - b1 ** self.t
@@ -224,6 +231,46 @@ def write_trace_csv(path, trace):
             fh.write(f"{row.epoch},{row.mean_loss!r},{sm},{row.wall_time_s!r}\n")
 
 
+def fit(x_data, arch, init_params, config, objective, probe=None):
+    """Adam descent of objective(params, batch, rng) -> (loss, grads) over
+    minibatches of the rows of x_data.
+
+    Step k draws its minibatch (with replacement, or all rows when the batch
+    covers them) from the substream rng = Rng(config.seed).child(1, k),
+    sorts it lexicographically and hands the same rng to the objective for
+    any further draws; masks are reapplied after every step.  Losses are
+    averaged over trace epochs of config.epoch_len steps (n // batch_size
+    by default), and probe(params, rng), when given, is recorded as the
+    epoch's score_mse with rng = Rng(config.seed).child(2, k).
+
+    Returns (trained params, list of TraceRow).
+    """
+    n = x_data.shape[0]
+    params = init_params.copy()
+    wsnn.apply_masks(params, arch)
+    adam = AdamState(params)
+    root = Rng(config.seed)
+    epoch_len = config.epoch_len or max(1, n // config.batch_size)
+    full_batch = config.batch_size >= n
+
+    trace = []
+    bucket = []
+    t0 = time.perf_counter()
+    for step in range(config.steps):
+        rs = root.child(1, step)
+        batch = x_data if full_batch else x_data[rs.integers(0, n, config.batch_size)]
+        loss, grads = objective(params, _canonical_order(batch), rs)
+        adam.step(params, grads, config.learning_rate)
+        wsnn.apply_masks(params, arch)
+        bucket.append(loss)
+        if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
+            sm = math.nan if probe is None else probe(params, root.child(2, step))
+            trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), sm,
+                                  time.perf_counter() - t0))
+            bucket = []
+    return params, trace
+
+
 def train(dataset, arch, init_params, schedule, config, score_probe=None):
     """Stochastic denoising score matching with Adam.
 
@@ -245,53 +292,20 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
     if arch.output_dim != dim:
         raise DimensionMismatch("network output width must equal the data dimension")
 
-    params = init_params.copy()
-    wsnn.apply_masks(params, arch)
-    adam = AdamState(params)
-    root = Rng(config.seed)
-    epoch_len = config.epoch_len or max(1, n // config.batch_size)
-    full_batch = config.batch_size >= n
+    def objective(params, batch, rng):
+        t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
+        x_t = forward_sample(schedule, batch, t, rng)
+        return dsm_value_and_grads(arch, params, schedule, batch, x_t, t)
 
-    trace = []
-    bucket = []
-    t0 = time.perf_counter()
-    for step in range(config.steps):
-        rs = root.child(1, step)
-        if full_batch:
-            batch = x_data
-        else:
-            idx = rs.integers(0, n, config.batch_size)
-            batch = x_data[idx]
-        batch = _canonical_order(batch)
-        b = batch.shape[0]
+    probe = None
+    if score_probe is not None:
+        density, n_mc = score_probe
 
-        t = rs.uniform(b, schedule.t_min, schedule.t_max)
-        mu, sigma = schedule.mu_sigma(t)
-        z = rs.standard_normal(b * dim).reshape(b, dim)
-        x_t = mu[:, None] * batch + sigma[:, None] * z
+        def probe(params, rng):
+            return score_mse(network_score(arch, params), density, schedule,
+                             n_mc, rng).value
 
-        net_in = time_input(x_t, t)
-        f = wsnn.forward(arch, params, net_in)
-        resid = f + (x_t - mu[:, None] * batch) / (sigma ** 2)[:, None]
-        loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-        grads, _ = wsnn.backward(arch, params, net_in, 2.0 * resid / b)
-        adam.step(params, grads, config)
-        if config.clip_to_bound and arch.weight_bound > 0:
-            params = wsnn.project_params(params, arch.weight_bound)
-        wsnn.apply_masks(params, arch)
-
-        bucket.append(loss)
-        if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
-            sm = math.nan
-            if score_probe is not None:
-                density, n_mc = score_probe
-                est = score_mse(network_score(arch, params), density, schedule,
-                                n_mc, root.child(2, step))
-                sm = est.value
-            trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), sm,
-                                  time.perf_counter() - t0))
-            bucket = []
-    return params, trace
+    return fit(x_data, arch, init_params, config, objective, probe)
 
 
 def score_mse(score, density, schedule, n_mc, rng):

@@ -12,18 +12,18 @@ network's piecewise-linear structure.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import wsnn
-from .diffusion import AdamState, TraceRow, _canonical_order
+from .diffusion import fit, network_score
 from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
                      EmptyDataset, InvalidSize, NonFiniteState)
 from .numerics import Rng
 
 _BLOWUP = 1e6
+_DIVERGENCE_STEP = 0.1  # stencil width of the trained divergence
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,6 @@ def analytic_score(density, schedule):
 
 
 def learned_score(arch, params):
-    from .diffusion import network_score
-
     return ScoreFunction(network_score(arch, params), tag="learned")
 
 
@@ -271,11 +269,11 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta):
     return loss, grads
 
 
-def train_vanilla_sm(dataset, arch, init_params, config, divergence_step=0.1):
+def train_vanilla_sm(dataset, arch, init_params, config):
     """Adam minimisation of the vanilla score-matching objective.
 
     Training descends the stencil-smoothed divergence (width
-    divergence_step); the pointwise-exact divergence gradient ignores ReLU
+    _DIVERGENCE_STEP); the pointwise-exact divergence gradient ignores ReLU
     kink motion and empirically ratchets the loss upward.
     """
     x_data = dataset.x if hasattr(dataset, "x") else np.atleast_2d(np.asarray(dataset))
@@ -284,33 +282,9 @@ def train_vanilla_sm(dataset, arch, init_params, config, divergence_step=0.1):
         raise EmptyDataset("train requires a nonempty dataset")
     if arch.input_dim != dim or arch.output_dim != dim:
         raise DimensionMismatch("vanilla network must map D -> D")
-
-    params = init_params.copy()
-    wsnn.apply_masks(params, arch)
-    adam = AdamState(params)
-    root = Rng(config.seed)
-    epoch_len = config.epoch_len or max(1, n // config.batch_size)
-    full_batch = config.batch_size >= n
-
-    trace = []
-    bucket = []
-    t0 = time.perf_counter()
-    for step in range(config.steps):
-        rs = root.child(1, step)
-        batch = x_data if full_batch else x_data[rs.integers(0, n, config.batch_size)]
-        batch = _canonical_order(batch)
-        loss, grads = vanilla_sm_stencil_value_and_grads(arch, params, batch,
-                                                         divergence_step)
-        adam.step(params, grads, config)
-        if config.clip_to_bound and arch.weight_bound > 0:
-            params = wsnn.project_params(params, arch.weight_bound)
-        wsnn.apply_masks(params, arch)
-        bucket.append(loss)
-        if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
-            trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)),
-                                  math.nan, time.perf_counter() - t0))
-            bucket = []
-    return params, trace
+    return fit(x_data, arch, init_params, config,
+               lambda params, batch, rng: vanilla_sm_stencil_value_and_grads(
+                   arch, params, batch, _DIVERGENCE_STEP))
 
 
 # --- sample containers -------------------------------------------------------

@@ -254,6 +254,37 @@ class TestCli:
                      ["--case", "4"], ["--n-list", "100,many"]):
             assert cli.main(["run-case", *argv]) == 2
             assert "BadConfig" in capsys.readouterr().err
+        train = ["train", "--data", str(tmp_path / "data.csv"),
+                 "--out", str(tmp_path / "net.ckpt")]
+        for argv in (["--steps", "0"], ["--batch", "0"], ["--lr", "-1"]):
+            assert cli.main([*train, *argv]) == 2
+            assert "BadConfig" in capsys.readouterr().err
+
+    def test_list_flags_parse_like_config_lines(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("methods = kde-g, kde-u\nn_list = 50,,60\n")
+        parser = cli.build_parser()
+        from_file = cli._experiment_config(
+            parser.parse_args(["run-case", "--config", str(cfgfile)]))
+        from_flags = cli._experiment_config(parser.parse_args(
+            ["run-case", "--methods", "kde-g, kde-u", "--n-list", "50,,60"]))
+        assert from_flags == from_file
+        assert (from_flags.methods, from_flags.train_sizes) == (("kde-g", "kde-u"),
+                                                                (50, 60))
+
+    def test_dimension_mismatch_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("x1,x2,x3,x4\n0.1,0.2,0.3,0.4\n")
+        assert cli.main(["evaluate", "--case", "1", "--K", "3",
+                         "--samples", str(path)]) == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+
+    def test_gen_data_zero_rows_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        assert cli.main(["gen-data", "--case", "2", "--K", "3", "--n", "0",
+                         "--out", str(out)]) == 2
+        assert "InvalidSize" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
         for text in ("y1,y2\n1,2\n", "x1,x2\n1,abc\n", "x1,x2\n1,2\n3\n"):

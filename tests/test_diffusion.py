@@ -7,7 +7,8 @@ from conftest import finite_diff_param_grads, relative_error
 from diffden import wsnn
 from diffden.densities import Dataset, IsoGaussian
 from diffden.diffusion import (DiffusionSchedule, TrainConfig,
-                               conditional_score, dsm_loss, forward_sample,
+                               conditional_score, dsm_loss,
+                               dsm_value_and_grads, forward_sample,
                                network_score, score_mse, time_input, train,
                                write_trace_csv)
 from diffden.errors import (DimensionMismatch, EmptyDataset, NegativeTime,
@@ -171,10 +172,9 @@ class TestDsmLoss:
         def loss(p):
             return dsm_loss(arch, p, SCHED, x0, xt, t)
 
-        net_in = time_input(xt, t)
-        f = wsnn.forward(arch, params, net_in)
-        resid = f - conditional_score(SCHED, x0, xt, t)
-        grads, _ = wsnn.backward(arch, params, net_in, 2.0 * resid / 3)
+        got_loss, grads = dsm_value_and_grads(arch, params, SCHED, x0, xt,
+                                              np.full(3, t))
+        assert abs(got_loss - loss(params)) < 1e-12
         fd_w, fd_b = finite_diff_param_grads(loss, params)
         for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
             big = np.abs(want) > 1e-6

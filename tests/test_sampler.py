@@ -14,6 +14,7 @@ from diffden.sampler import (SamplerConfig, ScoreFunction, analytic_score,
                              langevin_sample, learned_score_time_free,
                              read_samples_binary, reverse_sde_sample,
                              train_vanilla_sm, vanilla_sm_loss,
+                             vanilla_sm_stencil_value_and_grads,
                              vanilla_sm_value_and_grads, write_samples_binary,
                              zero_score)
 
@@ -171,6 +172,27 @@ class TestVanillaSmLoss:
             if big.any():
                 assert relative_error(got[big], want[big]) < 1e-4
         for got, want in zip(grads.biases, fd_b):
+            big = np.abs(want) > 1e-5
+            if big.any():
+                assert relative_error(got[big], want[big]) < 1e-4
+
+    def test_stencil_gradients_match_finite_differences(self, rng):
+        arch = wsnn.mlp((2, 6, 2))
+        params = wsnn.init_params(arch, rng.child(3))
+        x = rng.normal_matrix(4, 2)
+        delta = 0.1
+
+        def loss_fn(p):
+            div = sum((wsnn.forward(arch, p, x + delta * e)[:, i]
+                       - wsnn.forward(arch, p, x - delta * e)[:, i]) / (2 * delta)
+                      for i, e in enumerate(np.eye(2)))
+            f = wsnn.forward(arch, p, x)
+            return float(np.mean(div + 0.5 * np.sum(f * f, axis=1)))
+
+        loss, grads = vanilla_sm_stencil_value_and_grads(arch, params, x, delta)
+        assert abs(loss - loss_fn(params)) < 1e-12
+        fd_w, fd_b = finite_diff_param_grads(loss_fn, params)
+        for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
             big = np.abs(want) > 1e-5
             if big.any():
                 assert relative_error(got[big], want[big]) < 1e-4
