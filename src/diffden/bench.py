@@ -14,7 +14,7 @@ import numpy as np
 
 from . import densities, kde, sampler, wsnn
 from .diffusion import DiffusionSchedule, TrainConfig, network_score, score_mse, train
-from .errors import BadConfig, DiffdenError, EmptyReport
+from .errors import BadConfig, CorruptFile, DiffdenError, EmptyReport
 from .numerics import Rng
 
 METHODS = ("diffusion", "kde-g", "kde-u", "vanilla-sm", "analytic")
@@ -49,6 +49,16 @@ class ExperimentConfig:
             raise BadConfig("grid_side must be >= 2")
         if self.mixture_size < 1 or self.n_eval < 1:
             raise BadConfig("mixture_size and n_eval must be >= 1")
+        if any(n < 1 for n in self.train_sizes):
+            raise BadConfig("every train size must be >= 1")
+        if not 0 < self.t_min < self.t_max:
+            raise BadConfig("need 0 < T_min < T_max")
+        if self.em_steps < 1 or self.langevin_steps < 1:
+            raise BadConfig("em_steps and langevin_steps must be >= 1")
+        if not self.langevin_step > 0:
+            raise BadConfig("langevin_step must be > 0")
+        if not self.hidden_widths or min(self.hidden_widths) < 1:
+            raise BadConfig("need at least one hidden width, each >= 1")
         self.train_config(self.seed)  # TrainConfig checks steps, batch and lr
         for m in self.methods:
             if m not in METHODS:
@@ -125,15 +135,23 @@ class BpdReport:
     def from_csv(path):
         report = BpdReport()
         with open(path) as fh:
-            header = fh.readline().strip()
-            if header != _CSV_HEADER:
-                raise ValueError("unexpected report header")
-            for line in fh:
+            if fh.readline().strip() != _CSV_HEADER:
+                raise CorruptFile(f"{path} line 1: expected header {_CSV_HEADER}")
+            for lineno, line in enumerate(fh, 2):
                 if not line.strip():
                     continue
-                c, k, method, n, rep, bpd, rt, status = line.strip().split(",")
-                report.rows.append(BpdRow(int(c), int(k), method, int(n),
-                                          int(rep), float(bpd), float(rt), status))
+                cells = line.strip().split(",")
+                if len(cells) != 8:
+                    raise CorruptFile(f"{path} line {lineno}: {len(cells)} cells, "
+                                      f"the header has 8")
+                c, k, method, n, rep, bpd, rt, status = cells
+                try:
+                    row = BpdRow(int(c), int(k), method, int(n), int(rep),
+                                 float(bpd), float(rt), status)
+                except ValueError:
+                    raise CorruptFile(
+                        f"{path} line {lineno}: non-numeric cell") from None
+                report.rows.append(row)
         return report
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, train, sample, evaluate, run-case, score-mse, plot.
 A flat key=value config file (--config) seeds the experiment settings and
-individual flags override it.  Typed errors exit nonzero with the error name
-on stderr.
+individual flags override it.  Typed errors and unreadable files exit 2 with
+the error name on stderr.
 """
 
 import argparse
@@ -159,7 +159,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DiffdenError as exc:
+    except (DiffdenError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
                      EmptyDataset, InvalidSize, NoAnalyticScore,
                      NotPositiveDefinite, OutOfSupport, RejectionBudgetExceeded)
-from .numerics import McEstimate, cholesky
+from .numerics import McEstimate
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -131,7 +131,10 @@ class GridMrfGaussian:
                 f"MRF precision has smallest eigenvalue {self._eigvals[0]!r}")
         self.covariance = (self._eigvecs / self._eigvals) @ self._eigvecs.T
         self.covariance = 0.5 * (self.covariance + self.covariance.T)
-        self._chol_cov = cholesky(self.covariance)
+        try:
+            self._chol_cov = np.linalg.cholesky(self.covariance)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(f"MRF covariance: {exc}") from None
         self._logdet_prec = float(np.sum(np.log(self._eigvals)))
 
     def _build_precision(self):
@@ -330,14 +333,6 @@ def sample(density, n, rng):
     if n < 1:
         raise InvalidSize("n must be >= 1")
     return density.sample(n, rng)
-
-
-def log_density(density, x):
-    return density.log_density(x)
-
-
-def analytic_score_t(density, x, t, schedule):
-    return density.score_t(x, t, schedule)
 
 
 def bpd(density, samples):

@@ -118,36 +118,23 @@ def conditional_score(schedule, x0, x_t, t):
     return -(x_t - mu * x0) / sigma ** 2
 
 
-def time_input(x, t, schedule=None, extra=False):
-    """Network input: concat(x, t), width D + 1.
-
-    With extra=True the columns (t, sigma_t, 1/sigma_t) are appended instead
-    (width D + 3); off by default to keep the plain (x, t) parameterisation.
-    """
+def time_input(x, t):
+    """Network input: concat(x, t), width D + 1."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
     t_col = np.broadcast_to(np.asarray(t, dtype=np.float64), (xb.shape[0],))
-    if extra:
-        if schedule is None:
-            raise ValueError("extra time features need the schedule")
-        _, sigma = schedule.mu_sigma(t_col)
-        cols = np.stack([t_col, sigma, 1.0 / sigma], axis=1)
-    else:
-        cols = t_col[:, None]
-    out = np.concatenate([xb, cols], axis=1)
+    out = np.concatenate([xb, t_col[:, None]], axis=1)
     return out[0] if single else out
 
 
-def network_score(arch, params, schedule=None, extra=False):
+def network_score(arch, params):
     """Score callable (x, t) -> f(concat(x, t)) backed by a network."""
-    expected = arch.input_dim - (3 if extra else 1)
-    if arch.output_dim != expected:
-        raise DimensionMismatch(
-            "score network width mismatch for the chosen time features")
+    if arch.output_dim != arch.input_dim - 1:
+        raise DimensionMismatch("score network must map D + 1 -> D")
 
     def score(x, t):
-        return wsnn.forward(arch, params, time_input(x, t, schedule, extra))
+        return wsnn.forward(arch, params, time_input(x, t))
 
     return score
 

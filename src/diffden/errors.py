@@ -49,10 +49,6 @@ class OutOfSupport(DiffdenError):
     pass
 
 
-class ConvergenceFailure(DiffdenError):
-    pass
-
-
 class BadPointCount(DiffdenError):
     pass
 

@@ -1,5 +1,6 @@
-"""Kernel density estimation baselines (Gaussian and uniform kernels) with
-sampling, for the bits-per-dimension comparison."""
+"""Kernel density estimation baselines (Gaussian and uniform kernels) for
+the bits-per-dimension comparison.  Only fitting and sampling are needed:
+BPD is taken under p0, so the KDE's own density is never evaluated."""
 
 import math
 from dataclasses import dataclass
@@ -48,35 +49,6 @@ def fit(dataset, kernel="gaussian", bandwidth=None):
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     return KdeModel(np.array(x, dtype=np.float64), float(bandwidth), kernel)
-
-
-def _gauss_logsum(train, x, inv_two_h2):
-    # log sum_i exp(-|x - X_i|^2 * inv_two_h2), stabilised per query
-    d2 = np.sum((x[:, None, :] - train[None, :, :]) ** 2, axis=2)
-    e = -d2 * inv_two_h2
-    m = e.max(axis=1)
-    return m + np.log(np.sum(np.exp(e - m[:, None]), axis=1))
-
-
-def _box_count(train, x, h):
-    inside = np.all(np.abs(x[:, None, :] - train[None, :, :]) <= h, axis=2)
-    return inside.sum(axis=1).astype(np.float64)
-
-
-def density(model, x):
-    """(1/n) sum_i K_h(x - X_i); accepts one point or a (q, D) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    h = model.bandwidth
-    if model.kernel == "gaussian":
-        ls = _gauss_logsum(model.train, pts, 1.0 / (2.0 * h * h))
-        norm = (2.0 * math.pi * h * h) ** (-model.dim / 2.0)
-        out = norm * np.exp(ls) / model.n
-    else:
-        counts = _box_count(model.train, pts, h)
-        out = counts / (model.n * (2.0 * h) ** model.dim)
-    return float(out[0]) if single else out
 
 
 def sample(model, n_samples, rng):

@@ -1,6 +1,6 @@
-"""Cholesky factorisation with a typed failure, and the randomness substrate.
+"""The randomness substrate and the Monte Carlo estimate record.
 
-Vectors and matrices are plain float64 ndarrays; solves and
+Vectors and matrices are plain float64 ndarrays; factorisations, solves and
 eigendecompositions call numpy.linalg (LAPACK) directly.  The Rng wraps a
 counter-based Philox bit generator so that `split` yields independent,
 reproducible substreams; normal draws go through an explicit Box-Muller
@@ -10,8 +10,6 @@ transform so the number of uniforms consumed per call is fixed.
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import NotPositiveDefinite
 
 
 class McEstimate(NamedTuple):
@@ -23,35 +21,6 @@ class McEstimate(NamedTuple):
 
     def __float__(self):
         return self.value
-
-
-def as_matrix(a):
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected 2-D array, got shape {m.shape}")
-    return m
-
-
-def is_symmetric(a, tol=1e-12):
-    a = as_matrix(a)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - a.T)) <= tol * scale
-
-
-def cholesky(a):
-    """Lower-triangular L with L @ L.T == a for symmetric positive-definite a.
-
-    Raises NotPositiveDefinite when a pivot fails.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("cholesky requires a square matrix")
-    if not is_symmetric(a):
-        raise ValueError("cholesky requires a symmetric matrix")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
 
 
 class Rng:
@@ -100,8 +69,3 @@ class Rng:
 
     def normal_matrix(self, rows, cols):
         return self.standard_normal(rows * cols).reshape(rows, cols)
-
-
-def standard_normal(rng, n):
-    """Module-level alias matching the operation surface."""
-    return rng.standard_normal(n)

@@ -1,4 +1,5 @@
-"""Gauss-Legendre machinery and tensorised quadrature for noised densities.
+"""Composite Gauss-Legendre rules and tensorised quadrature for noised
+densities.
 
 `pt_quadrature` approximates the Gaussian-smoothed density
 
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadPointCount, ConvergenceFailure, DimensionTooLarge,
-                     PreconditionViolated)
+from .errors import BadPointCount, DimensionTooLarge, PreconditionViolated
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -33,36 +33,13 @@ class GaussLegendreRule:
     weights: np.ndarray  # positive, summing to 2
 
 
-def _legendre_and_derivative(n, x):
-    """P_n(x) and P_n'(x) via the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 def legendre_rule(n):
-    """Nodes (roots of P_n) by Newton iteration from Chebyshev guesses,
-    weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    """Order-n rule on [-1, 1]: nodes (the roots of P_n) and weights from
+    numpy.polynomial.legendre.leggauss."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return GaussLegendreRule(1, np.zeros(1), np.full(1, 2.0))
-    j = np.arange(1, n + 1)
-    x = -np.cos(np.pi * (4 * j - 1) / (4 * n + 2))
-    for _ in range(100):
-        p, dp = _legendre_and_derivative(n, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    p, dp = _legendre_and_derivative(n, x)
-    if np.max(np.abs(p)) >= 1e-14:
-        raise ConvergenceFailure(f"Legendre root refinement stalled at n={n}")
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return GaussLegendreRule(n, x, w)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return GaussLegendreRule(n, nodes, weights)
 
 
 @dataclass(frozen=True)

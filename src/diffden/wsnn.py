@@ -39,17 +39,6 @@ class Permutation:
     def size(self):
         return self.idx.size
 
-    def apply(self, v):
-        return np.asarray(v)[..., self.idx]
-
-    def inverse(self):
-        return Permutation(np.argsort(self.idx))
-
-    def as_matrix(self):
-        mat = np.zeros((self.size, self.size))
-        mat[np.arange(self.size), self.idx] = 1.0
-        return mat
-
     @staticmethod
     def identity(n):
         return Permutation(np.arange(n, dtype=np.int64))
@@ -122,10 +111,6 @@ class WsnnParams:
         return WsnnParams([w.copy() for w in self.weights],
                           [b.copy() for b in self.biases])
 
-    def flatten(self):
-        return np.concatenate([w.ravel() for w in self.weights]
-                              + [b.ravel() for b in self.biases])
-
 
 def init_params(arch, rng):
     """He-style fan-in initialisation, deterministic per rng stream."""
@@ -152,24 +137,6 @@ def apply_masks(params, arch):
             if m is not None:
                 w *= m
     return params
-
-
-def params_nnz(params):
-    return int(sum(np.count_nonzero(w) for w in params.weights)
-               + sum(np.count_nonzero(b) for b in params.biases))
-
-
-def params_max_abs(params):
-    return max(float(np.max(np.abs(a))) if a.size else 0.0
-               for a in params.weights + params.biases)
-
-
-def project_params(params, bound):
-    """Clip every entry into [-bound, bound]; idempotent."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return WsnnParams([np.clip(w, -bound, bound) for w in params.weights],
-                      [np.clip(b, -bound, bound) for b in params.biases])
 
 
 def _as_batch(x, width):
@@ -266,17 +233,6 @@ def backward(arch, params, x, grad_output):
     if arch.weight_masks is not None:
         apply_masks(grads, arch)
     return grads, (delta[0] if single else delta)
-
-
-def materialize_layer(arch, params, i):
-    """Dense replica-sum matrix of hidden layer i."""
-    return replica_sum(params.weights[i], params.biases[i],
-                       arch.q_perms[i], arch.r_perms[i])[0]
-
-
-def materialize_bias(arch, params, i):
-    return replica_sum(params.weights[i], params.biases[i],
-                       arch.q_perms[i], arch.r_perms[i])[1]
 
 
 def effective_layers(arch, params):

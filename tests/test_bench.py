@@ -250,8 +250,16 @@ class TestCli:
         bogus.write_text("bogus = 3\n")
         unparsable = tmp_path / "unparsable.cfg"
         unparsable.write_text("case = x\n")
+        no_step = tmp_path / "no_step.cfg"
+        no_step.write_text("langevin_step = 0\n")
+        no_steps = tmp_path / "no_steps.cfg"
+        no_steps.write_text("langevin_steps = 0\n")
         for argv in (["--config", str(bogus)], ["--config", str(unparsable)],
-                     ["--case", "4"], ["--n-list", "100,many"]):
+                     ["--case", "4"], ["--n-list", "100,many"],
+                     ["--n-list", "0"], ["--T-min", "5", "--T-max", "1"],
+                     ["--T-min", "0"], ["--config", str(no_step)],
+                     ["--config", str(no_steps)], ["--em-steps", "0"],
+                     ["--widths", ","], ["--widths", "8,0"]):
             assert cli.main(["run-case", *argv]) == 2
             assert "BadConfig" in capsys.readouterr().err
         train = ["train", "--data", str(tmp_path / "data.csv"),
@@ -259,6 +267,27 @@ class TestCli:
         for argv in (["--steps", "0"], ["--batch", "0"], ["--lr", "-1"]):
             assert cli.main([*train, *argv]) == 2
             assert "BadConfig" in capsys.readouterr().err
+
+    def test_missing_input_file_exit_code(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        out = str(tmp_path / "out")
+        for argv in (["evaluate", "--case", "1", "--samples", missing],
+                     ["run-case", "--config", missing],
+                     ["train", "--data", missing, "--out", out],
+                     ["sample", "--checkpoint", missing, "--n", "4", "--out", out]):
+            assert cli.main(argv) == 2
+            assert "FileNotFoundError" in capsys.readouterr().err
+
+    def test_malformed_report_exit_code(self, tmp_path, capsys):
+        header = "case,k_or_m,method,n,repetition,bpd,runtime_s,status\n"
+        for text, line in (("hostname\n", 1),
+                           (header + "1,3,kde-g,50,0,2.1,0.5,ok\n1,3,kde-g\n", 3),
+                           (header + "1,3,kde-g,fifty,0,2.1,0.5,ok\n", 2)):
+            path = tmp_path / "report.csv"
+            path.write_text(text)
+            assert cli.main(["plot", "--report", str(path),
+                             "--out", str(tmp_path / "plots")]) == 2
+            assert f"CorruptFile: {path} line {line}:" in capsys.readouterr().err
 
     def test_list_flags_parse_like_config_lines(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

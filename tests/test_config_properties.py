@@ -64,11 +64,11 @@ VALUES = {
     "steps": _ints(1, 10**5),
     "batch": _ints(1, 4096),
     "lr": _floats(0.0, 1.0),
-    "T_min": _floats(),
-    "T_max": _floats(),
+    "T_min": _floats(1e-6, 2.9),
+    "T_max": _floats(0.01, 1e6),
     "em_steps": _ints(1, 5000),
     "arch.widths": _items(st.integers(1, 256)),
-    "langevin_step": _floats(),
+    "langevin_step": _floats(1e-6, 1e6),
     "langevin_steps": _ints(1, 5000),
     "mrf_diag": _floats(),
     "mrf_coupling": _floats(),

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from diffden.densities import (Dataset, FactorDensity, GaussMixture,
-                               GridMrfGaussian, IsoGaussian, analytic_score_t,
-                               bpd, cosine_bump, grid_mrf_bpd,
-                               iso_gaussian_bpd, log_density, reference_bpd,
+                               GridMrfGaussian, IsoGaussian, bpd, cosine_bump,
+                               grid_mrf_bpd, iso_gaussian_bpd, reference_bpd,
                                sample)
 from diffden.diffusion import DiffusionSchedule, score_t_batch
 from diffden.errors import (CorruptFile, NoAnalyticScore, NotPositiveDefinite,
@@ -26,7 +25,7 @@ def mvn_logpdf(x, cov):
 
 class TestIsoGaussian:
     def test_log_density_at_origin(self):
-        val = log_density(IsoGaussian(1), np.zeros((1, 1)))[0]
+        val = IsoGaussian(1).log_density(np.zeros((1, 1)))[0]
         assert abs(val - (-0.5 * math.log(2 * math.pi))) < 1e-12
         assert abs(val - (-0.9189385)) < 1e-6
 
@@ -39,7 +38,7 @@ class TestIsoGaussian:
         d = IsoGaussian(3)
         x = rng.normal_matrix(5, 3)
         for t in (1e-3, 0.4, 2.7, rng.uniform(5, SCHED.t_min, SCHED.t_max)):
-            assert np.array_equal(analytic_score_t(d, x, t, SCHED), -x)
+            assert np.array_equal(d.score_t(x, t, SCHED), -x)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +75,7 @@ class TestGridMrf:
         mu, sigma = SCHED.mu_sigma(t)
         cov_t = mu ** 2 * mrf.covariance + sigma ** 2 * np.eye(9)
         x = rng.normal_matrix(1, 9)[0]
-        got = analytic_score_t(mrf, x, t, SCHED)[0]
+        got = mrf.score_t(x, t, SCHED)[0]
         h = 1e-6
         for i in range(9):
             e = np.zeros(9)
@@ -89,6 +88,11 @@ class TestGridMrf:
         # of -0.5 drives an eigenvalue of I + b A negative
         with pytest.raises(NotPositiveDefinite):
             GridMrfGaussian(3, 1.0, -0.5)
+        # on 2x2 the smallest eigenvalue is diag - 0.4 here, one ulp: either
+        # its rounded value is not positive or the covariance, conditioned
+        # near 1e16, fails its Cholesky factorisation
+        with pytest.raises(NotPositiveDefinite):
+            GridMrfGaussian(2, 0.4000000000000001, -0.2)
 
 
 class TestGaussMixture:
@@ -274,7 +278,7 @@ class TestScoreConvergesToDataScore:
     def test_gaussian_families_at_small_t(self, rng):
         for density in (IsoGaussian(2), GridMrfGaussian(3)):
             x = 0.5 * rng.normal_matrix(6, density.dim)
-            st = analytic_score_t(density, x, SCHED.t_min, SCHED)
+            st = density.score_t(x, SCHED.t_min, SCHED)
             h = 1e-6
             s0 = np.empty_like(st)
             for r in range(x.shape[0]):

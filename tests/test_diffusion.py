@@ -287,19 +287,6 @@ class TestScoreMse:
         out = score(np.zeros((5, 2)), 0.3)
         assert out.shape == (5, 2)
 
-    def test_extra_time_features(self, rng):
-        x = rng.normal_matrix(4, 2)
-        cols = time_input(x, 0.5, SCHED, extra=True)
-        assert cols.shape == (4, 5)
-        _, sigma = SCHED.mu_sigma(0.5)
-        assert np.allclose(cols[:, 2], 0.5)
-        assert np.allclose(cols[:, 3], sigma)
-        assert np.allclose(cols[:, 4], 1.0 / sigma)
-        arch = wsnn.mlp((5, 6, 2))
-        params = wsnn.init_params(arch, rng.child(1))
-        score = network_score(arch, params, SCHED, extra=True)
-        assert score(x, 0.5).shape == (4, 2)
-
 
 class TestVincentIdentity:
     def test_marginal_conditional_gap_is_constant_in_f(self, rng):

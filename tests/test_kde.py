@@ -5,7 +5,7 @@ import pytest
 
 from diffden.densities import IsoGaussian, bpd, sample
 from diffden.errors import EmptyDataset
-from diffden.kde import density, fit, sample as kde_sample, scott_bandwidth
+from diffden.kde import fit, sample as kde_sample, scott_bandwidth
 from diffden.numerics import Rng
 
 
@@ -36,72 +36,6 @@ class TestFit:
             fit(np.zeros((1, 2)))
         model = fit(np.zeros((1, 2)), bandwidth=1.0)
         assert model.n == 1
-
-
-class TestDensity:
-    def test_single_gaussian_datum(self):
-        model = fit(np.array([[1.0, -1.0]]), "gaussian", bandwidth=0.7)
-        x = np.array([0.5, 0.2])
-        d2 = np.sum((x - np.array([1.0, -1.0])) ** 2)
-        want = math.exp(-d2 / (2 * 0.49)) / (2 * math.pi * 0.49)
-        assert abs(density(model, x) - want) < 1e-14
-
-    def test_uniform_kernel_outside_every_box(self):
-        model = fit(np.zeros((3, 2)), "uniform", bandwidth=0.1)
-        assert density(model, np.array([5.0, 5.0])) == 0.0
-
-    def test_uniform_kernel_inside(self):
-        model = fit(np.zeros((1, 1)), "uniform", bandwidth=0.5)
-        assert density(model, np.array([0.2])) == 1.0  # 1 / (2h)
-
-    def test_grid_integral_close_to_one(self, rng):
-        data = sample(IsoGaussian(1), 200, rng)
-        model = fit(data, "gaussian")
-        h = model.bandwidth
-        lo = data.x.min() - 10 * h
-        hi = data.x.max() + 10 * h
-        grid = np.linspace(lo, hi, 20_001)
-        vals = density(model, grid[:, None])
-        integral = np.trapezoid(vals, grid)
-        assert abs(integral - 1.0) < 1e-3
-
-    def test_uniform_grid_integral_close_to_one(self, rng):
-        data = sample(IsoGaussian(1), 50, rng)
-        model = fit(data, "uniform", bandwidth=0.4)
-        grid = np.linspace(-8, 8, 400_001)
-        integral = np.trapezoid(density(model, grid[:, None]), grid)
-        assert abs(integral - 1.0) < 1e-3
-
-    def test_nonnegative_everywhere(self, rng):
-        data = sample(IsoGaussian(2), 30, rng)
-        for kernel in ("gaussian", "uniform"):
-            model = fit(data, kernel, bandwidth=0.3)
-            pts = rng.normal_matrix(200, 2) * 3
-            assert np.all(density(model, pts) >= 0.0)
-
-    def test_gaussian_kernel_density_is_smooth(self, rng):
-        # finite-difference gradient exists and respects the
-        # max |phi'| / (n h^(D+1)) * n = 0.242 / h^2 scale bound in 1-D
-        data = sample(IsoGaussian(1), 40, rng)
-        h = 0.5
-        model = fit(data, "gaussian", bandwidth=h)
-        pts = np.linspace(-3, 3, 101)
-        step = 1e-6
-        grad = (density(model, (pts + step)[:, None])
-                - density(model, (pts - step)[:, None])) / (2 * step)
-        assert np.all(np.isfinite(grad))
-        assert np.max(np.abs(grad)) <= 0.25 / h ** 2
-
-    def test_mc_integral_over_box(self, rng):
-        data = sample(IsoGaussian(2), 100, rng)
-        model = fit(data, "gaussian")
-        # importance-free MC over a box that carries almost all the mass
-        lo, hi = -6.0, 6.0
-        n = 200_000
-        pts = rng.child(1).uniform(n * 2, lo, hi).reshape(n, 2)
-        vals = density(model, pts) * (hi - lo) ** 2
-        se = vals.std(ddof=1) / math.sqrt(n)
-        assert abs(vals.mean() - 1.0) < 3 * se + 1e-3
 
 
 class TestSampling:

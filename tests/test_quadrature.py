@@ -66,6 +66,17 @@ class TestLegendreRule:
                             for k, c in enumerate(coeffs))
                 assert abs(got - exact) < 1e-12 * max(1.0, abs(exact))
 
+    def test_monomials_exact_up_to_order_128(self):
+        # an order-n rule integrates x^k exactly for k < 2n; the integral is
+        # 2 / (k + 1) for even k and 0 for odd k
+        for n in range(1, 129):
+            rule = legendre_rule(n)
+            k = np.arange(2 * n)
+            got = rule.nodes[None, :] ** k[:, None] @ rule.weights
+            scale = 2.0 / (k + 1)
+            want = np.where(k % 2 == 0, scale, 0.0)
+            assert np.max(np.abs(got - want) / scale) <= 1e-11, n
+
     def test_node_interleaving(self):
         for n in range(1, 16):
             a = legendre_rule(n).nodes

@@ -13,7 +13,6 @@ from diffden.wsnn import (Permutation, WsnnArchitecture,
                           covering_bound_numerator, covering_log_bound,
                           effective_layers, forward, init_params,
                           linear_network, load_checkpoint, mlp,
-                          params_nnz, project_params,
                           save_checkpoint, zero_params)
 
 
@@ -39,20 +38,6 @@ def random_params(gen, arch):
 
 
 class TestPermutation:
-    def test_inverse_roundtrip(self):
-        gen = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(gen.integers(1, 40))
-            p = random_perm(gen, n)
-            v = gen.normal(size=n)
-            assert np.array_equal(p.inverse().apply(p.apply(v)), v)
-
-    def test_matrix_agrees_with_apply(self):
-        gen = np.random.default_rng(1)
-        p = random_perm(gen, 7)
-        v = gen.normal(size=7)
-        assert np.allclose(p.as_matrix() @ v, p.apply(v))
-
     def test_rejects_non_bijection(self):
         with pytest.raises(InvalidSize):
             Permutation(np.array([0, 0, 1]))
@@ -282,33 +267,6 @@ class TestCoveringBound:
 
 
 class TestParamOps:
-    def test_project_noop_within_bound(self):
-        gen = np.random.default_rng(12)
-        arch = mlp((3, 4, 2))
-        params = random_params(gen, arch)
-        clipped = project_params(params, 100.0)
-        for a, b in zip(clipped.weights, params.weights):
-            assert np.array_equal(a, b)
-
-    def test_project_clips_and_is_idempotent(self):
-        arch = mlp((2, 3, 1))
-        params = zero_params(arch)
-        params.weights[0][0, 0] = 2.0
-        once = project_params(params, 1.0)
-        assert once.weights[0][0, 0] == 1.0
-        twice = project_params(once, 1.0)
-        for a, b in zip(twice.weights, once.weights):
-            assert np.array_equal(a, b)
-
-    def test_nnz_matches_brute_force(self):
-        gen = np.random.default_rng(13)
-        arch = mlp((3, 4, 2))
-        params = random_params(gen, arch)
-        params.weights[0][gen.random(size=params.weights[0].shape) < 0.5] = 0.0
-        brute = sum((w != 0).sum() for w in params.weights)
-        brute += sum((b != 0).sum() for b in params.biases)
-        assert params_nnz(params) == brute
-
     def test_masks_keep_zero_pattern(self):
         gen = np.random.default_rng(14)
         mask0 = (gen.random(size=(4, 3)) < 0.5).astype(float)
