@@ -14,7 +14,7 @@ import numpy as np
 
 from . import densities, kde, sampler, wsnn
 from .diffusion import DiffusionSchedule, TrainConfig, network_score, score_mse, train
-from .errors import BadConfig, CorruptFile, DiffdenError, EmptyReport
+from .errors import BadConfig, CorruptFile, DiffdenError, EmptyReport, read_text
 from .numerics import Rng
 
 METHODS = ("diffusion", "kde-g", "kde-u", "vanilla-sm", "analytic")
@@ -49,8 +49,12 @@ class ExperimentConfig:
             raise BadConfig("grid_side must be >= 2")
         if self.mixture_size < 1 or self.n_eval < 1:
             raise BadConfig("mixture_size and n_eval must be >= 1")
-        if any(n < 1 for n in self.train_sizes):
-            raise BadConfig("every train size must be >= 1")
+        if not self.train_sizes or min(self.train_sizes) < 1:
+            raise BadConfig("need at least one train size, each >= 1")
+        if not self.methods:
+            raise BadConfig("need at least one method")
+        if self.repetitions < 1:
+            raise BadConfig("repetitions must be >= 1")
         if not 0 < self.t_min < self.t_max:
             raise BadConfig("need 0 < T_min < T_max")
         if self.em_steps < 1 or self.langevin_steps < 1:
@@ -134,24 +138,24 @@ class BpdReport:
     @staticmethod
     def from_csv(path):
         report = BpdReport()
-        with open(path) as fh:
-            if fh.readline().strip() != _CSV_HEADER:
-                raise CorruptFile(f"{path} line 1: expected header {_CSV_HEADER}")
-            for lineno, line in enumerate(fh, 2):
-                if not line.strip():
-                    continue
-                cells = line.strip().split(",")
-                if len(cells) != 8:
-                    raise CorruptFile(f"{path} line {lineno}: {len(cells)} cells, "
-                                      f"the header has 8")
-                c, k, method, n, rep, bpd, rt, status = cells
-                try:
-                    row = BpdRow(int(c), int(k), method, int(n), int(rep),
-                                 float(bpd), float(rt), status)
-                except ValueError:
-                    raise CorruptFile(
-                        f"{path} line {lineno}: non-numeric cell") from None
-                report.rows.append(row)
+        header, *lines = read_text(path).split("\n")
+        if header.strip() != _CSV_HEADER:
+            raise CorruptFile(f"{path} line 1: expected header {_CSV_HEADER}")
+        for lineno, line in enumerate(lines, 2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != 8:
+                raise CorruptFile(f"{path} line {lineno}: {len(cells)} cells, "
+                                  f"the header has 8")
+            c, k, method, n, rep, bpd, rt, status = cells
+            try:
+                row = BpdRow(int(c), int(k), method, int(n), int(rep),
+                             float(bpd), float(rt), status)
+            except ValueError:
+                raise CorruptFile(
+                    f"{path} line {lineno}: non-numeric cell") from None
+            report.rows.append(row)
         return report
 
 
@@ -439,5 +443,4 @@ def config_from_values(values, base=None):
 
 
 def load_config(path, base=None):
-    with open(path) as fh:
-        return config_from_values(parse_config_text(fh.read()), base)
+    return config_from_values(parse_config_text(read_text(path)), base)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
                      EmptyDataset, InvalidSize, NoAnalyticScore,
-                     NotPositiveDefinite, OutOfSupport, RejectionBudgetExceeded)
+                     NotPositiveDefinite, OutOfSupport, RejectionBudgetExceeded,
+                     read_text)
 from .numerics import McEstimate
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -51,28 +52,27 @@ class Dataset:
 
     @staticmethod
     def from_csv(path, meta=None):
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("x1"):
+        header, *lines = read_text(path).split("\n")
+        if not header.startswith("x1"):
+            raise CorruptFile(
+                f"{path} line 1: dataset CSV must start with an x1,..,xD header")
+        width = len(header.split(","))
+        rows = []
+        for lineno, line in enumerate(lines, 2):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != width:
                 raise CorruptFile(
-                    f"{path} line 1: dataset CSV must start with an x1,..,xD header")
-            width = len(header.split(","))
-            rows = []
-            for lineno, line in enumerate(fh, 2):
-                if not line.strip():
-                    continue
-                cells = line.split(",")
-                if len(cells) != width:
-                    raise CorruptFile(
-                        f"{path} line {lineno}: {len(cells)} cells, header has {width}")
-                try:
-                    row = [float(c) for c in cells]
-                except ValueError:
-                    raise CorruptFile(
-                        f"{path} line {lineno}: non-numeric cell") from None
-                if not all(map(math.isfinite, row)):
-                    raise CorruptFile(f"{path} line {lineno}: non-finite cell")
-                rows.append(row)
+                    f"{path} line {lineno}: {len(cells)} cells, header has {width}")
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                raise CorruptFile(
+                    f"{path} line {lineno}: non-numeric cell") from None
+            if not all(map(math.isfinite, row)):
+                raise CorruptFile(f"{path} line {lineno}: non-finite cell")
+            rows.append(row)
         if not rows:
             raise EmptyDataset(f"no rows in {path}")
         return Dataset(np.array(rows), meta or {})

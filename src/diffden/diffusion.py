@@ -150,10 +150,14 @@ def dsm_loss(arch, params, schedule, x0, x_t, t):
 def dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
     """(loss, parameter gradients) of the batch-mean denoising loss for
     batched x0, x_t and per-row t."""
-    net_in = time_input(x_t, t)
-    resid = wsnn.forward(arch, params, net_in) - conditional_score(schedule, x0, x_t, t)
-    grads, _ = wsnn.backward(arch, params, net_in, 2.0 * resid / x_t.shape[0])
-    return float(np.mean(np.sum(resid ** 2, axis=1))), grads
+    target = conditional_score(schedule, x0, x_t, t)
+
+    def head(out):
+        resid = out - target
+        return float(np.mean(np.sum(resid ** 2, axis=1))), 2.0 * resid / x_t.shape[0]
+
+    loss, grads, _ = wsnn.value_and_grads(arch, params, time_input(x_t, t), head)
+    return loss, grads
 
 
 @dataclass

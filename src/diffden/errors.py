@@ -71,3 +71,13 @@ class CorruptFile(DiffdenError, ValueError):
 
 class BadConfig(DiffdenError, ValueError):
     """A config line or an experiment setting is malformed or out of range."""
+
+
+def read_text(path):
+    """Whole text of a UTF-8 file, newlines translated as in text mode; a
+    file that does not decode is a CorruptFile naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path}: not UTF-8 text (byte {exc.start})") from None

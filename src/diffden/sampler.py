@@ -89,7 +89,8 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
         a = schedule.alpha_at(t_rev)
         drift = a * y + 2.0 * a * score(y, t_rev)
         z = rng.standard_normal(n * dim).reshape(n, dim)
-        y = y + h * drift + math.sqrt(2.0 * a * h) * z
+        y += h * drift
+        y += math.sqrt(2.0 * a * h) * z
         _guard(y, "reverse SDE sampling")
     return y
 
@@ -104,7 +105,8 @@ def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
     root_2h = math.sqrt(2.0 * step_size)
     for _ in range(n_steps):
         noise = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
-        z = z + step_size * score(z, 0.0) + root_2h * noise
+        z += step_size * score(z, 0.0)
+        z += root_2h * noise
         _guard(z, "Langevin sampling")
     return z
 
@@ -152,29 +154,27 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta):
 
     Unlike the exact divergence, this objective is continuous in the
     parameters (kink crossings are smeared over the stencil width), which is
-    what makes gradient descent on a ReLU network stable here.
+    what makes gradient descent on a ReLU network stable here.  The 2D + 1
+    blocks [x; x + delta e_i; x - delta e_i] go through the network as one
+    stacked batch: one forward and one backward pass per call.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, dim = x.shape
-    f = np.atleast_2d(wsnn.forward(arch, params, x))
-    grads, _ = wsnn.backward(arch, params, x, f / b)
-    div = np.zeros(b)
-    pick = 1.0 / (2.0 * delta * b)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = delta
-        sel = np.zeros((b, dim))
-        sel[:, i] = pick
-        fp = np.atleast_2d(wsnn.forward(arch, params, x + e))
-        fm = np.atleast_2d(wsnn.forward(arch, params, x - e))
-        div += (fp[:, i] - fm[:, i]) / (2.0 * delta)
-        g_plus, _ = wsnn.backward(arch, params, x + e, sel)
-        g_minus, _ = wsnn.backward(arch, params, x - e, -sel)
-        for acc, a1, a2 in zip(grads.weights + grads.biases,
-                               g_plus.weights + g_plus.biases,
-                               g_minus.weights + g_minus.biases):
-            acc += a1 + a2
-    loss = float(np.mean(div + 0.5 * np.sum(f * f, axis=1)))
+    shifts = delta * np.eye(dim)[:, None, :]
+    stacked = np.concatenate([x[None], x + shifts, x - shifts]).reshape(-1, dim)
+    i = np.arange(dim)
+
+    def head(out):
+        out = out.reshape(2 * dim + 1, b, dim)
+        f = out[0]
+        div = ((out[1 + i, :, i] - out[1 + dim + i, :, i]) / (2.0 * delta)).sum(axis=0)
+        g = np.zeros_like(out)
+        g[0] = f / b
+        g[1 + i, :, i] = 1.0 / (2.0 * delta * b)
+        g[1 + dim + i, :, i] = -1.0 / (2.0 * delta * b)
+        return float(np.mean(div + 0.5 * np.sum(f * f, axis=1))), g.reshape(-1, dim)
+
+    loss, grads, _ = wsnn.value_and_grads(arch, params, stacked, head)
     return loss, grads
 
 

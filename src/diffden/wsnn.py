@@ -12,6 +12,11 @@ are stored as index arrays.  Since the replica sum is linear in v, each
 layer is evaluated as one dense matrix A_i = sum_j R_i^(j) W_i Q_i^(j)
 (`replica_sum`), and dense gradients are folded back onto the shared block
 by its adjoint (`replica_fold`).
+
+`value_and_grads` runs the network once per call: the forward pass keeps
+only each layer's post-ReLU activations, and reverse mode takes its ReLU
+masks from them (relu(z) > 0 exactly where z > 0) instead of running the
+forward pass again.
 """
 
 import math
@@ -195,44 +200,57 @@ def forward(arch, params, x):
 
 
 def _forward_cache(arch, params, a):
+    """(output, dense layers, post-ReLU activations) of one pass; the bias
+    and the ReLU are applied in place, so each layer allocates one array."""
     mats, bs = effective_layers(arch, params)
     acts = [a]
-    pres = []
     for A, b in zip(mats[:-1], bs[:-1]):
-        z = a @ A.T + b
-        pres.append(z)
-        a = np.maximum(z, 0.0)
+        z = a @ A.T
+        z += b
+        a = np.maximum(z, 0.0, out=z)
         acts.append(a)
-    out = a @ mats[-1].T + bs[-1]
-    return out, mats, acts, pres
+    out = a @ mats[-1].T
+    out += bs[-1]
+    return out, mats, acts
+
+
+def value_and_grads(arch, params, x, head):
+    """One network pass on the (B, d_1) batch x, then reverse mode through it.
+
+    head(out) -> (value, grad_output) turns the (B, d_{L+1}) output into a
+    value and its gradient with respect to the output.  Returns (value,
+    WsnnParams of parameter gradients, (B, d_1) gradient with respect to x).
+    Shared-weight gradients accumulate over all replicas of a layer; the
+    ReLU derivative at exactly 0 is taken as 0.
+    """
+    _check_params(arch, params)
+    a, _ = _as_batch(x, arch.input_dim)
+    out, mats, acts = _forward_cache(arch, params, a)
+    value, g = head(out)
+    if g.shape != out.shape:
+        raise DimensionMismatch("grad_output batch size does not match input")
+
+    dws, dbs = [None] * arch.depth, [None] * arch.depth
+    dws[-1] = g.T @ acts[-1]
+    dbs[-1] = g.sum(axis=0)
+    delta = g @ mats[-1]
+    for i in range(arch.depth - 2, -1, -1):
+        delta *= acts[i + 1] > 0.0
+        dws[i], dbs[i] = replica_fold(
+            delta.T @ acts[i], delta.sum(axis=0), arch.q_perms[i], arch.r_perms[i])
+        delta = delta @ mats[i]
+    return value, apply_masks(WsnnParams(dws, dbs), arch), delta
 
 
 def backward(arch, params, x, grad_output):
     """Reverse-mode gradients of sum(grad_output * forward(x)).
 
-    Shared-weight gradients accumulate over all replicas of a layer.
-    Returns (WsnnParams of gradients, gradient w.r.t. x).  ReLU derivative
-    at exactly 0 is taken as 0.
+    Returns (WsnnParams of gradients, gradient w.r.t. x); see
+    `value_and_grads`, which also hands back the value.
     """
-    _check_params(arch, params)
-    a, single = _as_batch(x, arch.input_dim)
-    g, gsingle = _as_batch(grad_output, arch.output_dim)
-    if g.shape[0] != a.shape[0]:
-        raise DimensionMismatch("grad_output batch size does not match input")
-    _, mats, acts, pres = _forward_cache(arch, params, a)
-
-    grads = zero_params(arch)
-    grads.weights[-1] = g.T @ acts[-1]
-    grads.biases[-1] = g.sum(axis=0)
-    delta = g @ mats[-1]
-    for i in range(arch.depth - 2, -1, -1):
-        delta = delta * (pres[i] > 0.0)
-        grads.weights[i], grads.biases[i] = replica_fold(
-            delta.T @ acts[i], delta.sum(axis=0), arch.q_perms[i], arch.r_perms[i])
-        delta = delta @ mats[i]
-    if arch.weight_masks is not None:
-        apply_masks(grads, arch)
-    return grads, (delta[0] if single else delta)
+    g, _ = _as_batch(grad_output, arch.output_dim)
+    _, grads, dx = value_and_grads(arch, params, x, lambda out: (None, g))
+    return grads, (dx[0] if np.ndim(x) == 1 else dx)
 
 
 def effective_layers(arch, params):

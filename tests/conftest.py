@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diffden import wsnn
 from diffden.numerics import Rng
 
 
@@ -112,3 +113,35 @@ def max_scaled_dev(got, want):
     want = np.asarray(want)
     return float(np.max(np.abs(np.asarray(got) - want))
                  / max(1.0, float(np.max(np.abs(want)))))
+
+
+# --- vanilla-SM stencil reference ---------------------------------------------
+#
+# One forward and one backward call per shifted copy x +- delta e_i, summed
+# dimension by dimension: the per-dimension loop the stacked
+# `sampler.vanilla_sm_stencil_value_and_grads` replaced.
+
+
+def reference_stencil_value_and_grads(arch, params, x, delta):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    b, dim = x.shape
+    f = np.atleast_2d(wsnn.forward(arch, params, x))
+    grads, _ = wsnn.backward(arch, params, x, f / b)
+    div = np.zeros(b)
+    pick = 1.0 / (2.0 * delta * b)
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = delta
+        sel = np.zeros((b, dim))
+        sel[:, i] = pick
+        fp = np.atleast_2d(wsnn.forward(arch, params, x + e))
+        fm = np.atleast_2d(wsnn.forward(arch, params, x - e))
+        div += (fp[:, i] - fm[:, i]) / (2.0 * delta)
+        g_plus, _ = wsnn.backward(arch, params, x + e, sel)
+        g_minus, _ = wsnn.backward(arch, params, x - e, -sel)
+        for acc, a1, a2 in zip(grads.weights + grads.biases,
+                               g_plus.weights + g_plus.biases,
+                               g_minus.weights + g_minus.biases):
+            acc += a1 + a2
+    loss = float(np.mean(div + 0.5 * np.sum(f * f, axis=1)))
+    return loss, grads

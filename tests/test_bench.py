@@ -259,7 +259,9 @@ class TestCli:
                      ["--n-list", "0"], ["--T-min", "5", "--T-max", "1"],
                      ["--T-min", "0"], ["--config", str(no_step)],
                      ["--config", str(no_steps)], ["--em-steps", "0"],
-                     ["--widths", ","], ["--widths", "8,0"]):
+                     ["--widths", ","], ["--widths", "8,0"],
+                     ["--n-list", ","], ["--methods", ","],
+                     ["--repetitions", "0"]):
             assert cli.main(["run-case", *argv]) == 2
             assert "BadConfig" in capsys.readouterr().err
         train = ["train", "--data", str(tmp_path / "data.csv"),
@@ -288,6 +290,15 @@ class TestCli:
             assert cli.main(["plot", "--report", str(path),
                              "--out", str(tmp_path / "plots")]) == 2
             assert f"CorruptFile: {path} line {line}:" in capsys.readouterr().err
+
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(bytes(range(128, 192)))
+        for argv in (["evaluate", "--case", "1", "--K", "2", "--samples", str(path)],
+                     ["plot", "--report", str(path), "--out", str(tmp_path / "plots")],
+                     ["run-case", "--config", str(path)]):
+            assert cli.main(argv) == 2
+            assert f"CorruptFile: {path}: not UTF-8 text" in capsys.readouterr().err
 
     def test_list_flags_parse_like_config_lines(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

@@ -60,7 +60,7 @@ VALUES = {
     "n_eval": _ints(1, 5000),
     "methods": _items(st.sampled_from(METHODS)),
     "seed": _ints(-10**6, 10**6),
-    "repetitions": _ints(0, 10),
+    "repetitions": _ints(1, 10),
     "steps": _ints(1, 10**5),
     "batch": _ints(1, 4096),
     "lr": _floats(0.0, 1.0),

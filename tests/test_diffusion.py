@@ -14,6 +14,7 @@ from diffden.diffusion import (DiffusionSchedule, TrainConfig,
 from diffden.errors import (DimensionMismatch, EmptyDataset, NegativeTime,
                             SingularTime)
 from diffden.numerics import Rng
+from diffden.sampler import vanilla_sm_stencil_value_and_grads
 
 SCHED = DiffusionSchedule()
 
@@ -180,6 +181,44 @@ class TestDsmLoss:
             big = np.abs(want) > 1e-6
             if big.any():
                 assert relative_error(got[big], want[big]) < 1e-5
+
+
+class TestOnePass:
+    """Each training objective runs the network once per call."""
+
+    def _dsm_inputs(self, rng):
+        arch = wsnn.mlp((4, 16, 16, 3))
+        params = wsnn.init_params(arch, rng.child(1))
+        x0 = rng.normal_matrix(32, 3)
+        t = rng.uniform(32, SCHED.t_min, SCHED.t_max)
+        return arch, params, x0, forward_sample(SCHED, x0, t, rng), t
+
+    def test_objectives_run_one_forward_pass(self, rng, monkeypatch):
+        calls = []
+        real = wsnn._forward_cache
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        arch, params, x0, xt, t = self._dsm_inputs(rng)
+        monkeypatch.setattr(wsnn, "_forward_cache", counted)
+        dsm_value_and_grads(arch, params, SCHED, x0, xt, t)
+        assert len(calls) == 1
+        arch = wsnn.mlp((3, 16, 16, 3))
+        vanilla_sm_stencil_value_and_grads(
+            arch, wsnn.init_params(arch, rng.child(2)), rng.normal_matrix(32, 3), 0.1)
+        assert len(calls) == 2
+
+    def test_dsm_equals_forward_backward_composition(self, rng):
+        arch, params, x0, xt, t = self._dsm_inputs(rng)
+        loss, grads = dsm_value_and_grads(arch, params, SCHED, x0, xt, t)
+        net_in = time_input(xt, t)
+        resid = wsnn.forward(arch, params, net_in) - conditional_score(SCHED, x0, xt, t)
+        want, _ = wsnn.backward(arch, params, net_in, 2.0 * resid / xt.shape[0])
+        assert loss == float(np.mean(np.sum(resid ** 2, axis=1)))
+        for got, ref in zip(grads.weights + grads.biases, want.weights + want.biases):
+            assert np.array_equal(got, ref)
 
 
 class TestTrain:

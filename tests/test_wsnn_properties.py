@@ -1,4 +1,5 @@
-"""Property tests: the dense layer path against the replica-sum reference.
+"""Property tests: the dense layer path against the replica-sum reference,
+and the stacked vanilla-SM stencil against its per-dimension loop.
 
 Architectures are drawn with random widths, replica counts, permutations
 and weight masks, plus first layers taken from `conv_as_wsnn` plans.
@@ -8,7 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_scaled_dev, reference_backward, reference_forward
+from conftest import (max_scaled_dev, reference_backward, reference_forward,
+                      reference_stencil_value_and_grads)
+from diffden.sampler import vanilla_sm_stencil_value_and_grads
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           apply_masks, backward, conv_as_wsnn, forward,
                           replica_fold, replica_sum)
@@ -23,8 +26,9 @@ def _perms(draw, n, m):
 
 
 @st.composite
-def architectures(draw):
-    """(arch, params, x, g) with masks applied to params."""
+def architectures(draw, square=False):
+    """(arch, params, x, g) with masks applied to params; square networks
+    map d_1 -> d_1."""
     depth = draw(st.integers(2, 4))
     widths = draw(st.lists(st.integers(1, 10), min_size=depth + 1,
                            max_size=depth + 1))
@@ -38,6 +42,8 @@ def architectures(draw):
         replicas[0] = plan.m
         q.append(plan.q_perms)
         r.append(plan.r_perms)
+    if square:
+        widths[-1] = widths[0]
     for i in range(len(q), depth - 1):
         q.append(_perms(draw, widths[i], replicas[i]))
         r.append(_perms(draw, widths[i + 1], replicas[i]))
@@ -93,3 +99,14 @@ def test_fold_is_adjoint_of_materialize(case, seed):
         rhs = np.sum(W * dW) + np.sum(b * db)
         scale = np.sum(np.abs(A * dA)) + np.sum(np.abs(c * dc))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale)
+
+
+@SETTINGS
+@given(architectures(square=True), st.sampled_from((0.1, 0.5)))
+def test_stacked_stencil_matches_per_dimension_loop(case, delta):
+    arch, params, x, _ = case
+    loss, grads = vanilla_sm_stencil_value_and_grads(arch, params, x, delta)
+    want_loss, want = reference_stencil_value_and_grads(arch, params, x, delta)
+    assert max_scaled_dev(loss, want_loss) <= 1e-12
+    for got, ref in zip(grads.weights + grads.biases, want.weights + want.biases):
+        assert max_scaled_dev(got, ref) <= 1e-12
