@@ -128,13 +128,14 @@ def time_input(x, t):
     return out[0] if single else out
 
 
-def network_score(arch, params):
-    """Score callable (x, t) -> f(concat(x, t)) backed by a network."""
+def network_score(arch, params, workspace=None):
+    """Score callable (x, t) -> f(concat(x, t)) backed by a network; every
+    call runs in `workspace`, or in a throwaway one when it is None."""
     if arch.output_dim != arch.input_dim - 1:
         raise DimensionMismatch("score network must map D + 1 -> D")
 
     def score(x, t):
-        return wsnn.forward(arch, params, time_input(x, t))
+        return wsnn.forward(arch, params, time_input(x, t), workspace)
 
     return score
 
@@ -147,16 +148,17 @@ def dsm_loss(arch, params, schedule, x0, x_t, t):
     return float(np.mean(np.sum(np.atleast_2d(resid) ** 2, axis=1)))
 
 
-def dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
+def dsm_value_and_grads(arch, params, schedule, x0, x_t, t, workspace=None):
     """(loss, parameter gradients) of the batch-mean denoising loss for
-    batched x0, x_t and per-row t."""
+    batched x0, x_t and per-row t; the pass runs in `workspace`."""
     target = conditional_score(schedule, x0, x_t, t)
 
     def head(out):
         resid = out - target
         return float(np.mean(np.sum(resid ** 2, axis=1))), 2.0 * resid / x_t.shape[0]
 
-    loss, grads, _ = wsnn.value_and_grads(arch, params, time_input(x_t, t), head)
+    loss, grads, _ = wsnn.value_and_grads(arch, params, time_input(x_t, t), head,
+                                          workspace)
     return loss, grads
 
 
@@ -283,10 +285,12 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
     if arch.output_dim != dim:
         raise DimensionMismatch("network output width must equal the data dimension")
 
+    workspace = wsnn.Workspace(arch)
+
     def objective(params, batch, rng):
         t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
         x_t = forward_sample(schedule, batch, t, rng)
-        return dsm_value_and_grads(arch, params, schedule, batch, x_t, t)
+        return dsm_value_and_grads(arch, params, schedule, batch, x_t, t, workspace)
 
     probe = None
     if score_probe is not None:

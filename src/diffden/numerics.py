@@ -4,7 +4,11 @@ Vectors and matrices are plain float64 ndarrays; factorisations, solves and
 eigendecompositions call numpy.linalg (LAPACK) directly.  The Rng wraps a
 counter-based Philox bit generator so that `split` yields independent,
 reproducible substreams; normal draws go through an explicit Box-Muller
-transform so the number of uniforms consumed per call is fixed.
+transform so the number of uniforms consumed per call is fixed.  The
+transform runs in place on its own two uniform arrays (log, scale, sqrt;
+angle; cos and sin written straight into the output): it consumes the same
+uniforms with the same operations as the textbook form, so its draws are
+the same bits, without that form's temporaries.
 """
 
 from typing import NamedTuple
@@ -58,13 +62,19 @@ class Rng:
         if n < 1:
             raise ValueError("n must be >= 1")
         half = (n + 1) // 2
-        u1 = 1.0 - self._gen.random(half)  # in (0, 1], keeps log finite
-        u2 = self._gen.random(half)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        r = self._gen.random(half)
+        np.subtract(1.0, r, out=r)  # in (0, 1], keeps log finite
+        theta = self._gen.random(half)
+        np.log(r, out=r)  # r = sqrt(-2 log u1)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
         z = np.empty(2 * half)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
+        cos, sin = z[0::2], z[1::2]
+        np.cos(theta, out=cos)
+        np.sin(theta, out=sin)
+        cos *= r
+        sin *= r
         return z[:n]
 
     def normal_matrix(self, rows, cols):

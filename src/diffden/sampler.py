@@ -51,12 +51,16 @@ def analytic_score(density, schedule):
 
 
 def learned_score(arch, params):
-    return ScoreFunction(network_score(arch, params), tag="learned")
+    """Network score that reuses one workspace for as long as it lives."""
+    return ScoreFunction(network_score(arch, params, wsnn.Workspace(arch)),
+                         tag="learned")
 
 
 def learned_score_time_free(arch, params):
-    """Score from a D -> D network that ignores the time argument."""
-    return ScoreFunction(lambda x, t: wsnn.forward(arch, params, x),
+    """Score from a D -> D network that ignores the time argument; reuses
+    one workspace for as long as it lives."""
+    workspace = wsnn.Workspace(arch)
+    return ScoreFunction(lambda x, t: wsnn.forward(arch, params, x, workspace),
                          tag="learned")
 
 
@@ -72,9 +76,13 @@ class SamplerConfig:
             raise InvalidSize("n_samples must be >= 1")
 
 
-def _guard(x, where):
+def _guard(x, where, step, t=None):
+    """Raise NonFiniteState naming the step (and reverse time t) after which
+    the state x is non-finite or has left +-_BLOWUP."""
     if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _BLOWUP:
-        raise NonFiniteState(f"state left +-{_BLOWUP:g} during {where}")
+        at = f"step {step}" if t is None else f"step {step} (reverse time {t:.6g})"
+        raise NonFiniteState(f"state left +-{_BLOWUP:g} during {where} at {at}, "
+                             f"max |state| = {np.max(np.abs(x)):.6g}")
 
 
 def reverse_sde_sample(score, schedule, config, dim, rng):
@@ -91,7 +99,7 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
         z = rng.standard_normal(n * dim).reshape(n, dim)
         y += h * drift
         y += math.sqrt(2.0 * a * h) * z
-        _guard(y, "reverse SDE sampling")
+        _guard(y, "reverse SDE sampling", k, t_rev)
     return y
 
 
@@ -103,11 +111,11 @@ def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
         raise InvalidSize("n_steps must be >= 1")
     z = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
     root_2h = math.sqrt(2.0 * step_size)
-    for _ in range(n_steps):
+    for k in range(n_steps):
         noise = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
         z += step_size * score(z, 0.0)
         z += root_2h * noise
-        _guard(z, "Langevin sampling")
+        _guard(z, "Langevin sampling", k)
     return z
 
 
@@ -148,7 +156,7 @@ def vanilla_sm_loss(arch, params, x):
     return float(np.mean(vanilla_sm_pointwise(arch, params, x)))
 
 
-def vanilla_sm_stencil_value_and_grads(arch, params, x, delta):
+def vanilla_sm_stencil_value_and_grads(arch, params, x, delta, workspace=None):
     """Loss/gradients with the divergence replaced by the central stencil
     sum_i (f_i(x + delta e_i) - f_i(x - delta e_i)) / (2 delta).
 
@@ -156,7 +164,8 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta):
     parameters (kink crossings are smeared over the stencil width), which is
     what makes gradient descent on a ReLU network stable here.  The 2D + 1
     blocks [x; x + delta e_i; x - delta e_i] go through the network as one
-    stacked batch: one forward and one backward pass per call.
+    stacked batch: one forward and one backward pass per call, run in
+    `workspace`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, dim = x.shape
@@ -174,7 +183,7 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta):
         g[1 + dim + i, :, i] = -1.0 / (2.0 * delta * b)
         return float(np.mean(div + 0.5 * np.sum(f * f, axis=1))), g.reshape(-1, dim)
 
-    loss, grads, _ = wsnn.value_and_grads(arch, params, stacked, head)
+    loss, grads, _ = wsnn.value_and_grads(arch, params, stacked, head, workspace)
     return loss, grads
 
 
@@ -191,9 +200,10 @@ def train_vanilla_sm(dataset, arch, init_params, config):
         raise EmptyDataset("train requires a nonempty dataset")
     if arch.input_dim != dim or arch.output_dim != dim:
         raise DimensionMismatch("vanilla network must map D -> D")
+    workspace = wsnn.Workspace(arch)
     return fit(x_data, arch, init_params, config,
                lambda params, batch, rng: vanilla_sm_stencil_value_and_grads(
-                   arch, params, batch, _DIVERGENCE_STEP))
+                   arch, params, batch, _DIVERGENCE_STEP, workspace))
 
 
 # --- sample containers -------------------------------------------------------

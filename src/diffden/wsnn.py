@@ -17,6 +17,19 @@ by its adjoint (`replica_fold`).
 only each layer's post-ReLU activations, and reverse mode takes its ReLU
 masks from them (relu(z) > 0 exactly where z > 0) instead of running the
 forward pass again.
+
+A `Workspace` holds the per-layer arrays a pass writes into: the hidden
+activations, and for reverse mode each hidden layer's delta and bool ReLU
+mask.  A loop that evaluates the network step after step (training,
+sampling) owns one workspace and hands it to every `forward` or
+`value_and_grads` call, so no step allocates or page-faults them afresh;
+the arrays are reallocated only when the row count changes, and the
+backward-only ones only on the first `value_and_grads` call.  A call
+without a workspace makes a throwaway one that dies with the call, so a
+score evaluated once keeps nothing alive.  The workspace never holds a
+result: the network output and every gradient are fresh arrays the caller
+owns, so a kept output is not overwritten by the next call.  Results are
+bit-identical with and without a reused workspace.
 """
 
 import math
@@ -81,6 +94,17 @@ class WsnnArchitecture:
             for r in self.r_perms[i]:
                 if r.size != widths[i + 1]:
                     raise InvalidSize(f"layer {i}: R permutations must have size {widths[i + 1]}")
+        masks = self.weight_masks
+        if masks is not None:
+            if not isinstance(masks, (tuple, list)) or len(masks) != self.depth:
+                raise InvalidSize("need one weight mask (or None) per layer")
+            for i, m in enumerate(masks):
+                if m is None:
+                    continue
+                m = np.asarray(m)
+                if m.shape != self.layer_shape(i) or not np.all((m == 0) | (m == 1)):
+                    raise InvalidSize(f"layer {i}: weight mask must be None or a 0/1 "
+                                      f"array of shape {self.layer_shape(i)}")
 
     @property
     def depth(self):
@@ -191,21 +215,61 @@ def replica_fold(dA, dc, q_perms, r_perms):
     return dW, db
 
 
-def forward(arch, params, x):
-    """Evaluate the network; accepts a single vector or a (B, d_1) batch."""
+class Workspace:
+    """The (rows, width) arrays one pass writes per hidden layer, reused by
+    every call that is handed this workspace; see the module docstring."""
+
+    def __init__(self, arch):
+        self.widths = arch.widths[1:-1]
+        self.rows = None
+        self.acts = self.deltas = self.masks = None
+
+    def _fit(self, rows):
+        if rows != self.rows:
+            self.rows = rows
+            self.acts = [np.empty((rows, w)) for w in self.widths]
+            self.deltas = self.masks = None
+
+    def hidden(self, rows):
+        """Post-ReLU activation buffers for a pass over `rows` rows."""
+        self._fit(rows)
+        return self.acts
+
+    def reverse(self, rows):
+        """(delta, ReLU mask) buffers for reverse mode over `rows` rows."""
+        self._fit(rows)
+        if self.deltas is None:
+            self.deltas = [np.empty((rows, w)) for w in self.widths]
+            self.masks = [np.empty((rows, w), dtype=bool) for w in self.widths]
+        return self.deltas, self.masks
+
+
+def _workspace(arch, workspace):
+    if workspace is None:
+        return Workspace(arch)
+    if workspace.widths != arch.widths[1:-1]:
+        raise DimensionMismatch(f"workspace hidden widths {workspace.widths} "
+                                f"!= {arch.widths[1:-1]}")
+    return workspace
+
+
+def forward(arch, params, x, workspace=None):
+    """Evaluate the network; accepts a single vector or a (B, d_1) batch.
+    The output is a fresh array; the hidden layers go to `workspace`."""
     _check_params(arch, params)
     a, single = _as_batch(x, arch.input_dim)
-    out = _forward_cache(arch, params, a)[0]
+    out = _forward_cache(arch, params, a, _workspace(arch, workspace))[0]
     return out[0] if single else out
 
 
-def _forward_cache(arch, params, a):
-    """(output, dense layers, post-ReLU activations) of one pass; the bias
-    and the ReLU are applied in place, so each layer allocates one array."""
+def _forward_cache(arch, params, a, ws):
+    """(output, dense layers, post-ReLU activations) of one pass.  Each
+    hidden layer is computed in place in its `ws` buffer (product, bias,
+    ReLU); only the output is a fresh array."""
     mats, bs = effective_layers(arch, params)
     acts = [a]
-    for A, b in zip(mats[:-1], bs[:-1]):
-        z = a @ A.T
+    for A, b, z in zip(mats[:-1], bs[:-1], ws.hidden(a.shape[0])):
+        np.matmul(a, A.T, out=z)
         z += b
         a = np.maximum(z, 0.0, out=z)
         acts.append(a)
@@ -214,31 +278,34 @@ def _forward_cache(arch, params, a):
     return out, mats, acts
 
 
-def value_and_grads(arch, params, x, head):
+def value_and_grads(arch, params, x, head, workspace=None):
     """One network pass on the (B, d_1) batch x, then reverse mode through it.
 
     head(out) -> (value, grad_output) turns the (B, d_{L+1}) output into a
     value and its gradient with respect to the output.  Returns (value,
-    WsnnParams of parameter gradients, (B, d_1) gradient with respect to x).
+    WsnnParams of parameter gradients, (B, d_1) gradient with respect to x),
+    all fresh arrays; the per-layer arrays go to `workspace`.
     Shared-weight gradients accumulate over all replicas of a layer; the
     ReLU derivative at exactly 0 is taken as 0.
     """
     _check_params(arch, params)
     a, _ = _as_batch(x, arch.input_dim)
-    out, mats, acts = _forward_cache(arch, params, a)
+    ws = _workspace(arch, workspace)
+    out, mats, acts = _forward_cache(arch, params, a, ws)
     value, g = head(out)
     if g.shape != out.shape:
         raise DimensionMismatch("grad_output batch size does not match input")
 
+    deltas, masks = ws.reverse(a.shape[0])
     dws, dbs = [None] * arch.depth, [None] * arch.depth
     dws[-1] = g.T @ acts[-1]
     dbs[-1] = g.sum(axis=0)
-    delta = g @ mats[-1]
+    delta = np.matmul(g, mats[-1], out=deltas[-1])
     for i in range(arch.depth - 2, -1, -1):
-        delta *= acts[i + 1] > 0.0
+        delta *= np.greater(acts[i + 1], 0.0, out=masks[i])
         dws[i], dbs[i] = replica_fold(
             delta.T @ acts[i], delta.sum(axis=0), arch.q_perms[i], arch.r_perms[i])
-        delta = delta @ mats[i]
+        delta = np.matmul(delta, mats[i], out=deltas[i - 1]) if i else delta @ mats[0]
     return value, apply_masks(WsnnParams(dws, dbs), arch), delta
 
 
@@ -397,8 +464,10 @@ def save_checkpoint(path, arch, params):
         has_masks = arch.weight_masks is not None
         np.array([1 if has_masks else 0], dtype=np.int64).tofile(fh)
         if has_masks:
-            for i in range(arch.depth):
-                np.ascontiguousarray(arch.weight_masks[i], dtype=np.uint8).tofile(fh)
+            # a None entry (dense layer) is stored as an all-ones mask
+            for i, m in enumerate(arch.weight_masks):
+                m = np.ones(arch.layer_shape(i)) if m is None else m
+                np.ascontiguousarray(m, dtype=np.uint8).tofile(fh)
         for w, b in zip(params.weights, params.biases):
             np.ascontiguousarray(w, dtype=np.float64).tofile(fh)
             np.ascontiguousarray(b, dtype=np.float64).tofile(fh)

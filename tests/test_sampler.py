@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,17 @@ from diffden.sampler import (SamplerConfig, ScoreFunction, analytic_score,
                              write_samples_binary, zero_score)
 
 SCHED = DiffusionSchedule()
+
+
+def nan_from_call(k):
+    """Score that is -x for its first k calls and NaN from then on."""
+    calls = []
+
+    def fn(x, t):
+        calls.append(1)
+        return -x if len(calls) <= k else np.full_like(x, np.nan)
+
+    return ScoreFunction(fn, tag="analytic")
 
 
 def stencil_loss(arch, params, x, delta):
@@ -74,8 +86,18 @@ class TestReverseSde:
     def test_blowup_guard(self):
         bad = ScoreFunction(lambda x, t: 100.0 * x, tag="analytic")
         cfg = SamplerConfig(n_steps=500, n_samples=8)
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState) as err:
             reverse_sde_sample(bad, SCHED, cfg, 2, Rng(4))
+        found = re.search(r"reverse SDE sampling at step (\d+) \(reverse time (\S+)\), "
+                          r"max \|state\| = (\S+)$", str(err.value))
+        assert found, str(err.value)
+        step, t, biggest = int(found[1]), found[2], float(found[3])
+        times = np.linspace(SCHED.t_max, SCHED.t_min, cfg.n_steps + 1)
+        assert 0 <= step < cfg.n_steps and t == f"{times[step]:.6g}"
+        assert biggest > 1e6
+        with pytest.raises(NonFiniteState,
+                           match=r"at step 3 \(reverse time .*\), max \|state\| = nan$"):
+            reverse_sde_sample(nan_from_call(3), SCHED, cfg, 2, Rng(4))
 
     def test_seed_determinism(self):
         d = IsoGaussian(2)
@@ -116,8 +138,14 @@ class TestLangevin:
 
     def test_blowup_guard(self):
         bad = ScoreFunction(lambda x, t: x ** 3, tag="analytic")
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState) as err:
             langevin_sample(bad, 2.0, 200, 64, 1, Rng(9))
+        found = re.search(r"Langevin sampling at step (\d+), max \|state\| = (\S+)$",
+                          str(err.value))
+        assert found, str(err.value)
+        assert 0 <= int(found[1]) < 200 and float(found[2]) > 1e6
+        with pytest.raises(NonFiniteState, match=r"at step 5, max \|state\| = nan$"):
+            langevin_sample(nan_from_call(5), 0.01, 200, 64, 1, Rng(9))
 
     def test_positive_step_required(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from conftest import (finite_diff_param_grads, max_scaled_dev, perm_tables,
                       wsnn_layer_forward_np)
 from diffden.errors import CorruptFile, DimensionMismatch, InvalidSize
 from diffden.numerics import Rng
-from diffden.wsnn import (Permutation, WsnnArchitecture,
-                          WsnnParams, backward, conv2d_valid, conv_as_wsnn,
+from diffden.sampler import learned_score_time_free
+from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
+                          Workspace, backward, conv2d_valid, conv_as_wsnn,
                           covering_bound_numerator, covering_log_bound,
                           effective_layers, forward, init_params,
                           linear_network, load_checkpoint, mlp,
-                          save_checkpoint, zero_params)
+                          save_checkpoint, value_and_grads, zero_params)
 
 
 def random_perm(gen, n):
@@ -276,6 +278,98 @@ class TestParamOps:
             weight_masks=(mask0, None))
         params = init_params(arch, Rng(0))
         assert np.all(params.weights[0][mask0 == 0] == 0)
+
+    @pytest.mark.parametrize("masks", [
+        (np.ones((4, 3)),),                         # one entry short
+        (np.ones((4, 3)), None, None),              # one entry too many
+        (np.ones((3, 4)), None),                    # wrong shape
+        (np.full((4, 3), 0.5), None),               # not 0/1
+        np.ones((2, 4, 3)),                         # not a per-layer sequence
+    ])
+    def test_bad_weight_masks_rejected(self, masks):
+        base = mlp((3, 4, 2))
+        with pytest.raises(InvalidSize):
+            WsnnArchitecture(base.widths, base.replicas, base.q_perms,
+                             base.r_perms, weight_masks=masks)
+
+
+class TestWorkspace:
+    """Reusing one workspace changes no result, and a warm call allocates
+    less than one hidden activation."""
+
+    ARCH = mlp((9, 64, 64, 9))
+
+    @staticmethod
+    def _head(out):
+        return 0.5 * float(np.sum(out * out)), out
+
+    @staticmethod
+    def _warm_peak(call):
+        """Traced peak bytes of call() on top of what was live before it,
+        after one untraced warm-up call."""
+        call()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_warm_value_and_grads_allocates_less_than_one_activation(self):
+        params = init_params(self.ARCH, Rng(1))
+        rows = 19 * 128  # one stacked vanilla-SM stencil batch at D = 9
+        x = Rng(2).normal_matrix(rows, 9)
+        ws = Workspace(self.ARCH)
+        peak = self._warm_peak(
+            lambda: value_and_grads(self.ARCH, params, x, self._head, ws))
+        assert peak < rows * 64 * 8
+
+    def test_warm_time_free_score_allocates_less_than_one_activation(self):
+        score = learned_score_time_free(self.ARCH, init_params(self.ARCH, Rng(3)))
+        rows = 3000  # one Langevin step at n_eval = 3000
+        x = Rng(4).normal_matrix(rows, 9)
+        peak = self._warm_peak(lambda: score(x, 0.0))
+        assert peak < rows * 64 * 8
+
+    def test_alternating_row_counts_match_fresh_workspace(self):
+        params = init_params(self.ARCH, Rng(5))
+        ws = Workspace(self.ARCH)
+        for rows in (128, 2432, 128):
+            x = Rng(6).child(rows).normal_matrix(rows, 9)
+            got = value_and_grads(self.ARCH, params, x, self._head, ws)
+            want = value_and_grads(self.ARCH, params, x, self._head, Workspace(self.ARCH))
+            assert got[0] == want[0]
+            for a, b in zip(got[1].weights + got[1].biases + [got[2]],
+                            want[1].weights + want[1].biases + [want[2]]):
+                assert np.array_equal(a, b)
+            assert np.array_equal(forward(self.ARCH, params, x, ws),
+                                  forward(self.ARCH, params, x))
+
+    def test_kept_output_survives_next_call(self):
+        params = init_params(self.ARCH, Rng(7))
+        score = learned_score_time_free(self.ARCH, params)
+        x = Rng(8).normal_matrix(300, 9)
+        first = score(x, 0.0)
+        kept = first.copy()
+        score(2.0 * x, 0.0)
+        assert np.array_equal(first, kept)
+        ws = Workspace(self.ARCH)
+        _, grads, dx = value_and_grads(self.ARCH, params, x, self._head, ws)
+        kept = [a.copy() for a in grads.weights + grads.biases + [dx]]
+        value_and_grads(self.ARCH, params, 2.0 * x, self._head, ws)
+        for a, b in zip(grads.weights + grads.biases + [dx], kept):
+            assert np.array_equal(a, b)
+
+    def test_forward_only_workspace_has_no_reverse_arrays(self):
+        ws = Workspace(self.ARCH)
+        forward(self.ARCH, init_params(self.ARCH, Rng(9)), np.ones((4, 9)), ws)
+        assert ws.deltas is None and ws.masks is None
+
+    def test_workspace_of_another_architecture_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            forward(self.ARCH, init_params(self.ARCH, Rng(10)), np.ones((2, 9)),
+                    Workspace(mlp((9, 32, 9))))
 
 
 class TestCheckpoint:

@@ -1,9 +1,13 @@
 """Property tests: the dense layer path against the replica-sum reference,
-and the stacked vanilla-SM stencil against its per-dimension loop.
+the stacked vanilla-SM stencil against its per-dimension loop, and the
+checkpoint round-trip.
 
 Architectures are drawn with random widths, replica counts, permutations
 and weight masks, plus first layers taken from `conv_as_wsnn` plans.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +18,8 @@ from conftest import (max_scaled_dev, reference_backward, reference_forward,
 from diffden.sampler import vanilla_sm_stencil_value_and_grads
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           apply_masks, backward, conv_as_wsnn, forward,
-                          replica_fold, replica_sum)
+                          load_checkpoint, replica_fold, replica_sum,
+                          save_checkpoint)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -110,3 +115,28 @@ def test_stacked_stencil_matches_per_dimension_loop(case, delta):
     assert max_scaled_dev(loss, want_loss) <= 1e-12
     for got, ref in zip(grads.weights + grads.biases, want.weights + want.biases):
         assert max_scaled_dev(got, ref) <= 1e-12
+
+
+@SETTINGS
+@given(architectures())
+def test_checkpoint_roundtrip(case):
+    """Everything a checkpoint stores comes back exactly; a None (dense)
+    mask entry comes back as all ones."""
+    arch, params, x, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.bin"
+        save_checkpoint(path, arch, params)
+        arch2, params2 = load_checkpoint(path)
+    assert arch2.widths == arch.widths and arch2.replicas == arch.replicas
+    assert (arch2.sparsity, arch2.weight_bound) == (arch.sparsity, arch.weight_bound)
+    for perms, perms2 in ((arch.q_perms, arch2.q_perms), (arch.r_perms, arch2.r_perms)):
+        assert [[p.idx.tolist() for p in layer] for layer in perms] == \
+               [[p.idx.tolist() for p in layer] for layer in perms2]
+    if arch.weight_masks is None:
+        assert arch2.weight_masks is None
+    else:
+        for i, (m, m2) in enumerate(zip(arch.weight_masks, arch2.weight_masks)):
+            assert np.array_equal(m2, np.ones(arch.layer_shape(i)) if m is None else m)
+    for a, b in zip(params.weights + params.biases, params2.weights + params2.biases):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(forward(arch, params, x), forward(arch2, params2, x))
