@@ -8,7 +8,7 @@ excluded from the determinism guarantee.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,6 +43,9 @@ class ExperimentConfig:
     mrf_coupling: float = -0.2
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise BadConfig(f"{f.name} must be finite")
         if self.case not in (1, 2, 3):
             raise BadConfig("case must be 1, 2, or 3")
         if self.grid_side < 2:
@@ -184,7 +187,7 @@ def _generate_for_method(config, density, method, data, cell_rng, cell_seed):
         params = wsnn.init_params(arch, cell_rng.child(2))
         params, _ = train(data, arch, params, schedule,
                           config.train_config(cell_seed))
-        score = sampler.learned_score(arch, params)
+        score = network_score(arch, params)
         cfg = sampler.SamplerConfig(config.em_steps, config.n_eval)
         return sampler.reverse_sde_sample(score, schedule, cfg, density.dim,
                                           cell_rng.child(1))

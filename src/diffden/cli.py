@@ -11,7 +11,7 @@ import sys
 
 from . import bench, densities, sampler, wsnn
 from .bench import BpdReport, ExperimentConfig, load_config, make_density
-from .diffusion import train, write_trace_csv
+from .diffusion import network_score, train, write_trace_csv
 from .errors import DiffdenError
 from .numerics import Rng
 
@@ -60,7 +60,7 @@ def cmd_train(args):
 def cmd_sample(args):
     cfg = _experiment_config(args)
     arch, params = wsnn.load_checkpoint(args.checkpoint)
-    score = sampler.learned_score(arch, params)
+    score = network_score(arch, params)
     scfg = sampler.SamplerConfig(cfg.em_steps, args.n)
     x = sampler.reverse_sde_sample(score, cfg.schedule(), scfg,
                                    arch.output_dim, Rng(cfg.seed).child(3))

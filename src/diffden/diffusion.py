@@ -128,16 +128,28 @@ def time_input(x, t):
     return out[0] if single else out
 
 
-def network_score(arch, params, workspace=None):
+def network_score(arch, params):
     """Score callable (x, t) -> f(concat(x, t)) backed by a network; every
-    call runs in `workspace`, or in a throwaway one when it is None."""
+    call runs in one workspace the score owns for as long as it lives."""
     if arch.output_dim != arch.input_dim - 1:
         raise DimensionMismatch("score network must map D + 1 -> D")
+    workspace = wsnn.Workspace(arch)
 
     def score(x, t):
         return wsnn.forward(arch, params, time_input(x, t), workspace)
 
     return score
+
+
+def score_at(score, x, t):
+    """score(x, t) as a float64 array, which must have the shape of x.  A
+    score is any callable (x, t) -> array shaped like x; the samplers and
+    score_mse evaluate every score through this check."""
+    out = np.asarray(score(x, t), dtype=np.float64)
+    if out.shape != np.shape(x):
+        raise DimensionMismatch(f"score output shape {out.shape} != input shape "
+                                f"{np.shape(x)}")
+    return out
 
 
 def dsm_loss(arch, params, schedule, x0, x_t, t):
@@ -175,8 +187,8 @@ class TrainConfig:
             raise BadConfig("steps must be >= 1")
         if self.batch_size < 1:
             raise BadConfig("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise BadConfig("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise BadConfig("learning_rate must be finite and >= 0")
 
 
 class AdamState:
@@ -311,12 +323,9 @@ def score_mse(score, density, schedule, n_mc, rng):
     for a density with an analytic noised score.  Returns an McEstimate."""
     r_t, r_x0, r_z = rng.split(3)
     t = r_t.uniform(n_mc, schedule.t_min, schedule.t_max)
-    x0 = density.sample(n_mc, r_x0).x
-    mu, sigma = schedule.mu_sigma(t)
-    z = r_z.standard_normal(n_mc * density.dim).reshape(n_mc, density.dim)
-    x_t = mu[:, None] * x0 + sigma[:, None] * z
+    x_t = forward_sample(schedule, density.sample(n_mc, r_x0).x, t, r_z)
 
-    f_hat = np.atleast_2d(score(x_t, t))
+    f_hat = score_at(score, x_t, t)
     f_true = score_t_batch(density, x_t, t, schedule)
     vals = (schedule.t_max - schedule.t_min) * np.sum((f_hat - f_true) ** 2, axis=1)
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wsnn
-from .diffusion import fit, network_score
+from .diffusion import fit, score_at
 from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
                      EmptyDataset, InvalidSize, NonFiniteState)
 
@@ -26,42 +26,15 @@ _BLOWUP = 1e6
 _DIVERGENCE_STEP = 0.1  # stencil width of the trained divergence
 
 
-@dataclass(frozen=True)
-class ScoreFunction:
-    """Callable (x, t) -> score with a provenance tag."""
-
-    fn: callable
-    tag: str = "analytic"  # learned | analytic | zero
-
-    def __call__(self, x, t):
-        out = np.asarray(self.fn(x, t), dtype=np.float64)
-        if out.shape != np.shape(x):
-            raise DimensionMismatch("score output shape must match input")
-        return out
-
-
-def zero_score():
-    return ScoreFunction(lambda x, t: np.zeros_like(np.asarray(x, dtype=np.float64)),
-                         tag="zero")
-
-
 def analytic_score(density, schedule):
-    return ScoreFunction(lambda x, t: density.score_t(x, t, schedule),
-                         tag="analytic")
-
-
-def learned_score(arch, params):
-    """Network score that reuses one workspace for as long as it lives."""
-    return ScoreFunction(network_score(arch, params, wsnn.Workspace(arch)),
-                         tag="learned")
+    return lambda x, t: density.score_t(x, t, schedule)
 
 
 def learned_score_time_free(arch, params):
     """Score from a D -> D network that ignores the time argument; reuses
     one workspace for as long as it lives."""
     workspace = wsnn.Workspace(arch)
-    return ScoreFunction(lambda x, t: wsnn.forward(arch, params, x, workspace),
-                         tag="learned")
+    return lambda x, t: wsnn.forward(arch, params, x, workspace)
 
 
 @dataclass(frozen=True)
@@ -95,7 +68,7 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
         t_rev = times[k]
         h = times[k] - times[k + 1]
         a = schedule.alpha_at(t_rev)
-        drift = a * y + 2.0 * a * score(y, t_rev)
+        drift = a * y + 2.0 * a * score_at(score, y, t_rev)
         z = rng.standard_normal(n * dim).reshape(n, dim)
         y += h * drift
         y += math.sqrt(2.0 * a * h) * z
@@ -113,7 +86,7 @@ def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
     root_2h = math.sqrt(2.0 * step_size)
     for k in range(n_steps):
         noise = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
-        z += step_size * score(z, 0.0)
+        z += step_size * score_at(score, z, 0.0)
         z += root_2h * noise
         _guard(z, "Langevin sampling", k)
     return z
@@ -122,23 +95,22 @@ def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
 # --- vanilla score matching -------------------------------------------------
 
 
-def _divergence_exact(mats, biases, x):
+def _divergence_exact(mats, acts):
     """tr(grad f) per batch element for a piecewise-linear (ReLU) network
-    given the materialised layer matrices: the input Jacobian of each
-    activation is carried forward through the ReLU masks."""
-    b, dim = x.shape
-    a = x
+    given its materialised layer matrices and the input and post-ReLU hidden
+    activations of one pass: the input Jacobian of each activation is
+    carried forward through the ReLU masks (relu(z) > 0 exactly where
+    z > 0)."""
+    b, dim = acts[0].shape
     jac = np.broadcast_to(np.eye(dim), (b, dim, dim))
-    for A, c in zip(mats[:-1], biases[:-1]):
-        z = a @ A.T + c
-        jac = (z > 0.0)[:, :, None] * np.einsum("oh,bhd->bod", A, jac)
-        a = np.maximum(z, 0.0)
+    for A, a in zip(mats[:-1], acts[1:]):
+        jac = (a > 0.0)[:, :, None] * np.einsum("oh,bhd->bod", A, jac)
     return np.einsum("oh,bho->b", mats[-1], jac)
 
 
 def vanilla_sm_pointwise(arch, params, x):
     """Per-sample losses tr(grad f(x)) + |f(x)|^2 / 2 with the exact
-    divergence."""
+    divergence, from one network pass."""
     if arch.input_dim != arch.output_dim:
         raise DimensionMismatch("vanilla score matching needs d_1 = d_{L+1}")
     if arch.input_dim > 64:
@@ -146,9 +118,8 @@ def vanilla_sm_pointwise(arch, params, x):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != arch.input_dim:
         raise DimensionMismatch("input width does not match the network")
-    f = np.atleast_2d(wsnn.forward(arch, params, x))
-    mats, bs = wsnn.effective_layers(arch, params)
-    return _divergence_exact(mats, bs, x) + 0.5 * np.sum(f * f, axis=1)
+    f, mats, acts = wsnn._forward_cache(arch, params, x, wsnn.Workspace(arch))
+    return _divergence_exact(mats, acts) + 0.5 * np.sum(f * f, axis=1)
 
 
 def vanilla_sm_loss(arch, params, x):

@@ -26,7 +26,7 @@ sampling) owns one workspace and hands it to every `forward` or
 the arrays are reallocated only when the row count changes, and the
 backward-only ones only on the first `value_and_grads` call.  A call
 without a workspace makes a throwaway one that dies with the call, so a
-score evaluated once keeps nothing alive.  The workspace never holds a
+one-off evaluation keeps nothing alive.  The workspace never holds a
 result: the network output and every gradient are fresh arrays the caller
 owns, so a kept output is not overwritten by the next call.  Results are
 bit-identical with and without a reused workspace.
@@ -256,16 +256,17 @@ def _workspace(arch, workspace):
 def forward(arch, params, x, workspace=None):
     """Evaluate the network; accepts a single vector or a (B, d_1) batch.
     The output is a fresh array; the hidden layers go to `workspace`."""
-    _check_params(arch, params)
     a, single = _as_batch(x, arch.input_dim)
     out = _forward_cache(arch, params, a, _workspace(arch, workspace))[0]
     return out[0] if single else out
 
 
 def _forward_cache(arch, params, a, ws):
-    """(output, dense layers, post-ReLU activations) of one pass.  Each
-    hidden layer is computed in place in its `ws` buffer (product, bias,
-    ReLU); only the output is a fresh array."""
+    """(output, dense layers, [input, post-ReLU activations]) of one pass
+    over the (B, d_1) batch a.  Each hidden layer is computed in place in
+    its `ws` buffer (product, bias, ReLU); only the output is a fresh
+    array."""
+    _check_params(arch, params)
     mats, bs = effective_layers(arch, params)
     acts = [a]
     for A, b, z in zip(mats[:-1], bs[:-1], ws.hidden(a.shape[0])):
@@ -288,7 +289,6 @@ def value_and_grads(arch, params, x, head, workspace=None):
     Shared-weight gradients accumulate over all replicas of a layer; the
     ReLU derivative at exactly 0 is taken as 0.
     """
-    _check_params(arch, params)
     a, _ = _as_batch(x, arch.input_dim)
     ws = _workspace(arch, workspace)
     out, mats, acts = _forward_cache(arch, params, a, ws)
@@ -490,32 +490,33 @@ def expect_eof(fh):
 
 
 def load_checkpoint(path):
+    """(arch, params) from a checkpoint; a file that is truncated, over-long
+    or describes an invalid network is a CorruptFile naming the path."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CorruptFile("not a network checkpoint file")
+            raise CorruptFile(f"{path}: not a network checkpoint file")
         depth = int(read_exact(fh, np.int64, 1)[0])
         if depth < 2:
-            raise CorruptFile(f"checkpoint depth {depth} < 2")
+            raise CorruptFile(f"{path}: checkpoint depth {depth} < 2")
         widths = tuple(read_exact(fh, np.int64, depth + 1).tolist())
         replicas = tuple(read_exact(fh, np.int64, depth - 1).tolist())
         sparsity = int(read_exact(fh, np.int64, 1)[0])
         bound = float(read_exact(fh, np.float64, 1)[0])
-        q_perms, r_perms = [], []
-        for i in range(depth - 1):
-            qs = tuple(Permutation(read_exact(fh, np.int64, widths[i]))
-                       for _ in range(replicas[i]))
-            rs = tuple(Permutation(read_exact(fh, np.int64, widths[i + 1]))
-                       for _ in range(replicas[i]))
-            q_perms.append(qs)
-            r_perms.append(rs)
+        # per hidden layer its m_i Q tables, then its m_i R tables
+        tables = [[read_exact(fh, np.int64, widths[i + k]) for _ in range(replicas[i])]
+                  for i in range(depth - 1) for k in (0, 1)]
         masks = None
         if int(read_exact(fh, np.int64, 1)[0]):
             masks = tuple(
                 read_exact(fh, np.uint8, widths[i + 1] * widths[i])
                 .reshape(widths[i + 1], widths[i]).astype(np.float64)
                 for i in range(depth))
-        arch = WsnnArchitecture(widths, replicas, tuple(q_perms), tuple(r_perms),
-                                sparsity, bound, masks)
+        try:
+            perms = [tuple(map(Permutation, layer)) for layer in tables]
+            arch = WsnnArchitecture(widths, replicas, tuple(perms[0::2]),
+                                    tuple(perms[1::2]), sparsity, bound, masks)
+        except InvalidSize as exc:
+            raise CorruptFile(f"{path}: invalid network: {exc}") from None
         weights, biases = [], []
         for i in range(depth):
             dout, din = arch.layer_shape(i)

@@ -145,3 +145,26 @@ def reference_stencil_value_and_grads(arch, params, x, delta):
             acc += a1 + a2
     loss = float(np.mean(div + 0.5 * np.sum(f * f, axis=1)))
     return loss, grads
+
+
+# --- exact vanilla-SM reference -----------------------------------------------
+#
+# A forward call for f, then a second pass over the materialised layers that
+# carries the input Jacobian through the ReLU masks of its own pre-activations:
+# the two-pass exact loss that the one-pass `sampler.vanilla_sm_pointwise`
+# replaced.
+
+
+def reference_vanilla_sm_pointwise(arch, params, x):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    f = np.atleast_2d(wsnn.forward(arch, params, x))
+    mats, biases = wsnn.effective_layers(arch, params)
+    b, dim = x.shape
+    a = x
+    jac = np.broadcast_to(np.eye(dim), (b, dim, dim))
+    for A, c in zip(mats[:-1], biases[:-1]):
+        z = a @ A.T + c
+        jac = (z > 0.0)[:, :, None] * np.einsum("oh,bhd->bod", A, jac)
+        a = np.maximum(z, 0.0)
+    div = np.einsum("oh,bho->b", mats[-1], jac)
+    return div + 0.5 * np.sum(f * f, axis=1)

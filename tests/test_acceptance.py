@@ -18,8 +18,7 @@ from diffden.diffusion import (DiffusionSchedule, TrainConfig, network_score,
                                score_mse, train)
 from diffden.numerics import Rng
 from diffden.quadrature import composite_quadrature, pt_quadrature
-from diffden.sampler import (SamplerConfig, ScoreFunction, analytic_score,
-                             langevin_sample, learned_score,
+from diffden.sampler import (SamplerConfig, analytic_score, langevin_sample,
                              reverse_sde_sample, vanilla_sm_pointwise)
 from diffden.wsnn import covering_bound_numerator, covering_log_bound
 from conftest import max_scaled_dev, reference_forward
@@ -146,7 +145,7 @@ def test_criterion_4_training_efficacy():
     trained = score_mse(network_score(arch, params), density, SCHED, 8192,
                         rng.child(2))
     assert trained.value < 0.5 * init.value
-    samples = reverse_sde_sample(learned_score(arch, params), SCHED,
+    samples = reverse_sde_sample(network_score(arch, params), SCHED,
                                  SamplerConfig(500, 3000), 2, rng.child(3))
     assert abs(bpd(density, samples) - iso_gaussian_bpd()) < 0.4
 
@@ -217,7 +216,6 @@ def test_criterion_8_end_to_end():
 
 @criterion(9, 30.0, "Langevin chain reaches the standard-normal stationary law")
 def test_criterion_9_langevin_stationarity():
-    score = ScoreFunction(lambda x, t: -x, tag="analytic")
-    x = langevin_sample(score, 0.01, 2000, 4096, 1, Rng(90))
+    x = langevin_sample(lambda x, t: -x, 0.01, 2000, 4096, 1, Rng(90))
     assert abs(x.mean()) < 0.1
     assert abs(x.var() - 1.0) < 0.12

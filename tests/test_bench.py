@@ -1,5 +1,7 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffden import cli, wsnn
@@ -98,7 +100,7 @@ class TestPlots:
         files = emit_plots(self._report(), tmp_path / "plots")
         svg = [f for f in files if f.endswith(".svg")]
         assert len(svg) == 1
-        text = open(svg[0]).read()
+        text = Path(svg[0]).read_text()
         assert text.count("<polyline") == 2
         # three points per polyline
         for line in text.splitlines():
@@ -254,6 +256,11 @@ class TestCli:
         no_step.write_text("langevin_step = 0\n")
         no_steps = tmp_path / "no_steps.cfg"
         no_steps.write_text("langevin_steps = 0\n")
+        non_finite = []
+        for i, line in enumerate(("mrf_coupling = nan", "mrf_coupling = inf",
+                                  "mrf_diag = inf", "langevin_step = inf")):
+            non_finite.append(tmp_path / f"non_finite{i}.cfg")
+            non_finite[-1].write_text(line + "\n")
         for argv in (["--config", str(bogus)], ["--config", str(unparsable)],
                      ["--case", "4"], ["--n-list", "100,many"],
                      ["--n-list", "0"], ["--T-min", "5", "--T-max", "1"],
@@ -261,12 +268,20 @@ class TestCli:
                      ["--config", str(no_steps)], ["--em-steps", "0"],
                      ["--widths", ","], ["--widths", "8,0"],
                      ["--n-list", ","], ["--methods", ","],
-                     ["--repetitions", "0"]):
+                     ["--repetitions", "0"], ["--lr", "nan"], ["--lr", "inf"],
+                     ["--T-max", "inf"],
+                     *(["--config", str(path)] for path in non_finite)):
             assert cli.main(["run-case", *argv]) == 2
             assert "BadConfig" in capsys.readouterr().err
+        for argv in (["evaluate", "--samples", str(tmp_path / "samples.csv")],
+                     ["score-mse", "--out", str(tmp_path / "mse.csv")]):
+            for path in non_finite[:2]:
+                assert cli.main([*argv, "--case", "2", "--config", str(path)]) == 2
+                assert "BadConfig" in capsys.readouterr().err
         train = ["train", "--data", str(tmp_path / "data.csv"),
                  "--out", str(tmp_path / "net.ckpt")]
-        for argv in (["--steps", "0"], ["--batch", "0"], ["--lr", "-1"]):
+        for argv in (["--steps", "0"], ["--batch", "0"], ["--lr", "-1"],
+                     ["--lr", "nan"], ["--lr", "inf"]):
             assert cli.main([*train, *argv]) == 2
             assert "BadConfig" in capsys.readouterr().err
 
@@ -279,6 +294,18 @@ class TestCli:
                      ["sample", "--checkpoint", missing, "--n", "4", "--out", out]):
             assert cli.main(argv) == 2
             assert "FileNotFoundError" in capsys.readouterr().err
+
+    def test_invalid_checkpoint_exit_code(self, tmp_path, capsys):
+        arch = wsnn.mlp((3, 4, 2))
+        path = tmp_path / "net.ckpt"
+        wsnn.save_checkpoint(path, arch, wsnn.init_params(arch, Rng(0)))
+        data = path.read_bytes()
+        # the replica count is at byte 40 and the first Q entry at byte 64
+        for at in (40, 64):
+            path.write_bytes(data[:at] + np.int64(-1).tobytes() + data[at + 8:])
+            assert cli.main(["sample", "--checkpoint", str(path), "--n", "4",
+                             "--out", str(tmp_path / "x.csv")]) == 2
+            assert f"CorruptFile: {path}: invalid network" in capsys.readouterr().err
 
     def test_malformed_report_exit_code(self, tmp_path, capsys):
         header = "case,k_or_m,method,n,repetition,bpd,runtime_s,status\n"

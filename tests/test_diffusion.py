@@ -14,7 +14,8 @@ from diffden.diffusion import (DiffusionSchedule, TrainConfig,
 from diffden.errors import (DimensionMismatch, EmptyDataset, NegativeTime,
                             SingularTime)
 from diffden.numerics import Rng
-from diffden.sampler import vanilla_sm_stencil_value_and_grads
+from diffden.sampler import (vanilla_sm_pointwise,
+                             vanilla_sm_stencil_value_and_grads)
 
 SCHED = DiffusionSchedule()
 
@@ -210,6 +211,23 @@ class TestOnePass:
             arch, wsnn.init_params(arch, rng.child(2)), rng.normal_matrix(32, 3), 0.1)
         assert len(calls) == 2
 
+    def test_exact_vanilla_sm_loss_runs_one_forward_pass(self, rng, monkeypatch):
+        """One pass and one materialisation of the dense layers: the exact
+        divergence reads its ReLU masks from that pass."""
+        calls = []
+        for name in ("_forward_cache", "effective_layers"):
+            real = getattr(wsnn, name)
+
+            def counted(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(wsnn, name, counted)
+        arch = wsnn.mlp((3, 16, 16, 3))
+        params = wsnn.init_params(arch, rng.child(2))
+        vanilla_sm_pointwise(arch, params, rng.normal_matrix(32, 3))
+        assert sorted(calls) == ["_forward_cache", "effective_layers"]
+
     def test_dsm_equals_forward_backward_composition(self, rng):
         arch, params, x0, xt, t = self._dsm_inputs(rng)
         loss, grads = dsm_value_and_grads(arch, params, SCHED, x0, xt, t)
@@ -318,6 +336,13 @@ class TestScoreMse:
                         rng.child(1))
         ratio = big.stderr / small.stderr
         assert 0.3 < ratio < 0.75  # ~1/2 expected for 4x the sample size
+
+    def test_score_of_wrong_shape_rejected(self, rng):
+        d = IsoGaussian(2)
+        for bad in (lambda x, t: x[:, :1], lambda x, t: x.sum(axis=1, keepdims=True),
+                    lambda x, t: x[:1]):
+            with pytest.raises(DimensionMismatch):
+                score_mse(bad, d, SCHED, 64, rng)
 
     def test_network_score_shape(self, rng):
         arch = wsnn.mlp((3, 6, 2))

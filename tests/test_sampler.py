@@ -11,14 +11,17 @@ from diffden.diffusion import DiffusionSchedule, TrainConfig
 from diffden.errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
                             InvalidSize, NonFiniteState)
 from diffden.numerics import Rng
-from diffden.sampler import (SamplerConfig, ScoreFunction, analytic_score,
-                             langevin_sample, learned_score_time_free,
-                             read_samples_binary, reverse_sde_sample,
-                             train_vanilla_sm, vanilla_sm_loss,
-                             vanilla_sm_stencil_value_and_grads,
-                             write_samples_binary, zero_score)
+from diffden.sampler import (SamplerConfig, analytic_score, langevin_sample,
+                             learned_score_time_free, read_samples_binary,
+                             reverse_sde_sample, train_vanilla_sm,
+                             vanilla_sm_loss, vanilla_sm_stencil_value_and_grads,
+                             write_samples_binary)
 
 SCHED = DiffusionSchedule()
+
+
+def zero_score(x, t):
+    return np.zeros_like(x)
 
 
 def nan_from_call(k):
@@ -29,7 +32,7 @@ def nan_from_call(k):
         calls.append(1)
         return -x if len(calls) <= k else np.full_like(x, np.nan)
 
-    return ScoreFunction(fn, tag="analytic")
+    return fn
 
 
 def stencil_loss(arch, params, x, delta):
@@ -46,7 +49,7 @@ def stencil_loss(arch, params, x, delta):
 class TestReverseSde:
     def test_single_step_arithmetic(self):
         cfg = SamplerConfig(n_steps=1, n_samples=3)
-        got = reverse_sde_sample(zero_score(), SCHED, cfg, 2, Rng(42))
+        got = reverse_sde_sample(zero_score, SCHED, cfg, 2, Rng(42))
         mirror = Rng(42)
         y0 = mirror.standard_normal(6).reshape(3, 2)
         z = mirror.standard_normal(6).reshape(3, 2)
@@ -84,7 +87,7 @@ class TestReverseSde:
         assert errs[2] <= errs[0] + 0.02  # nonincreasing up to MC noise
 
     def test_blowup_guard(self):
-        bad = ScoreFunction(lambda x, t: 100.0 * x, tag="analytic")
+        bad = lambda x, t: 100.0 * x
         cfg = SamplerConfig(n_steps=500, n_samples=8)
         with pytest.raises(NonFiniteState) as err:
             reverse_sde_sample(bad, SCHED, cfg, 2, Rng(4))
@@ -99,6 +102,12 @@ class TestReverseSde:
                            match=r"at step 3 \(reverse time .*\), max \|state\| = nan$"):
             reverse_sde_sample(nan_from_call(3), SCHED, cfg, 2, Rng(4))
 
+    def test_score_of_wrong_shape_rejected(self):
+        cfg = SamplerConfig(n_steps=3, n_samples=8)
+        for bad in (lambda x, t: x[:, :1], lambda x, t: x.T, lambda x, t: x.sum()):
+            with pytest.raises(DimensionMismatch):
+                reverse_sde_sample(bad, SCHED, cfg, 2, Rng(4))
+
     def test_seed_determinism(self):
         d = IsoGaussian(2)
         cfg = SamplerConfig(n_steps=50, n_samples=16)
@@ -110,26 +119,25 @@ class TestReverseSde:
 class TestLangevin:
     def test_zero_score_is_brownian(self):
         h, steps = 0.01, 100
-        x = langevin_sample(zero_score(), h, steps, 4096, 1, Rng(5))
+        x = langevin_sample(zero_score, h, steps, 4096, 1, Rng(5))
         want = 1.0 + 2.0 * h * steps
         assert abs(x.var() - want) < 0.2
 
     def test_standard_normal_stationary(self):
-        score = ScoreFunction(lambda x, t: -x, tag="analytic")
+        score = lambda x, t: -x
         x = langevin_sample(score, 0.01, 2000, 4096, 1, Rng(6))
         assert abs(x.mean()) < 0.1
         assert abs(x.var() - 1.0) < 0.12
 
     def test_bimodal_mixture_mass_split(self, rng):
         mix = GaussMixture(1, 2, rng, means=np.array([[2.0], [-2.0]]))
-        score = ScoreFunction(lambda x, t: mix.score_t(x, SCHED.t_min, SCHED),
-                              tag="analytic")
+        score = lambda x, t: mix.score_t(x, SCHED.t_min, SCHED)
         x = langevin_sample(score, 0.01, 2000, 4096, 1, Rng(7))
         frac = float(np.mean(x > 0))
         assert abs(frac - 0.5) < 0.1
 
     def test_bias_decreases_with_step_size(self):
-        score = ScoreFunction(lambda x, t: -x, tag="analytic")
+        score = lambda x, t: -x
         errs = []
         for h, steps in ((0.2, 200), (0.05, 800)):
             x = langevin_sample(score, h, steps, 20_000, 1, Rng(8))
@@ -137,7 +145,7 @@ class TestLangevin:
         assert errs[1] < errs[0]
 
     def test_blowup_guard(self):
-        bad = ScoreFunction(lambda x, t: x ** 3, tag="analytic")
+        bad = lambda x, t: x ** 3
         with pytest.raises(NonFiniteState) as err:
             langevin_sample(bad, 2.0, 200, 64, 1, Rng(9))
         found = re.search(r"Langevin sampling at step (\d+), max \|state\| = (\S+)$",
@@ -147,9 +155,14 @@ class TestLangevin:
         with pytest.raises(NonFiniteState, match=r"at step 5, max \|state\| = nan$"):
             langevin_sample(nan_from_call(5), 0.01, 200, 64, 1, Rng(9))
 
+    def test_score_of_wrong_shape_rejected(self):
+        for bad in (lambda x, t: x[:, :1], lambda x, t: x.T, lambda x, t: x.sum()):
+            with pytest.raises(DimensionMismatch):
+                langevin_sample(bad, 0.01, 3, 8, 2, Rng(9))
+
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
-            langevin_sample(zero_score(), 0.0, 10, 4, 1, Rng(0))
+            langevin_sample(zero_score, 0.0, 10, 4, 1, Rng(0))
 
 
 class TestVanillaSmLoss:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -400,6 +401,28 @@ class TestCheckpoint:
         for bad in (data[:-8], data + b"\0"):  # one float short, one byte over
             path.write_bytes(bad)
             with pytest.raises(CorruptFile):
+                load_checkpoint(path)
+
+    def test_invalid_network_header_is_corrupt(self, tmp_path):
+        """A header that parses but describes an invalid network: a broken
+        permutation, a replica count below 1, a mask byte other than 0/1."""
+        plain = mlp((3, 4, 2))
+        arch = WsnnArchitecture(plain.widths, plain.replicas, plain.q_perms,
+                                plain.r_perms, weight_masks=(np.ones((4, 3)), None))
+        params = init_params(arch, Rng(0))
+        path = tmp_path / "net.bin"
+        save_checkpoint(path, arch, params)
+        data = path.read_bytes()
+        # magic, depth and 3 widths put the replica count at byte 40; it is
+        # followed by sparsity and bound, so the first Q entry is at byte 64;
+        # the 20 mask bytes sit just before the parameter block
+        n_params = sum(a.size for a in params.weights + params.biases)
+        first_mask = len(data) - 8 * n_params - 20
+        for at, value in ((64, np.int64(1)), (40, np.int64(-1)),
+                          (first_mask, np.uint8(7))):
+            path.write_bytes(data[:at] + value.tobytes() + data[at + value.nbytes:])
+            with pytest.raises(CorruptFile,
+                               match=re.escape(f"{path}: invalid network")):
                 load_checkpoint(path)
 
 

@@ -1,6 +1,7 @@
 """Property tests: the dense layer path against the replica-sum reference,
-the stacked vanilla-SM stencil against its per-dimension loop, and the
-checkpoint round-trip.
+the stacked vanilla-SM stencil against its per-dimension loop, the one-pass
+exact vanilla-SM loss against its two-pass reference, and the checkpoint
+round-trip.
 
 Architectures are drawn with random widths, replica counts, permutations
 and weight masks, plus first layers taken from `conv_as_wsnn` plans.
@@ -14,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (max_scaled_dev, reference_backward, reference_forward,
-                      reference_stencil_value_and_grads)
-from diffden.sampler import vanilla_sm_stencil_value_and_grads
+                      reference_stencil_value_and_grads,
+                      reference_vanilla_sm_pointwise)
+from diffden.sampler import (vanilla_sm_pointwise,
+                             vanilla_sm_stencil_value_and_grads)
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           apply_masks, backward, conv_as_wsnn, forward,
                           load_checkpoint, replica_fold, replica_sum,
@@ -115,6 +118,14 @@ def test_stacked_stencil_matches_per_dimension_loop(case, delta):
     assert max_scaled_dev(loss, want_loss) <= 1e-12
     for got, ref in zip(grads.weights + grads.biases, want.weights + want.biases):
         assert max_scaled_dev(got, ref) <= 1e-12
+
+
+@settings(SETTINGS, max_examples=200)
+@given(architectures(square=True))
+def test_one_pass_exact_loss_equals_two_pass_reference(case):
+    arch, params, x, _ = case
+    assert np.array_equal(vanilla_sm_pointwise(arch, params, x),
+                          reference_vanilla_sm_pointwise(arch, params, x))
 
 
 @SETTINGS
