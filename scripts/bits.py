@@ -1,0 +1,92 @@
+"""sha256 of every result a bit-identical change must keep.
+
+    PYTHONPATH=src python scripts/bits.py
+
+Run it on two checkouts and diff the output: each line is a result name
+and the first 16 hex digits of the hash of its bytes, and the last line,
+`ALL <hash>`, covers them all.  The results are the report bytes of
+`bench.run_case` on cases 1-3 and the `bench.score_mse_study` rows; DSM
+training (trained weights and per-epoch mean losses) on a plain MLP, on a
+masked network with two permuted replicas per hidden layer, on a dataset
+with duplicated rows and signed zeros, and with one full batch; reverse-SDE
+sampling; vanilla-SM training; Langevin sampling; and the normal draws.
+"""
+import hashlib
+
+import numpy as np
+
+from diffden import bench, diffusion, sampler, wsnn
+from diffden.numerics import Rng
+
+h = {}
+
+
+def put(name, data):
+    h[name] = hashlib.sha256(data).hexdigest()[:16]
+
+
+def put_training(name, params, trace):
+    put(name, b"".join(a.tobytes() for a in params.weights + params.biases)
+        + repr([(r.epoch, r.mean_loss) for r in trace]).encode())
+
+
+def replicated(widths, m, gen):
+    """Two-hidden-layer network with m permuted replicas per hidden layer
+    and a random 0/1 mask on every layer."""
+    q = tuple(tuple(wsnn.Permutation(gen.permutation(widths[i])) for _ in range(m))
+              for i in range(len(widths) - 2))
+    r = tuple(tuple(wsnn.Permutation(gen.permutation(widths[i + 1])) for _ in range(m))
+              for i in range(len(widths) - 2))
+    masks = tuple((gen.random((widths[i + 1], widths[i])) < 0.7).astype(float)
+                  for i in range(len(widths) - 1))
+    return wsnn.WsnnArchitecture(widths, (m,) * (len(widths) - 2), q, r,
+                                 weight_masks=masks)
+
+
+for case in (1, 2, 3):
+    cfg = bench.ExperimentConfig(case=case, grid_side=3, methods=bench.METHODS,
+                                 train_sizes=(200, 1000), n_eval=3000,
+                                 repetitions=1, steps=150, em_steps=60,
+                                 langevin_steps=60, langevin_step=0.05, seed=1)
+    put(f"run_case{case}", bench.run_case(cfg).deterministic_csv_bytes())
+rows = bench.score_mse_study(bench.ExperimentConfig(case=2, grid_side=3,
+                             train_sizes=(500,), repetitions=1, steps=150, seed=2))
+put("score_mse_study", repr(rows).encode())
+
+sched = diffusion.DiffusionSchedule()
+arch = wsnn.mlp((10, 64, 64, 9))
+data = np.random.default_rng(3).normal(size=(700, 9))
+p0 = wsnn.init_params(arch, Rng(5))
+params, trace = diffusion.train(data, arch, p0, sched,
+                                diffusion.TrainConfig(steps=120, seed=4))
+put_training("dsm_weights", params, trace)
+
+rarch = replicated((10, 12, 8, 9), 2, np.random.default_rng(11))
+put_training("dsm_replicas", *diffusion.train(
+    data, rarch, wsnn.init_params(rarch, Rng(12)), sched,
+    diffusion.TrainConfig(batch_size=32, steps=60, seed=13)))
+
+gen = np.random.default_rng(14)
+dup = data[gen.integers(0, 40, 300)]
+dup[::7, 0] = 0.0
+dup[1::7, 0] = -0.0
+put_training("dsm_duplicates", *diffusion.train(
+    dup, arch, p0, sched, diffusion.TrainConfig(batch_size=64, steps=60, seed=15)))
+put_training("dsm_full_batch", *diffusion.train(
+    data[:100], arch, p0, sched, diffusion.TrainConfig(batch_size=128, steps=40, seed=16)))
+
+y = sampler.reverse_sde_sample(diffusion.network_score(arch, params), sched,
+                               sampler.SamplerConfig(80, 3000), 9, Rng(6))
+put("reverse_sde", y.tobytes())
+varch = wsnn.mlp((9, 64, 64, 9))
+vp = wsnn.init_params(varch, Rng(7))
+vt, _ = sampler.train_vanilla_sm(data, varch, vp, diffusion.TrainConfig(steps=40, seed=8))
+put("vanilla_weights", b"".join(a.tobytes() for a in vt.weights + vt.biases))
+z = sampler.langevin_sample(sampler.learned_score_time_free(varch, vp), 0.01, 80,
+                            3000, 9, Rng(9))
+put("langevin", z.tobytes())
+for n in (1, 2, 3, 127, 27000, 27001):
+    put(f"normal{n}", Rng(10).child(n).standard_normal(n).tobytes())
+for k, v in h.items():
+    print(k, v)
+print("ALL", hashlib.sha256(repr(sorted(h.items())).encode()).hexdigest())

@@ -128,7 +128,7 @@ class GridMrfGaussian:
         self._eigvals, self._eigvecs = np.linalg.eigh(self.precision)
         if self._eigvals[0] <= 0:
             raise NotPositiveDefinite(
-                f"MRF precision has smallest eigenvalue {self._eigvals[0]!r}")
+                f"MRF precision has smallest eigenvalue {float(self._eigvals[0])!r}")
         self.covariance = (self._eigvecs / self._eigvals) @ self._eigvecs.T
         self.covariance = 0.5 * (self.covariance + self.covariance.T)
         try:

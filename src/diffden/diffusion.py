@@ -192,32 +192,47 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second-moment accumulators, one pair per parameter array."""
+    """Adam over one flat buffer.  The trained parameters and both moment
+    accumulators are flat arrays; `params` is a copy of the initial
+    parameters whose arrays are views into the parameter buffer, so a step
+    is one elementwise update of the whole buffer."""
 
     def __init__(self, params):
-        self.m = [np.zeros_like(a) for a in params.weights + params.biases]
-        self.v = [np.zeros_like(a) for a in params.weights + params.biases]
+        arrays = params.weights + params.biases
+        self.flat = np.concatenate(arrays, axis=None)
+        ends = np.cumsum([a.size for a in arrays])
+        views = [v.reshape(a.shape)
+                 for a, v in zip(arrays, np.split(self.flat, ends[:-1]))]
+        self.params = wsnn.WsnnParams(views[:len(params.weights)],
+                                      views[len(params.weights):])
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
-    def step(self, params, grads, lr):
+    def step(self, grads, lr):
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        arrays = params.weights + params.biases
-        gs = grads.weights + grads.biases
+        g = np.concatenate(grads.weights + grads.biases, axis=None)
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for a, g, m, v in zip(arrays, gs, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            a -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * g * g
+        self.flat -= lr * (self.m / c1) / (np.sqrt(self.v / c2) + eps)
 
 
-def _canonical_order(batch):
-    # lexicographic row order makes full-batch training invariant to
-    # permutations of the dataset
-    return batch[np.lexsort(batch.T[::-1])]
+def _row_classes(x_data):
+    """(order, cls): the lexicographic row order of x_data, and for each row
+    the index of its class of equal rows in that order."""
+    order = np.lexsort(x_data.T[::-1])
+    new = np.zeros(order.size, dtype=np.int64)
+    for col in x_data.T:
+        c = col[order]
+        new[1:] |= c[1:] != c[:-1]
+    cls = np.empty_like(order)
+    cls[order] = np.cumsum(new)
+    return order, cls
 
 
 @dataclass
@@ -243,29 +258,36 @@ def fit(x_data, arch, init_params, config, objective, probe=None):
     Step k draws its minibatch (with replacement, or all rows when the batch
     covers them) from the substream rng = Rng(config.seed).child(1, k),
     sorts it lexicographically and hands the same rng to the objective for
-    any further draws; masks are reapplied after every step.  Losses are
-    averaged over trace epochs of config.epoch_len steps (n // batch_size
-    by default), and probe(params, rng), when given, is recorded as the
-    epoch's score_mse with rng = Rng(config.seed).child(2, k).
+    any further draws; masks are reapplied after every step.  The dataset
+    is sorted once per fit, and a minibatch is ordered by the sorted place
+    of its rows, equal rows kept in draw order: the bytes a stable sort of
+    the minibatch itself gives.  Losses are averaged over trace epochs of
+    config.epoch_len steps (n // batch_size by default), and
+    probe(params, rng), when given, is recorded as the epoch's score_mse
+    with rng = Rng(config.seed).child(2, k).
 
     Returns (trained params, list of TraceRow).
     """
     n = x_data.shape[0]
-    params = init_params.copy()
-    wsnn.apply_masks(params, arch)
-    adam = AdamState(params)
+    adam = AdamState(init_params)
+    params = wsnn.apply_masks(adam.params, arch)
     root = Rng(config.seed)
     epoch_len = config.epoch_len or max(1, n // config.batch_size)
-    full_batch = config.batch_size >= n
+    order, cls = _row_classes(x_data)
+    full = x_data[order] if config.batch_size >= n else None
 
     trace = []
     bucket = []
     t0 = time.perf_counter()
     for step in range(config.steps):
         rs = root.child(1, step)
-        batch = x_data if full_batch else x_data[rs.integers(0, n, config.batch_size)]
-        loss, grads = objective(params, _canonical_order(batch), rs)
-        adam.step(params, grads, config.learning_rate)
+        if full is None:
+            idx = rs.integers(0, n, config.batch_size)
+            batch = x_data[idx[np.argsort(cls[idx], kind="stable")]]
+        else:
+            batch = full
+        loss, grads = objective(params, batch, rs)
+        adam.step(grads, config.learning_rate)
         wsnn.apply_masks(params, arch)
         bucket.append(loss)
         if (step + 1) % epoch_len == 0 or step + 1 == config.steps:

@@ -11,7 +11,8 @@ identity replica per layer the class reduces to a plain MLP.  Permutations
 are stored as index arrays.  Since the replica sum is linear in v, each
 layer is evaluated as one dense matrix A_i = sum_j R_i^(j) W_i Q_i^(j)
 (`replica_sum`), and dense gradients are folded back onto the shared block
-by its adjoint (`replica_fold`).
+by its adjoint (`replica_fold`).  Both are one gather through a
+`ReplicaIndex` that the architecture builds once per hidden layer.
 
 `value_and_grads` runs the network once per call: the forward pass keeps
 only each layer's post-ReLU activations, and reverse mode takes its ReLU
@@ -34,7 +35,7 @@ bit-identical with and without a reused workspace.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +74,7 @@ class WsnnArchitecture:
     sparsity: int = 0
     weight_bound: float = 0.0
     weight_masks: tuple = None  # optional per-layer 0/1 arrays, None = dense
+    replica_indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -94,6 +96,8 @@ class WsnnArchitecture:
             for r in self.r_perms[i]:
                 if r.size != widths[i + 1]:
                     raise InvalidSize(f"layer {i}: R permutations must have size {widths[i + 1]}")
+        object.__setattr__(self, "replica_indices", tuple(
+            replica_index(q, r) for q, r in zip(self.q_perms, self.r_perms)))
         masks = self.weight_masks
         if masks is not None:
             if not isinstance(masks, (tuple, list)) or len(masks) != self.depth:
@@ -190,29 +194,52 @@ def _check_params(arch, params):
                                     f"!= {(arch.widths[i + 1],)}")
 
 
-def replica_sum(W, b, q_perms, r_perms):
-    """Dense (A, c) = (sum_j R^(j) W Q^(j), sum_j R^(j) b) of one layer.
+@dataclass(frozen=True)
+class ReplicaIndex:
+    """Flat gather tables of one weight-sharing layer, one row per replica.
+
+    The dense layer is A.ravel() = sum_j W.ravel()[gather[j]] and
+    c = sum_j b[bias_gather[j]]; the adjoint is dW.ravel() =
+    sum_j dA.ravel()[fold[j]] and db = sum_j dc[bias_fold[j]].  Each table
+    holds m * (entries of the layer) indices, the elements one sum touches.
+    """
+
+    gather: np.ndarray
+    bias_gather: np.ndarray
+    fold: np.ndarray
+    bias_fold: np.ndarray
+
+
+def replica_index(q_perms, r_perms):
+    """ReplicaIndex of the layer sum_j R^(j) W Q^(j).
 
     Replica j routes input coordinate q.idx[d] into weight column d and
-    weight row k onto output coordinate r.idx[k], so it scatters W into
-    A[r.idx][:, q.idx].  `replica_fold` is the exact adjoint gather.
+    weight row k onto output coordinate r.idx[k], so W[k, d] lands on
+    A[r.idx[k], q.idx[d]]: the fold reads dA there, and the sum reads W
+    through the inverse permutations.
     """
-    A = np.zeros_like(W)
-    c = np.zeros_like(b)
-    for q, r in zip(q_perms, r_perms):
-        A[np.ix_(r.idx, q.idx)] += W
-        c[r.idx] += b
-    return A, c
+    q = np.stack([p.idx for p in q_perms])
+    r = np.stack([p.idx for p in r_perms])
+    q_inv, r_inv = np.argsort(q, axis=1), np.argsort(r, axis=1)
+    m, d_in = q.shape
+    return ReplicaIndex(
+        (r_inv[:, :, None] * d_in + q_inv[:, None, :]).reshape(m, -1), r_inv,
+        (r[:, :, None] * d_in + q[:, None, :]).reshape(m, -1), r)
 
 
-def replica_fold(dA, dc, q_perms, r_perms):
+def replica_sum(W, b, index):
+    """Dense (A, c) = (sum_j R^(j) W Q^(j), sum_j R^(j) b) of one layer.
+    The replicas are added in order onto zeros (`initial=0.0`), so an entry
+    that every replica leaves at -0.0 comes out +0.0, as a scatter loop over
+    the replicas gives it; `replica_fold` is the exact adjoint."""
+    return (np.take(W, index.gather).sum(axis=0, initial=0.0).reshape(W.shape),
+            np.take(b, index.bias_gather).sum(axis=0, initial=0.0))
+
+
+def replica_fold(dA, dc, index):
     """Gradients on the shared (W, b) from gradients on the dense (A, c)."""
-    dW = np.zeros_like(dA)
-    db = np.zeros_like(dc)
-    for q, r in zip(q_perms, r_perms):
-        dW += dA[np.ix_(r.idx, q.idx)]
-        db += dc[r.idx]
-    return dW, db
+    return (np.take(dA, index.fold).sum(axis=0, initial=0.0).reshape(dA.shape),
+            np.take(dc, index.bias_fold).sum(axis=0, initial=0.0))
 
 
 class Workspace:
@@ -303,8 +330,8 @@ def value_and_grads(arch, params, x, head, workspace=None):
     delta = np.matmul(g, mats[-1], out=deltas[-1])
     for i in range(arch.depth - 2, -1, -1):
         delta *= np.greater(acts[i + 1], 0.0, out=masks[i])
-        dws[i], dbs[i] = replica_fold(
-            delta.T @ acts[i], delta.sum(axis=0), arch.q_perms[i], arch.r_perms[i])
+        dws[i], dbs[i] = replica_fold(delta.T @ acts[i], delta.sum(axis=0),
+                                      arch.replica_indices[i])
         delta = np.matmul(delta, mats[i], out=deltas[i - 1]) if i else delta @ mats[0]
     return value, apply_masks(WsnnParams(dws, dbs), arch), delta
 
@@ -325,7 +352,7 @@ def effective_layers(arch, params):
     mats, bs = [], []
     for i in range(arch.depth - 1):
         A, c = replica_sum(params.weights[i], params.biases[i],
-                           arch.q_perms[i], arch.r_perms[i])
+                           arch.replica_indices[i])
         mats.append(A)
         bs.append(c)
     mats.append(params.weights[-1])
@@ -357,7 +384,7 @@ class ConvAsWsnn:
 
     def materialize(self, filter_vec):
         return replica_sum(self.place_filter(filter_vec), np.zeros(self.d_out),
-                           self.q_perms, self.r_perms)[0]
+                           replica_index(self.q_perms, self.r_perms))[0]
 
 
 def conv_as_wsnn(input_side, filter_side):

@@ -108,6 +108,31 @@ def reference_backward(arch, params, x, g):
     return dws, dbs, delta
 
 
+# --- replica-sum loop reference -----------------------------------------------
+#
+# The per-replica scatter and gather loops that the index gathers
+# `wsnn.replica_sum` / `wsnn.replica_fold` replaced: replica j adds W onto
+# A[r_j][:, q_j] and reads the fold from there, replicas in order onto zeros.
+
+
+def reference_replica_sum(W, b, q_perms, r_perms):
+    A = np.zeros_like(W)
+    c = np.zeros_like(b)
+    for q, r in zip(q_perms, r_perms):
+        A[np.ix_(r.idx, q.idx)] += W
+        c[r.idx] += b
+    return A, c
+
+
+def reference_replica_fold(dA, dc, q_perms, r_perms):
+    dW = np.zeros_like(dA)
+    db = np.zeros_like(dc)
+    for q, r in zip(q_perms, r_perms):
+        dW += dA[np.ix_(r.idx, q.idx)]
+        db += dc[r.idx]
+    return dW, db
+
+
 def max_scaled_dev(got, want):
     """max |got - want| over max(1, max |want|), the 1e-12 agreement measure."""
     want = np.asarray(want)
@@ -168,3 +193,34 @@ def reference_vanilla_sm_pointwise(arch, params, x):
         a = np.maximum(z, 0.0)
     div = np.einsum("oh,bho->b", mats[-1], jac)
     return div + 0.5 * np.sum(f * f, axis=1)
+
+
+# --- training-loop references -------------------------------------------------
+#
+# What `diffusion.fit` did per step before it sorted the dataset once and ran
+# Adam over one flat buffer: sort each minibatch lexicographically, and
+# update each parameter array with its own moment pair.
+
+
+def reference_canonical_order(batch):
+    return batch[np.lexsort(batch.T[::-1])]
+
+
+class ReferenceAdamState:
+    def __init__(self, params):
+        self.m = [np.zeros_like(a) for a in params.weights + params.biases]
+        self.v = [np.zeros_like(a) for a in params.weights + params.biases]
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for a, g, m, v in zip(params.weights + params.biases,
+                              grads.weights + grads.biases, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            a -= lr * (m / c1) / (np.sqrt(v / c2) + eps)

@@ -85,9 +85,14 @@ class TestGridMrf:
 
     def test_invalid_precision_raises(self):
         # grid-adjacency spectral radius on 3x3 is 2 sqrt(2), so a coupling
-        # of -0.5 drives an eigenvalue of I + b A negative
-        with pytest.raises(NotPositiveDefinite):
+        # of -0.5 drives an eigenvalue of I + b A negative, to 1 - sqrt(2);
+        # the message names it as a plain float
+        with pytest.raises(NotPositiveDefinite) as exc:
             GridMrfGaussian(3, 1.0, -0.5)
+        msg = str(exc.value)
+        assert "np.float64" not in msg
+        value = msg.rpartition("smallest eigenvalue ")[2]
+        assert abs(float(value) - (1.0 - math.sqrt(2.0))) < 1e-12
         # on 2x2 the smallest eigenvalue is diag - 0.4 here, one ulp: either
         # its rounded value is not positive or the covariance, conditioned
         # near 1e16, fails its Cholesky factorisation

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_diff_param_grads, relative_error
+from conftest import (ReferenceAdamState, finite_diff_param_grads,
+                      reference_canonical_order, relative_error)
 from diffden import wsnn
 from diffden.densities import Dataset, IsoGaussian
-from diffden.diffusion import (DiffusionSchedule, TrainConfig,
+from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                conditional_score, dsm_loss,
-                               dsm_value_and_grads, forward_sample,
+                               dsm_value_and_grads, fit, forward_sample,
                                network_score, score_mse, time_input, train,
                                write_trace_csv)
 from diffden.errors import (DimensionMismatch, EmptyDataset, NegativeTime,
@@ -269,6 +270,66 @@ class TestTrain:
         out, _ = train(perm, arch, params, SCHED, cfg)
         for a, b in zip(ref.weights + ref.biases, out.weights + out.biases):
             assert np.array_equal(a, b)
+
+    def test_dataset_sorted_once_per_fit(self, rng, monkeypatch):
+        data, arch, params = self._toy(rng)
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(keys):
+            calls.append(1)
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        train(data, arch, params, SCHED, TrainConfig(batch_size=16, steps=10, seed=1))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("batch_size", [16, 40, 64])
+    def test_batches_equal_sorted_minibatch(self, batch_size):
+        """Every batch the objective sees has the bytes of the minibatch
+        sorted on its own, on a dataset of 40 rows with duplicates and rows
+        equal up to the sign of a zero; 40 and 64 are full batches."""
+        gen = np.random.default_rng(21)
+        base = gen.normal(size=(6, 3))
+        base[:3, 0] = 0.0
+        x = base[gen.integers(0, 6, 40)]
+        x[::2, 0] *= -1.0
+        arch = wsnn.mlp((3, 4, 3))
+        seen = []
+
+        def objective(params, batch, rs):
+            seen.append(batch.copy())
+            return 0.0, wsnn.zero_params(arch)
+
+        fit(x, arch, wsnn.zero_params(arch),
+            TrainConfig(batch_size=batch_size, steps=8, seed=5), objective)
+        assert len(seen) == 8
+        for step, got in enumerate(seen):
+            rs = Rng(5).child(1, step)
+            want = reference_canonical_order(
+                x if batch_size >= 40 else x[rs.integers(0, 40, batch_size)])
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_flat_adam_matches_per_array_reference(self, rng):
+        arch = wsnn.mlp((4, 6, 5, 3))
+        p0 = wsnn.init_params(arch, rng.child(1))
+        kept = p0.copy()
+        adam = AdamState(p0)
+        want = p0.copy()
+        ref = ReferenceAdamState(want)
+        gen = np.random.default_rng(22)
+        for _ in range(20):
+            g = wsnn.WsnnParams([gen.normal(size=w.shape) for w in p0.weights],
+                                [gen.normal(size=b.shape) for b in p0.biases])
+            adam.step(g, 1e-2)
+            ref.step(want, g, 1e-2)
+        for got, ref_a, a0, b0 in zip(adam.params.weights + adam.params.biases,
+                                      want.weights + want.biases,
+                                      p0.weights + p0.biases,
+                                      kept.weights + kept.biases):
+            assert got.tobytes() == ref_a.tobytes()
+            assert np.shares_memory(got, adam.flat)
+            assert a0.tobytes() == b0.tobytes()
 
     def test_seed_determinism(self, rng):
         data, arch, params = self._toy(rng)

@@ -1,5 +1,6 @@
 """Property tests: the dense layer path against the replica-sum reference,
-the stacked vanilla-SM stencil against its per-dimension loop, the one-pass
+the index gathers of the replica sum and its fold against their loops, the
+stacked vanilla-SM stencil against its per-dimension loop, the one-pass
 exact vanilla-SM loss against its two-pass reference, and the checkpoint
 round-trip.
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (max_scaled_dev, reference_backward, reference_forward,
+                      reference_replica_fold, reference_replica_sum,
                       reference_stencil_value_and_grads,
                       reference_vanilla_sm_pointwise)
 from diffden.sampler import (vanilla_sm_pointwise,
@@ -101,12 +103,35 @@ def test_fold_is_adjoint_of_materialize(case, seed):
         W, b = params.weights[i], params.biases[i]
         dA = gen.normal(size=W.shape)
         dc = gen.normal(size=b.shape)
-        A, c = replica_sum(W, b, arch.q_perms[i], arch.r_perms[i])
-        dW, db = replica_fold(dA, dc, arch.q_perms[i], arch.r_perms[i])
+        A, c = replica_sum(W, b, arch.replica_indices[i])
+        dW, db = replica_fold(dA, dc, arch.replica_indices[i])
         lhs = np.sum(A * dA) + np.sum(c * dc)
         rhs = np.sum(W * dW) + np.sum(b * db)
         scale = np.sum(np.abs(A * dA)) + np.sum(np.abs(c * dc))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(architectures(), st.integers(0, 2 ** 32 - 1))
+def test_index_gathers_equal_replica_loops(case, seed):
+    """replica_sum and replica_fold through the architecture's index give
+    the bytes of the per-replica loops, signed zeros included (masked
+    weights and the zeroed gradient entries below are -0.0 where negative)."""
+    arch, params, _, _ = case
+    gen = np.random.default_rng(seed)
+    for i, index in enumerate(arch.replica_indices):
+        q, r = arch.q_perms[i], arch.r_perms[i]
+        dA = gen.normal(size=arch.layer_shape(i))
+        dc = gen.normal(size=arch.widths[i + 1])
+        dA *= gen.random(dA.shape) < 0.7
+        dc *= gen.random(dc.shape) < 0.7
+        for got, want in ((replica_sum(params.weights[i], params.biases[i], index),
+                           reference_replica_sum(params.weights[i], params.biases[i],
+                                                 q, r)),
+                          (replica_fold(dA, dc, index),
+                           reference_replica_fold(dA, dc, q, r))):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @SETTINGS
