@@ -130,13 +130,23 @@ def time_input(x, t):
 
 def network_score(arch, params):
     """Score callable (x, t) -> f(concat(x, t)) backed by a network; every
-    call runs in one workspace the score owns for as long as it lives."""
+    call writes x and t side by side into the input buffer of one workspace
+    the score owns for as long as it lives, and runs the pass there."""
     if arch.output_dim != arch.input_dim - 1:
         raise DimensionMismatch("score network must map D + 1 -> D")
     workspace = wsnn.Workspace(arch)
+    dim = arch.output_dim
 
     def score(x, t):
-        return wsnn.forward(arch, params, time_input(x, t), workspace)
+        x = np.asarray(x, dtype=np.float64)
+        xb = x[None, :] if x.ndim == 1 else x
+        if xb.ndim != 2 or xb.shape[1] != dim:
+            raise DimensionMismatch(f"score input width {xb.shape[-1]} != D = {dim}")
+        inp = workspace.inputs(xb.shape[0])
+        inp[:, :dim] = xb
+        inp[:, dim] = t
+        out = wsnn.forward(arch, params, inp, workspace)
+        return out[0] if x.ndim == 1 else out
 
     return score
 
@@ -160,17 +170,41 @@ def dsm_loss(arch, params, schedule, x0, x_t, t):
     return float(np.mean(np.sum(np.atleast_2d(resid) ** 2, axis=1)))
 
 
-def dsm_value_and_grads(arch, params, schedule, x0, x_t, t, workspace=None):
-    """(loss, parameter gradients) of the batch-mean denoising loss for
-    batched x0, x_t and per-row t; the pass runs in `workspace`."""
-    target = conditional_score(schedule, x0, x_t, t)
+def dsm_value_and_grads(arch, params, schedule, x0, t, z, workspace=None):
+    """(loss, parameter gradients) of the batch-mean denoising loss
+    |f(x_t, t) + (x_t - mu_t x0) / sigma_t^2|^2 at x_t = mu_t x0 + sigma_t z,
+    for a (B, D) batch x0, its (B, D) noise z and one time per row (or one
+    shared time).  mu_t and sigma_t are computed once; x_t and t are written
+    straight into the network input of `workspace`, where the pass runs,
+    and the residual is formed in place in the network output.  z is only
+    read."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    b, dim = x0.shape
+    if np.shape(z) != (b, dim) or dim + 1 != arch.input_dim:
+        raise DimensionMismatch(f"batch {x0.shape} and noise {np.shape(z)} do not "
+                                f"fit a network of input width {arch.input_dim}")
+    ws = wsnn._workspace(arch, workspace)
+    mu, sigma = schedule.mu_sigma(t)
+    mu, sigma = np.reshape(mu, (-1, 1)), np.reshape(sigma, (-1, 1))
+    if np.any(sigma == 0.0):
+        raise SingularTime("conditional score undefined at sigma_t = 0")
+    inp = ws.inputs(b)
+    x_t = np.multiply(sigma, z, out=inp[:, :dim])
+    mu_x0 = mu * x0
+    x_t += mu_x0
+    inp[:, dim] = t
+    # minus the conditional score: (x_t - mu_t x0) / sigma_t^2
+    target = np.subtract(x_t, mu_x0, out=mu_x0)
+    target /= sigma ** 2
 
     def head(out):
-        resid = out - target
-        return float(np.mean(np.sum(resid ** 2, axis=1))), 2.0 * resid / x_t.shape[0]
+        resid = np.add(out, target, out=out)
+        loss = float(np.mean(np.sum(resid ** 2, axis=1)))
+        resid *= 2.0
+        resid /= b
+        return loss, resid
 
-    loss, grads, _ = wsnn.value_and_grads(arch, params, time_input(x_t, t), head,
-                                          workspace)
+    loss, grads, _ = wsnn.value_and_grads(arch, params, inp, head, ws)
     return loss, grads
 
 
@@ -208,18 +242,32 @@ class AdamState:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
+        self._grad = np.empty_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
 
     def step(self, grads, lr):
+        """One update, m += (1 - b1) g, v += (1 - b2) g g and
+        flat -= lr (m / c1) / (sqrt(v / c2) + eps) after the decays, run
+        elementwise in that order over two scratch buffers."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        g = np.concatenate(grads.weights + grads.biases, axis=None)
+        g, s = self._grad, self._scratch
+        np.concatenate(grads.weights + grads.biases, axis=None, out=g)
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         self.m *= b1
-        self.m += (1.0 - b1) * g
+        self.m += np.multiply(g, 1.0 - b1, out=s)
         self.v *= b2
-        self.v += (1.0 - b2) * g * g
-        self.flat -= lr * (self.m / c1) / (np.sqrt(self.v / c2) + eps)
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        self.v += s
+        np.divide(self.m, c1, out=s)
+        s *= lr
+        np.divide(self.v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += eps
+        s /= g
+        self.flat -= s
 
 
 def _row_classes(x_data):
@@ -320,11 +368,12 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
         raise DimensionMismatch("network output width must equal the data dimension")
 
     workspace = wsnn.Workspace(arch)
+    noise = np.empty((min(n, config.batch_size), dim))
 
     def objective(params, batch, rng):
         t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
-        x_t = forward_sample(schedule, batch, t, rng)
-        return dsm_value_and_grads(arch, params, schedule, batch, x_t, t, workspace)
+        z = rng.standard_normal(noise.size, out=noise)
+        return dsm_value_and_grads(arch, params, schedule, batch, t, z, workspace)
 
     probe = None
     if score_probe is not None:

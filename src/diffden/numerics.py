@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InvalidSize
+
 
 class McEstimate(NamedTuple):
     """Monte Carlo estimate with its standard error."""
@@ -57,10 +59,13 @@ class Rng:
     def integers(self, low, high, n=None):
         return self._gen.integers(low, high, size=n)
 
-    def standard_normal(self, n):
-        """n i.i.d. N(0,1) draws via Box-Muller (fixed uniform consumption)."""
+    def standard_normal(self, n, out=None):
+        """n i.i.d. N(0,1) draws via Box-Muller (fixed uniform consumption),
+        written into `out` (a float64 array of n elements) when it is given."""
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidSize(f"need n >= 1 normal draws, got {n}")
+        if out is not None and out.size != n:
+            raise InvalidSize(f"out holds {out.size} entries, not {n}")
         half = (n + 1) // 2
         r = self._gen.random(half)
         np.subtract(1.0, r, out=r)  # in (0, 1], keeps log finite
@@ -75,7 +80,10 @@ class Rng:
         np.sin(theta, out=sin)
         cos *= r
         sin *= r
-        return z[:n]
+        if out is None:
+            return z[:n]
+        out.reshape(n)[...] = z[:n]
+        return out
 
     def normal_matrix(self, rows, cols):
         return self.standard_normal(rows * cols).reshape(rows, cols)

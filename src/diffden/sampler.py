@@ -19,8 +19,9 @@ import numpy as np
 
 from . import wsnn
 from .diffusion import fit, score_at
-from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
-                     EmptyDataset, InvalidSize, NonFiniteState)
+from .errors import (BadConfig, CorruptFile, DimensionMismatch,
+                     DimensionTooLarge, EmptyDataset, InvalidSize,
+                     NonFiniteState)
 
 _BLOWUP = 1e6
 _DIVERGENCE_STEP = 0.1  # stencil width of the trained divergence
@@ -49,46 +50,62 @@ class SamplerConfig:
             raise InvalidSize("n_samples must be >= 1")
 
 
-def _guard(x, where, step, t=None):
+def _guard(abs_x, where, step, t=None):
     """Raise NonFiniteState naming the step (and reverse time t) after which
-    the state x is non-finite or has left +-_BLOWUP."""
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _BLOWUP:
+    the state x, given as |x| (the loop writes it into a buffer it owns), is
+    non-finite or has left +-_BLOWUP.  One pass finds max |x|; a NaN
+    propagates through it and fails the bound check."""
+    big = float(np.max(abs_x))
+    if not big <= _BLOWUP:
         at = f"step {step}" if t is None else f"step {step} (reverse time {t:.6g})"
         raise NonFiniteState(f"state left +-{_BLOWUP:g} during {where} at {at}, "
-                             f"max |state| = {np.max(np.abs(x)):.6g}")
+                             f"max |state| = {big:.6g}")
 
 
 def reverse_sde_sample(score, schedule, config, dim, rng):
     """Euler-Maruyama reverse-SDE samples, shape (n_samples, dim), on the
-    uniform forward-time grid T_max = t_0 > ... > t_n = T_min."""
+    uniform forward-time grid T_max = t_0 > ... > t_n = T_min.
+
+    Per step, y += h (a y + 2 a f(y, t)) + sqrt(2 a h) z.  The drift and
+    the noise live in two buffers the loop owns; the score's output is
+    read, never written."""
     n = config.n_samples
     y = rng.standard_normal(n * dim).reshape(n, dim)
+    drift = np.empty_like(y)
+    noise = np.empty_like(y)
     times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1)
     for k in range(config.n_steps):
         t_rev = times[k]
         h = times[k] - times[k + 1]
         a = schedule.alpha_at(t_rev)
-        drift = a * y + 2.0 * a * score_at(score, y, t_rev)
-        z = rng.standard_normal(n * dim).reshape(n, dim)
-        y += h * drift
-        y += math.sqrt(2.0 * a * h) * z
-        _guard(y, "reverse SDE sampling", k, t_rev)
+        np.multiply(score_at(score, y, t_rev), 2.0 * a, out=drift)
+        drift += np.multiply(y, a, out=noise)
+        rng.standard_normal(n * dim, out=noise)
+        drift *= h
+        y += drift
+        noise *= math.sqrt(2.0 * a * h)
+        y += noise
+        _guard(np.abs(y, out=noise), "reverse SDE sampling", k, t_rev)
     return y
 
 
 def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
-    """Unadjusted Langevin chain Z += h * score(Z) + sqrt(2h) * noise."""
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
+    """Unadjusted Langevin chain Z += h * score(Z) + sqrt(2h) * noise, with
+    the drift and the noise in two buffers the loop owns."""
+    if not step_size > 0:
+        raise BadConfig(f"Langevin step_size must be > 0, got {step_size}")
     if n_steps < 1:
         raise InvalidSize("n_steps must be >= 1")
     z = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
+    drift = np.empty_like(z)
+    noise = np.empty_like(z)
     root_2h = math.sqrt(2.0 * step_size)
     for k in range(n_steps):
-        noise = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
-        z += step_size * score_at(score, z, 0.0)
-        z += root_2h * noise
-        _guard(z, "Langevin sampling", k)
+        rng.standard_normal(n_samples * dim, out=noise)
+        z += np.multiply(score_at(score, z, 0.0), step_size, out=drift)
+        noise *= root_2h
+        z += noise
+        _guard(np.abs(z, out=noise), "Langevin sampling", k)
     return z
 
 

@@ -21,15 +21,19 @@ forward pass again.
 
 A `Workspace` holds the per-layer arrays a pass writes into: the hidden
 activations, and for reverse mode each hidden layer's delta and bool ReLU
-mask.  A loop that evaluates the network step after step (training,
+mask.  It also holds one (rows, d_1) input buffer, which the pass only
+reads: a caller that builds its input from parts (a score network's x_t
+and t, the denoising step's noised batch) writes them there side by side
+and hands the buffer to the pass, instead of concatenating a fresh input
+per call.  A loop that evaluates the network step after step (training,
 sampling) owns one workspace and hands it to every `forward` or
 `value_and_grads` call, so no step allocates or page-faults them afresh;
 the arrays are reallocated only when the row count changes, and the
-backward-only ones only on the first `value_and_grads` call.  A call
-without a workspace makes a throwaway one that dies with the call, so a
-one-off evaluation keeps nothing alive.  The workspace never holds a
-result: the network output and every gradient are fresh arrays the caller
-owns, so a kept output is not overwritten by the next call.  Results are
+input and backward-only ones only on first use.  A call without a
+workspace makes a throwaway one that dies with the call, so a one-off
+evaluation keeps nothing alive.  The workspace never holds a result: the
+network output and every gradient are fresh arrays the caller owns, so a
+kept output is not overwritten by the next call.  Results are
 bit-identical with and without a reused workspace.
 """
 
@@ -243,19 +247,30 @@ def replica_fold(dA, dc, index):
 
 
 class Workspace:
-    """The (rows, width) arrays one pass writes per hidden layer, reused by
-    every call that is handed this workspace; see the module docstring."""
+    """The (rows, width) arrays one pass writes per hidden layer, and the
+    network input buffer, reused by every call that is handed this
+    workspace; see the module docstring."""
 
     def __init__(self, arch):
+        self.input_dim = arch.input_dim
         self.widths = arch.widths[1:-1]
         self.rows = None
-        self.acts = self.deltas = self.masks = None
+        self.input = self.acts = self.deltas = self.masks = None
 
     def _fit(self, rows):
         if rows != self.rows:
             self.rows = rows
             self.acts = [np.empty((rows, w)) for w in self.widths]
-            self.deltas = self.masks = None
+            self.input = self.deltas = self.masks = None
+
+    def inputs(self, rows):
+        """The (rows, d_1) network input buffer, for a caller that assembles
+        the input in place (a score network's x and t side by side) and
+        then runs the pass on it in this workspace."""
+        self._fit(rows)
+        if self.input is None:
+            self.input = np.empty((rows, self.input_dim))
+        return self.input
 
     def hidden(self, rows):
         """Post-ReLU activation buffers for a pass over `rows` rows."""
@@ -274,9 +289,10 @@ class Workspace:
 def _workspace(arch, workspace):
     if workspace is None:
         return Workspace(arch)
-    if workspace.widths != arch.widths[1:-1]:
-        raise DimensionMismatch(f"workspace hidden widths {workspace.widths} "
-                                f"!= {arch.widths[1:-1]}")
+    if (workspace.input_dim, workspace.widths) != (arch.input_dim, arch.widths[1:-1]):
+        raise DimensionMismatch(f"workspace of input width {workspace.input_dim} and "
+                                f"hidden widths {workspace.widths} does not fit "
+                                f"{arch.widths}")
     return workspace
 
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from diffden import wsnn
+from diffden.diffusion import conditional_score, forward_sample, time_input
 from diffden.numerics import Rng
 
 
@@ -224,3 +227,66 @@ class ReferenceAdamState:
             v *= b2
             v += (1.0 - b2) * g * g
             a -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+# --- fused denoising step and in-place sampler references ---------------------
+#
+# The code the fused `diffusion.dsm_value_and_grads`, the workspace-input
+# `diffusion.network_score` and the loop-owned sampler buffers replaced: x_t
+# drawn by `forward_sample`, the target from `conditional_score` (a second
+# mu_sigma call), the network input concatenated by `time_input`, and sampler
+# loops that allocate their drift and noise afresh every step.
+
+
+def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t, workspace=None):
+    target = conditional_score(schedule, x0, x_t, t)
+
+    def head(out):
+        resid = out - target
+        return float(np.mean(np.sum(resid ** 2, axis=1))), 2.0 * resid / x_t.shape[0]
+
+    loss, grads, _ = wsnn.value_and_grads(arch, params, time_input(x_t, t), head,
+                                          workspace)
+    return loss, grads
+
+
+def reference_dsm_objective(arch, schedule):
+    """The `fit` objective `diffusion.train` builds, in the replaced form."""
+    workspace = wsnn.Workspace(arch)
+
+    def objective(params, batch, rng):
+        t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
+        x_t = forward_sample(schedule, batch, t, rng)
+        return reference_dsm_value_and_grads(arch, params, schedule, batch, x_t, t,
+                                             workspace)
+
+    return objective
+
+
+def reference_network_score(arch, params):
+    return lambda x, t: wsnn.forward(arch, params, time_input(x, t))
+
+
+def reference_reverse_sde_sample(score, schedule, config, dim, rng):
+    n = config.n_samples
+    y = rng.standard_normal(n * dim).reshape(n, dim)
+    times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1)
+    for k in range(config.n_steps):
+        t_rev = times[k]
+        h = times[k] - times[k + 1]
+        a = schedule.alpha_at(t_rev)
+        drift = a * y + 2.0 * a * score(y, t_rev)
+        z = rng.standard_normal(n * dim).reshape(n, dim)
+        y += h * drift
+        y += math.sqrt(2.0 * a * h) * z
+    return y
+
+
+def reference_langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
+    z = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
+    root_2h = math.sqrt(2.0 * step_size)
+    for _ in range(n_steps):
+        noise = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
+        z += step_size * score(z, 0.0)
+        z += root_2h * noise
+    return z

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (ReferenceAdamState, finite_diff_param_grads,
-                      reference_canonical_order, relative_error)
-from diffden import wsnn
+                      reference_canonical_order, reference_dsm_objective,
+                      reference_dsm_value_and_grads, reference_network_score,
+                      relative_error)
+from diffden import diffusion, wsnn
 from diffden.densities import Dataset, IsoGaussian
 from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                conditional_score, dsm_loss,
@@ -168,15 +171,17 @@ class TestDsmLoss:
     def test_gradient_matches_finite_differences(self, rng):
         t = 0.9
         x0 = rng.normal_matrix(3, 2)
-        xt = forward_sample(SCHED, x0, t, rng)
+        z = rng.normal_matrix(3, 2)
+        mu, sigma = SCHED.mu_sigma(t)
+        xt = mu * x0 + sigma * z
         arch = wsnn.mlp((3, 5, 2))
         params = wsnn.init_params(arch, rng.child(2))
 
         def loss(p):
             return dsm_loss(arch, p, SCHED, x0, xt, t)
 
-        got_loss, grads = dsm_value_and_grads(arch, params, SCHED, x0, xt,
-                                              np.full(3, t))
+        got_loss, grads = dsm_value_and_grads(arch, params, SCHED, x0,
+                                              np.full(3, t), z)
         assert abs(got_loss - loss(params)) < 1e-12
         fd_w, fd_b = finite_diff_param_grads(loss, params)
         for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
@@ -189,11 +194,14 @@ class TestOnePass:
     """Each training objective runs the network once per call."""
 
     def _dsm_inputs(self, rng):
+        """arch, params, x0, t, the noise z and x_t = mu_t x0 + sigma_t z
+        as `forward_sample` draws it from the same stream."""
         arch = wsnn.mlp((4, 16, 16, 3))
         params = wsnn.init_params(arch, rng.child(1))
         x0 = rng.normal_matrix(32, 3)
         t = rng.uniform(32, SCHED.t_min, SCHED.t_max)
-        return arch, params, x0, forward_sample(SCHED, x0, t, rng), t
+        return (arch, params, x0, t, rng.child(2).normal_matrix(32, 3),
+                forward_sample(SCHED, x0, t, rng.child(2)))
 
     def test_objectives_run_one_forward_pass(self, rng, monkeypatch):
         calls = []
@@ -203,9 +211,9 @@ class TestOnePass:
             calls.append(1)
             return real(*args)
 
-        arch, params, x0, xt, t = self._dsm_inputs(rng)
+        arch, params, x0, t, z, _ = self._dsm_inputs(rng)
         monkeypatch.setattr(wsnn, "_forward_cache", counted)
-        dsm_value_and_grads(arch, params, SCHED, x0, xt, t)
+        dsm_value_and_grads(arch, params, SCHED, x0, t, z)
         assert len(calls) == 1
         arch = wsnn.mlp((3, 16, 16, 3))
         vanilla_sm_stencil_value_and_grads(
@@ -230,8 +238,8 @@ class TestOnePass:
         assert sorted(calls) == ["_forward_cache", "effective_layers"]
 
     def test_dsm_equals_forward_backward_composition(self, rng):
-        arch, params, x0, xt, t = self._dsm_inputs(rng)
-        loss, grads = dsm_value_and_grads(arch, params, SCHED, x0, xt, t)
+        arch, params, x0, t, z, xt = self._dsm_inputs(rng)
+        loss, grads = dsm_value_and_grads(arch, params, SCHED, x0, t, z)
         net_in = time_input(xt, t)
         resid = wsnn.forward(arch, params, net_in) - conditional_score(SCHED, x0, xt, t)
         want, _ = wsnn.backward(arch, params, net_in, 2.0 * resid / xt.shape[0])
@@ -435,3 +443,105 @@ class TestVincentIdentity:
         diff = gap(0.5) - gap(-1.5)
         se = diff.std(ddof=1) / math.sqrt(n)
         assert abs(diff.mean()) < 3 * se
+
+
+class TestFusedDsm:
+    """The fused denoising step, the workspace-input network score and the
+    Adam scratch buffers give the bytes of the code they replaced."""
+
+    ARCH = wsnn.mlp((4, 16, 16, 3))
+
+    @pytest.mark.parametrize("shared_t", [False, True])
+    def test_step_equals_reference(self, rng, shared_t):
+        params = wsnn.init_params(self.ARCH, rng.child(1))
+        x0 = rng.normal_matrix(32, 3)
+        t = 0.4 if shared_t else rng.uniform(32, SCHED.t_min, SCHED.t_max)
+        z = rng.child(2).normal_matrix(32, 3)
+        kept = z.copy()
+        xt = forward_sample(SCHED, x0, t, rng.child(2))
+        loss, grads = dsm_value_and_grads(self.ARCH, params, SCHED, x0, t, z,
+                                          wsnn.Workspace(self.ARCH))
+        want_loss, want = reference_dsm_value_and_grads(self.ARCH, params, SCHED,
+                                                        x0, xt, t)
+        assert loss == want_loss
+        for a, b in zip(grads.weights + grads.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        assert z.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n, batch_size", [(300, 32), (40, 64)])
+    def test_train_equals_reference_objective(self, rng, n, batch_size):
+        data = IsoGaussian(3).sample(n, rng).x
+        p0 = wsnn.init_params(self.ARCH, rng.child(1))
+        cfg = TrainConfig(batch_size=batch_size, steps=30, seed=5, epoch_len=10)
+        got, trace = train(data, self.ARCH, p0, SCHED, cfg)
+        want, want_trace = fit(data, self.ARCH, p0, cfg,
+                               reference_dsm_objective(self.ARCH, SCHED))
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        assert [r.mean_loss for r in trace] == [r.mean_loss for r in want_trace]
+
+    def test_one_mu_sigma_call_per_step(self, rng, monkeypatch):
+        calls = []
+        mu_sigma = DiffusionSchedule.mu_sigma
+
+        def counted(self, t):
+            calls.append("mu_sigma")
+            return mu_sigma(self, t)
+
+        monkeypatch.setattr(DiffusionSchedule, "mu_sigma", counted)
+        for name in ("conditional_score", "time_input", "forward_sample"):
+            monkeypatch.setattr(diffusion, name, lambda *a, name=name: calls.append(name))
+        data = IsoGaussian(3).sample(64, rng)
+        train(data, self.ARCH, wsnn.init_params(self.ARCH, rng.child(1)), SCHED,
+              TrainConfig(batch_size=16, steps=5, seed=1))
+        assert calls == ["mu_sigma"] * 5
+
+    def test_network_score_equals_reference(self, rng):
+        params = wsnn.init_params(self.ARCH, rng.child(1))
+        score = network_score(self.ARCH, params)
+        ref = reference_network_score(self.ARCH, params)
+        for x, t in ((rng.normal_matrix(50, 3), 0.3),
+                     (rng.normal_matrix(50, 3), rng.uniform(50, SCHED.t_min, SCHED.t_max)),
+                     (rng.normal_matrix(7, 3), 1.0),
+                     (rng.normal_matrix(1, 3)[0], 0.7)):
+            kept = x.copy()
+            got = score(x, t)
+            assert got.shape == x.shape
+            assert got.tobytes() == ref(x, t).tobytes()
+            assert x.tobytes() == kept.tobytes()
+
+    def test_network_score_input_width_checked(self, rng):
+        score = network_score(self.ARCH, wsnn.init_params(self.ARCH, rng))
+        for bad in (np.zeros((4, 4)), np.zeros((4, 2)), np.zeros(2)):
+            with pytest.raises(DimensionMismatch):
+                score(bad, 0.5)
+
+    def test_warm_network_score_allocates_less_than_output_and_input(self):
+        """A warm call writes (x, t) into its workspace: it allocates the
+        fresh output and the dense layers, not a concatenated input."""
+        arch = wsnn.mlp((10, 64, 64, 9))
+        score = network_score(arch, wsnn.init_params(arch, Rng(3)))
+        x = Rng(4).normal_matrix(3000, 9)
+        score(x, 0.5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * (9 + 10) * 8
+
+    def test_adam_step_allocates_less_than_its_buffer(self, rng):
+        arch = wsnn.mlp((26, 64, 64, 25))
+        adam = AdamState(wsnn.init_params(arch, rng))
+        grads = wsnn.init_params(arch, rng.child(1))
+        adam.step(grads, 1e-3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adam.step(grads, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < adam.flat.nbytes

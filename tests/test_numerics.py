@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from diffden.errors import InvalidSize
 from diffden.numerics import Rng
 
 
@@ -49,3 +51,36 @@ class TestRng:
         assert u.min() >= -2.0 and u.max() < 3.0
         k = r.integers(0, 10, 100)
         assert k.min() >= 0 and k.max() < 10
+
+
+class TestOutBuffer:
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 27000, 27001])
+    def test_out_gives_the_bytes_of_a_fresh_draw(self, n):
+        want = Rng(3).child(n).standard_normal(n)
+        buf = np.full(n, np.nan)
+        got = Rng(3).child(n).standard_normal(n, out=buf)
+        assert got is buf
+        assert buf.tobytes() == want.tobytes()
+
+    def test_out_may_be_a_matrix(self):
+        buf = np.empty((7, 3))
+        Rng(4).standard_normal(21, out=buf)
+        assert buf.tobytes() == Rng(4).normal_matrix(7, 3).tobytes()
+
+    def test_draws_continue_the_stream(self):
+        a = Rng(5)
+        buf = np.empty(9)
+        first = a.standard_normal(9, out=buf).copy()
+        second = a.standard_normal(9, out=buf)
+        b = Rng(5)
+        assert first.tobytes() == b.standard_normal(9).tobytes()
+        assert second.tobytes() == b.standard_normal(9).tobytes()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_count_is_invalid_size(self, n):
+        with pytest.raises(InvalidSize):
+            Rng(1).standard_normal(n)
+
+    def test_out_of_another_size_is_invalid_size(self):
+        with pytest.raises(InvalidSize):
+            Rng(1).standard_normal(4, out=np.empty(5))

@@ -4,17 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from conftest import finite_diff_param_grads, relative_error
+from conftest import (finite_diff_param_grads, reference_langevin_sample,
+                      reference_reverse_sde_sample, relative_error)
 from diffden import wsnn
 from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
-from diffden.diffusion import DiffusionSchedule, TrainConfig
-from diffden.errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
-                            InvalidSize, NonFiniteState)
+from diffden.diffusion import DiffusionSchedule, TrainConfig, network_score
+from diffden.errors import (BadConfig, CorruptFile, DimensionMismatch,
+                            DimensionTooLarge, InvalidSize, NonFiniteState)
 from diffden.numerics import Rng
-from diffden.sampler import (SamplerConfig, analytic_score, langevin_sample,
-                             learned_score_time_free, read_samples_binary,
-                             reverse_sde_sample, train_vanilla_sm,
-                             vanilla_sm_loss, vanilla_sm_stencil_value_and_grads,
+from diffden.sampler import (SamplerConfig, _guard, analytic_score,
+                             langevin_sample, learned_score_time_free,
+                             read_samples_binary, reverse_sde_sample,
+                             train_vanilla_sm, vanilla_sm_loss,
+                             vanilla_sm_stencil_value_and_grads,
                              write_samples_binary)
 
 SCHED = DiffusionSchedule()
@@ -164,6 +166,11 @@ class TestLangevin:
         with pytest.raises(ValueError):
             langevin_sample(zero_score, 0.0, 10, 4, 1, Rng(0))
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+    def test_step_not_positive_is_bad_config(self, step):
+        with pytest.raises(BadConfig, match="step_size must be > 0"):
+            langevin_sample(zero_score, step, 10, 4, 1, Rng(0))
+
 
 class TestVanillaSmLoss:
     def test_linear_score_closed_form(self, rng):
@@ -283,3 +290,65 @@ class TestSampleIo:
             path.write_bytes(bad)
             with pytest.raises(CorruptFile):
                 read_samples_binary(path)
+
+
+class HeldScore:
+    """Score -x written into one array it holds and returns every call; it
+    records whether the array still held its last result at the next call."""
+
+    def __init__(self):
+        self.out = self.kept = None
+        self.intact = True
+
+    def __call__(self, x, t):
+        if self.out is not None:
+            self.intact &= self.out.tobytes() == self.kept.tobytes()
+        self.out = np.negative(x, out=self.out)
+        self.kept = self.out.copy()
+        return self.out
+
+
+class TestLoopBuffers:
+    """The samplers keep drift and noise in buffers they own: the bytes of
+    the replaced loops, and the score's output is never written."""
+
+    ARCH = wsnn.mlp((5, 16, 16, 4))
+
+    def test_reverse_sde_equals_reference(self):
+        params = wsnn.init_params(self.ARCH, Rng(1))
+        cfg = SamplerConfig(n_steps=20, n_samples=200)
+        for score in (network_score(self.ARCH, params),
+                      analytic_score(GridMrfGaussian(2), SCHED)):
+            got = reverse_sde_sample(score, SCHED, cfg, 4, Rng(2))
+            want = reference_reverse_sde_sample(score, SCHED, cfg, 4, Rng(2))
+            assert got.tobytes() == want.tobytes()
+
+    def test_langevin_equals_reference(self):
+        arch = wsnn.mlp((4, 16, 16, 4))
+        for score in (learned_score_time_free(arch, wsnn.init_params(arch, Rng(3))),
+                      analytic_score(GridMrfGaussian(2), SCHED)):
+            got = langevin_sample(score, 0.01, 20, 200, 4, Rng(4))
+            want = reference_langevin_sample(score, 0.01, 20, 200, 4, Rng(4))
+            assert got.tobytes() == want.tobytes()
+
+    def test_score_output_is_never_written(self):
+        score = HeldScore()
+        reverse_sde_sample(score, SCHED, SamplerConfig(n_steps=10, n_samples=50),
+                           3, Rng(5))
+        assert score.intact and score.out.tobytes() == score.kept.tobytes()
+        score = HeldScore()
+        langevin_sample(score, 0.01, 10, 50, 3, Rng(6))
+        assert score.intact and score.out.tobytes() == score.kept.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6,
+                                     np.nextafter(1e6, np.inf)])
+    def test_guard_catches_nonfinite_and_large(self, bad):
+        x = np.zeros((3, 2))
+        x[1, 1] = bad
+        with pytest.raises(NonFiniteState,
+                           match=r"during test at step 4 \(reverse time 0\.5\), "
+                                 r"max \|state\| = " + re.escape(f"{abs(bad):.6g}") + "$"):
+            _guard(np.abs(x), "test", 4, 0.5)
+
+    def test_guard_passes_the_bound_itself(self):
+        _guard(np.abs(np.array([[1e6, -1e6]])), "test", 0)

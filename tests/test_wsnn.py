@@ -371,6 +371,20 @@ class TestWorkspace:
         with pytest.raises(DimensionMismatch):
             forward(self.ARCH, init_params(self.ARCH, Rng(10)), np.ones((2, 9)),
                     Workspace(mlp((9, 32, 9))))
+        with pytest.raises(DimensionMismatch):
+            forward(self.ARCH, init_params(self.ARCH, Rng(10)), np.ones((2, 9)),
+                    Workspace(mlp((10, 64, 64, 9))))
+
+    def test_input_buffer_is_kept_per_row_count(self):
+        ws = Workspace(self.ARCH)
+        inp = ws.inputs(5)
+        assert inp.shape == (5, 9)
+        inp[...] = Rng(11).normal_matrix(5, 9)
+        params = init_params(self.ARCH, Rng(12))
+        out = forward(self.ARCH, params, inp, ws)
+        assert ws.inputs(5) is inp
+        assert np.array_equal(out, forward(self.ARCH, params, inp.copy()))
+        assert ws.inputs(6).shape == (6, 9)
 
 
 class TestCheckpoint:
