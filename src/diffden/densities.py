@@ -113,8 +113,11 @@ class GridMrfGaussian:
     Precision has `diag_value` on the diagonal and `coupling` between grid
     neighbors; diagonal dominance (diag > 4|coupling|) keeps it positive
     definite.  The precision is eigendecomposed once, Lambda = V diag(lam) V^T:
-    the covariance, the log-determinant and the noised score all come from
-    (lam, V).  Sampling maps z through the Cholesky factor of the covariance.
+    the covariance, the log-determinant, the noised score and the sampler
+    all come from (lam, V).  Sampling maps z through the eigen factor
+    V diag(lam)^(-1/2) of the covariance.  A smallest eigenvalue at or
+    below dim * eps * (largest eigenvalue), the rounding floor of the
+    decomposition, is not positive.
     """
 
     family = "grid_mrf"
@@ -126,15 +129,13 @@ class GridMrfGaussian:
         self.coupling = float(coupling)
         self.precision = self._build_precision()
         self._eigvals, self._eigvecs = np.linalg.eigh(self.precision)
-        if self._eigvals[0] <= 0:
+        floor = self.dim * np.finfo(np.float64).eps * abs(self._eigvals[-1])
+        if self._eigvals[0] <= floor:
             raise NotPositiveDefinite(
                 f"MRF precision has smallest eigenvalue {float(self._eigvals[0])!r}")
         self.covariance = (self._eigvecs / self._eigvals) @ self._eigvecs.T
         self.covariance = 0.5 * (self.covariance + self.covariance.T)
-        try:
-            self._chol_cov = np.linalg.cholesky(self.covariance)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"MRF covariance: {exc}") from None
+        self._factor = self._eigvecs / np.sqrt(self._eigvals)
         self._logdet_prec = float(np.sum(np.log(self._eigvals)))
 
     def _build_precision(self):
@@ -152,7 +153,7 @@ class GridMrfGaussian:
 
     def sample(self, n, rng):
         z = rng.standard_normal(n * self.dim).reshape(n, self.dim)
-        return Dataset(z @ self._chol_cov.T, self.meta())
+        return Dataset(z @ self._factor.T, self.meta())
 
     def log_density(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -3,12 +3,12 @@
 Vectors and matrices are plain float64 ndarrays; factorisations, solves and
 eigendecompositions call numpy.linalg (LAPACK) directly.  The Rng wraps a
 counter-based Philox bit generator so that `split` yields independent,
-reproducible substreams; normal draws go through an explicit Box-Muller
-transform so the number of uniforms consumed per call is fixed.  The
-transform runs in place on its own two uniform arrays (log, scale, sqrt;
-angle; cos and sin written straight into the output): it consumes the same
-uniforms with the same operations as the textbook form, so its draws are
-the same bits, without that form's temporaries.
+reproducible substreams.  Normal draws are numpy's ziggurat method
+(`Generator.standard_normal`); a hot loop hands `standard_normal` a buffer
+it owns and the draws are written there.  The ziggurat method rejects a
+small share of its candidates, so the number of bits a call consumes
+depends on the draws: a stream is reproducible call for call, but no code
+may assume a fixed consumption per normal.
 """
 
 from typing import NamedTuple
@@ -60,30 +60,16 @@ class Rng:
         return self._gen.integers(low, high, size=n)
 
     def standard_normal(self, n, out=None):
-        """n i.i.d. N(0,1) draws via Box-Muller (fixed uniform consumption),
-        written into `out` (a float64 array of n elements) when it is given."""
+        """n i.i.d. N(0,1) draws (numpy's ziggurat method), written into
+        `out` (a C-contiguous float64 array of n entries, returned) when it
+        is given: the bytes of a fresh draw either way."""
         if n < 1:
             raise InvalidSize(f"need n >= 1 normal draws, got {n}")
-        if out is not None and out.size != n:
-            raise InvalidSize(f"out holds {out.size} entries, not {n}")
-        half = (n + 1) // 2
-        r = self._gen.random(half)
-        np.subtract(1.0, r, out=r)  # in (0, 1], keeps log finite
-        theta = self._gen.random(half)
-        np.log(r, out=r)  # r = sqrt(-2 log u1)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= 2.0 * np.pi
-        z = np.empty(2 * half)
-        cos, sin = z[0::2], z[1::2]
-        np.cos(theta, out=cos)
-        np.sin(theta, out=sin)
-        cos *= r
-        sin *= r
         if out is None:
-            return z[:n]
-        out.reshape(n)[...] = z[:n]
-        return out
+            return self._gen.standard_normal(n)
+        if out.size != n:
+            raise InvalidSize(f"out holds {out.size} entries, not {n}")
+        return self._gen.standard_normal(out=out)
 
     def normal_matrix(self, rows, cols):
         return self.standard_normal(rows * cols).reshape(rows, cols)

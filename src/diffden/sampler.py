@@ -79,7 +79,7 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
         h = times[k] - times[k + 1]
         a = schedule.alpha_at(t_rev)
         np.multiply(score_at(score, y, t_rev), 2.0 * a, out=drift)
-        drift += np.multiply(y, a, out=noise)
+        drift += np.multiply(y, a, out=noise)  # noise is free until the draw
         rng.standard_normal(n * dim, out=noise)
         drift *= h
         y += drift

@@ -93,9 +93,8 @@ class TestGridMrf:
         assert "np.float64" not in msg
         value = msg.rpartition("smallest eigenvalue ")[2]
         assert abs(float(value) - (1.0 - math.sqrt(2.0))) < 1e-12
-        # on 2x2 the smallest eigenvalue is diag - 0.4 here, one ulp: either
-        # its rounded value is not positive or the covariance, conditioned
-        # near 1e16, fails its Cholesky factorisation
+        # on 2x2 the smallest eigenvalue is diag - 0.4 here, one ulp, below
+        # the rounding floor of the decomposition
         with pytest.raises(NotPositiveDefinite):
             GridMrfGaussian(2, 0.4000000000000001, -0.2)
 
@@ -281,18 +280,26 @@ class TestBpd:
 
 class TestScoreConvergesToDataScore:
     def test_gaussian_families_at_small_t(self, rng):
-        for density in (IsoGaussian(2), GridMrfGaussian(3)):
+        """The noised score of N(0, P^-1) tends to the data score -P x as
+        t -> 0, with a gap proportional to t.  In the eigenbasis of P the gap
+        of coordinate i is lam_i (lam_i - 1) sigma_t^2 x_i / (mu_t^2 +
+        lam_i sigma_t^2); since sigma_t^2 <= 2 alpha t and the denominator,
+        a convex combination of 1 and lam_i, is >= min(1, lam_i), the gap is
+        at most 2 alpha t C |x| with C = max_i lam_i |lam_i - 1| / min(1, lam_i)
+        (0 for the isotropic family)."""
+        mrf = GridMrfGaussian(3)
+        for density, precision in ((IsoGaussian(2), np.eye(2)), (mrf, mrf.precision)):
+            lam = np.linalg.eigvalsh(precision)
+            c = float(np.max(lam * np.abs(lam - 1.0) / np.minimum(1.0, lam)))
             x = 0.5 * rng.normal_matrix(6, density.dim)
-            st = density.score_t(x, SCHED.t_min, SCHED)
+            data_score = -x @ precision
             h = 1e-6
-            s0 = np.empty_like(st)
-            for r in range(x.shape[0]):
-                for i in range(density.dim):
-                    e = np.zeros(density.dim)
-                    e[i] = h
-                    s0[r, i] = (density.log_density((x[r] + e)[None, :])[0]
-                                - density.log_density((x[r] - e)[None, :])[0]) / (2 * h)
-            assert np.max(np.abs(st - s0)) < 1e-3
+            for i, e in enumerate(h * np.eye(density.dim)):
+                fd = (density.log_density(x + e) - density.log_density(x - e)) / (2 * h)
+                assert np.max(np.abs(fd - data_score[:, i])) < 1e-6
+            for t in (SCHED.t_min, SCHED.t_min / 10, SCHED.t_min / 100):
+                gap = np.linalg.norm(density.score_t(x, t, SCHED) - data_score, axis=1)
+                assert np.all(gap <= 2.0 * SCHED.alpha * t * c * np.linalg.norm(x, axis=1))
 
 
 class TestDataset:

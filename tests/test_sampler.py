@@ -253,14 +253,18 @@ class TestTrainVanillaSm:
             assert np.array_equal(a, b)
 
     def test_learns_gaussian_score(self, rng):
-        data = IsoGaussian(1).sample(1024, rng)
+        """Vanilla score matching minimises the Fisher divergence
+        E_p |f(x) - grad log p(x)|^2 up to a constant; trained on 16384
+        draws of N(0, 1), it falls below 0.09 = 0.3^2 on fresh draws.  (On
+        1024 draws the objective is overfit: |f + x| < 0.3 at -1, 0 and 1
+        then fails for about half the seeds, most often at x = 0.)"""
+        data = IsoGaussian(1).sample(16384, rng)
         arch = wsnn.mlp((1, 16, 16, 1))
         params = wsnn.init_params(arch, rng.child(2))
         cfg = TrainConfig(batch_size=128, steps=1500, seed=4, epoch_len=250)
         trained, trace = train_vanilla_sm(data, arch, params, cfg)
-        probe = np.array([[-1.0], [0.0], [1.0]])
-        f = wsnn.forward(arch, trained, probe)
-        assert np.max(np.abs(f - (-probe))) < 0.3
+        x = rng.child(5).normal_matrix(16384, 1)
+        assert float(np.mean((wsnn.forward(arch, trained, x) + x) ** 2)) < 0.09
         first, last = trace[0].mean_loss, trace[-1].mean_loss
         assert last < first
 
