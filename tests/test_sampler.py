@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,24 @@ class TestLoopBuffers:
         score = HeldScore()
         langevin_sample(score, 0.01, 10, 50, 3, Rng(6))
         assert score.intact and score.out.tobytes() == score.kept.tobytes()
+
+    def test_runs_hold_three_state_sized_arrays(self):
+        """With a score that allocates nothing, a warm run's allocation peak
+        is the state, the drift and the noise: under 3.5 state-sized arrays
+        (the replaced loops peaked at 6 and 4)."""
+        held = np.empty((3000, 9))
+        score = lambda x, t: np.negative(x, out=held)
+        runs = (lambda: reverse_sde_sample(score, SCHED, SamplerConfig(3, 3000), 9, Rng(1)),
+                lambda: langevin_sample(score, 0.01, 3, 3000, 9, Rng(1)))
+        for run in runs:
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5 * held.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6,
                                      np.nextafter(1e6, np.inf)])
