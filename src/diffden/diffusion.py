@@ -118,16 +118,6 @@ def conditional_score(schedule, x0, x_t, t):
     return -(x_t - mu * x0) / sigma ** 2
 
 
-def time_input(x, t):
-    """Network input: concat(x, t), width D + 1."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    t_col = np.broadcast_to(np.asarray(t, dtype=np.float64), (xb.shape[0],))
-    out = np.concatenate([xb, t_col[:, None]], axis=1)
-    return out[0] if single else out
-
-
 def network_score(arch, params):
     """Score callable (x, t) -> f(concat(x, t)) backed by a network; every
     call writes x and t side by side into the input buffer of one workspace
@@ -165,7 +155,7 @@ def score_at(score, x, t):
 def dsm_loss(arch, params, schedule, x0, x_t, t):
     """Denoising loss |f(x_t, t) + (x_t - mu_t x0) / sigma_t^2|^2,
     averaged over the batch when inputs are batched."""
-    f = wsnn.forward(arch, params, time_input(x_t, t))
+    f = network_score(arch, params)(x_t, t)
     resid = f - conditional_score(schedule, x0, x_t, t)
     return float(np.mean(np.sum(np.atleast_2d(resid) ** 2, axis=1)))
 
@@ -396,9 +386,11 @@ def score_mse(score, density, schedule, n_mc, rng):
     t = r_t.uniform(n_mc, schedule.t_min, schedule.t_max)
     x_t = forward_sample(schedule, density.sample(n_mc, r_x0).x, t, r_z)
 
-    f_hat = score_at(score, x_t, t)
+    # the analytic score first: while it runs, no network workspace holds
+    # its activations and input buffer yet
     f_true = score_t_batch(density, x_t, t, schedule)
-    vals = (schedule.t_max - schedule.t_min) * np.sum((f_hat - f_true) ** 2, axis=1)
+    err = score_at(score, x_t, t) - f_true
+    vals = (schedule.t_max - schedule.t_min) * np.sum(np.square(err, out=err), axis=1)
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
     return McEstimate(float(np.mean(vals)), se, n_mc)
 

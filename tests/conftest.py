@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffden import wsnn
-from diffden.diffusion import conditional_score, forward_sample, time_input
+from diffden.diffusion import conditional_score, forward_sample
 from diffden.numerics import Rng
 
 
@@ -234,8 +234,19 @@ class ReferenceAdamState:
 # The code the fused `diffusion.dsm_value_and_grads`, the workspace-input
 # `diffusion.network_score` and the loop-owned sampler buffers replaced: x_t
 # drawn by `forward_sample`, the target from `conditional_score` (a second
-# mu_sigma call), the network input concatenated by `time_input`, and sampler
-# loops that allocate their drift and noise afresh every step.
+# mu_sigma call), the network input concatenated by `time_input` (moved here
+# from `diffusion`), and sampler loops that allocate their drift and noise
+# afresh every step.
+
+
+def time_input(x, t):
+    """Network input: concat(x, t), width D + 1."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    xb = x[None, :] if single else x
+    t_col = np.broadcast_to(np.asarray(t, dtype=np.float64), (xb.shape[0],))
+    out = np.concatenate([xb, t_col[:, None]], axis=1)
+    return out[0] if single else out
 
 
 def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t, workspace=None):

@@ -7,13 +7,13 @@ import pytest
 from conftest import (ReferenceAdamState, finite_diff_param_grads,
                       reference_canonical_order, reference_dsm_objective,
                       reference_dsm_value_and_grads, reference_network_score,
-                      relative_error)
+                      relative_error, time_input)
 from diffden import diffusion, wsnn
 from diffden.densities import Dataset, IsoGaussian
 from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                conditional_score, dsm_loss,
                                dsm_value_and_grads, fit, forward_sample,
-                               network_score, score_mse, time_input, train,
+                               network_score, score_mse, train,
                                write_trace_csv)
 from diffden.errors import (DimensionMismatch, EmptyDataset, NegativeTime,
                             SingularTime)
@@ -502,7 +502,7 @@ class TestFusedDsm:
             return mu_sigma(self, t)
 
         monkeypatch.setattr(DiffusionSchedule, "mu_sigma", counted)
-        for name in ("conditional_score", "time_input", "forward_sample"):
+        for name in ("conditional_score", "forward_sample"):
             monkeypatch.setattr(diffusion, name, lambda *a, name=name: calls.append(name))
         data = IsoGaussian(3).sample(64, rng)
         train(data, self.ARCH, wsnn.init_params(self.ARCH, rng.child(1)), SCHED,
