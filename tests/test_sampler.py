@@ -258,7 +258,7 @@ class TestTrainVanillaSm:
         E_p |f(x) - grad log p(x)|^2 up to a constant; trained on 16384
         draws of N(0, 1), it falls below 0.09 = 0.3^2 on fresh draws.  (On
         1024 draws the objective is overfit: |f + x| < 0.3 at -1, 0 and 1
-        then fails for about half the seeds, most often at x = 0.)"""
+        then fails for about half the seeds, with the worst error at 0.)"""
         data = IsoGaussian(1).sample(16384, rng)
         arch = wsnn.mlp((1, 16, 16, 1))
         params = wsnn.init_params(arch, rng.child(2))
