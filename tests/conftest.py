@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ def reference_replica_fold(dA, dc, q_perms, r_perms):
         dW += dA[np.ix_(r.idx, q.idx)]
         db += dc[r.idx]
     return dW, db
+
+
+def warm_peak(call):
+    """Traced peak bytes of call() on top of what was live before it,
+    after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def max_scaled_dev(got, want):

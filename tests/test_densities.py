@@ -299,7 +299,8 @@ class TestScoreConvergesToDataScore:
                 assert np.max(np.abs(fd - data_score[:, i])) < 1e-6
             for t in (SCHED.t_min, SCHED.t_min / 10, SCHED.t_min / 100):
                 gap = np.linalg.norm(density.score_t(x, t, SCHED) - data_score, axis=1)
-                assert np.all(gap <= 2.0 * SCHED.alpha * t * c * np.linalg.norm(x, axis=1))
+                bound = 2.0 * SCHED.alpha * t * c * np.linalg.norm(x, axis=1)
+                assert np.all(gap <= bound)
 
 
 class TestDataset:

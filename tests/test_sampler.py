@@ -1,12 +1,11 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (finite_diff_param_grads, reference_langevin_sample,
-                      reference_reverse_sde_sample, relative_error)
+                      reference_reverse_sde_sample, relative_error, warm_peak)
 from diffden import wsnn
 from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
 from diffden.diffusion import DiffusionSchedule, TrainConfig, network_score
@@ -351,26 +350,20 @@ class TestLoopBuffers:
         (the replaced loops peaked at 6 and 4)."""
         held = np.empty((3000, 9))
         score = lambda x, t: np.negative(x, out=held)
-        runs = (lambda: reverse_sde_sample(score, SCHED, SamplerConfig(3, 3000), 9, Rng(1)),
+        cfg = SamplerConfig(n_steps=3, n_samples=3000)
+        runs = (lambda: reverse_sde_sample(score, SCHED, cfg, 9, Rng(1)),
                 lambda: langevin_sample(score, 0.01, 3, 3000, 9, Rng(1)))
         for run in runs:
-            run()
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 3.5 * held.nbytes
+            assert warm_peak(run) < 3.5 * held.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6,
                                      np.nextafter(1e6, np.inf)])
     def test_guard_catches_nonfinite_and_large(self, bad):
         x = np.zeros((3, 2))
         x[1, 1] = bad
-        with pytest.raises(NonFiniteState,
-                           match=r"during test at step 4 \(reverse time 0\.5\), "
-                                 r"max \|state\| = " + re.escape(f"{abs(bad):.6g}") + "$"):
+        want = (r"during test at step 4 \(reverse time 0\.5\), max \|state\| = "
+                + re.escape(f"{abs(bad):.6g}") + "$")
+        with pytest.raises(NonFiniteState, match=want):
             _guard(np.abs(x), "test", 4, 0.5)
 
     def test_guard_passes_the_bound_itself(self):

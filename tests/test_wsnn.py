@@ -1,13 +1,12 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (finite_diff_param_grads, max_scaled_dev, perm_tables,
                       reference_backward, reference_forward, relative_error,
-                      wsnn_layer_forward_np)
+                      warm_peak, wsnn_layer_forward_np)
 from diffden.errors import CorruptFile, DimensionMismatch, InvalidSize
 from diffden.numerics import Rng
 from diffden.sampler import learned_score_time_free
@@ -304,25 +303,12 @@ class TestWorkspace:
     def _head(out):
         return 0.5 * float(np.sum(out * out)), out
 
-    @staticmethod
-    def _warm_peak(call):
-        """Traced peak bytes of call() on top of what was live before it,
-        after one untraced warm-up call."""
-        call()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
     def test_warm_value_and_grads_allocates_less_than_one_activation(self):
         params = init_params(self.ARCH, Rng(1))
         rows = 19 * 128  # one stacked vanilla-SM stencil batch at D = 9
         x = Rng(2).normal_matrix(rows, 9)
         ws = Workspace(self.ARCH)
-        peak = self._warm_peak(
+        peak = warm_peak(
             lambda: value_and_grads(self.ARCH, params, x, self._head, ws))
         assert peak < rows * 64 * 8
 
@@ -330,7 +316,7 @@ class TestWorkspace:
         score = learned_score_time_free(self.ARCH, init_params(self.ARCH, Rng(3)))
         rows = 3000  # one Langevin step at n_eval = 3000
         x = Rng(4).normal_matrix(rows, 9)
-        peak = self._warm_peak(lambda: score(x, 0.0))
+        peak = warm_peak(lambda: score(x, 0.0))
         assert peak < rows * 64 * 8
 
     def test_alternating_row_counts_match_fresh_workspace(self):
