@@ -44,7 +44,7 @@ def replicated(widths, m, gen):
 
 
 for case in (1, 2, 3):
-    cfg = bench.ExperimentConfig(case=case, grid_side=3, methods=bench.METHODS,
+    cfg = bench.ExperimentConfig(case=case, grid_side=3, methods=tuple(bench.METHODS),
                                  train_sizes=(200, 1000), n_eval=3000,
                                  repetitions=1, steps=150, em_steps=60,
                                  langevin_steps=60, langevin_step=0.05, seed=1)

@@ -17,8 +17,6 @@ from .diffusion import DiffusionSchedule, TrainConfig, network_score, score_mse,
 from .errors import BadConfig, CorruptFile, DiffdenError, EmptyReport, read_text
 from .numerics import Rng
 
-METHODS = ("diffusion", "kde-g", "kde-u", "vanilla-sm", "analytic")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -54,22 +52,18 @@ class ExperimentConfig:
             raise BadConfig("mixture_size and n_eval must be >= 1")
         if not self.train_sizes or min(self.train_sizes) < 1:
             raise BadConfig("need at least one train size, each >= 1")
-        if not self.methods:
-            raise BadConfig("need at least one method")
+        if not self.methods or not METHODS.keys() >= set(self.methods):
+            raise BadConfig(f"methods must be one or more of {', '.join(METHODS)}")
         if self.repetitions < 1:
             raise BadConfig("repetitions must be >= 1")
-        if not 0 < self.t_min < self.t_max:
-            raise BadConfig("need 0 < T_min < T_max")
         if self.em_steps < 1 or self.langevin_steps < 1:
             raise BadConfig("em_steps and langevin_steps must be >= 1")
         if not self.langevin_step > 0:
             raise BadConfig("langevin_step must be > 0")
         if not self.hidden_widths or min(self.hidden_widths) < 1:
             raise BadConfig("need at least one hidden width, each >= 1")
+        self.schedule()  # DiffusionSchedule checks 0 < t_min < t_max
         self.train_config(self.seed)  # TrainConfig checks steps, batch and lr
-        for m in self.methods:
-            if m not in METHODS:
-                raise BadConfig(f"unknown method {m!r}")
 
     @property
     def dim(self):
@@ -88,14 +82,14 @@ class ExperimentConfig:
                            seed=seed)
 
 
-def make_density(config, rng=None):
-    rng = rng if rng is not None else Rng(config.seed).child(7)
+def make_density(config):
     if config.case == 1:
         return densities.IsoGaussian(config.dim)
     if config.case == 2:
         return densities.GridMrfGaussian(config.grid_side, config.mrf_diag,
                                          config.mrf_coupling)
-    return densities.GaussMixture(config.dim, config.mixture_size, rng)
+    return densities.GaussMixture(config.dim, config.mixture_size,
+                                  Rng(config.seed).child(7))
 
 
 @dataclass
@@ -113,6 +107,12 @@ class BpdRow:
 _CSV_HEADER = "case,k_or_m,method,n,repetition,bpd,runtime_s,status"
 
 
+def _csv_line(r, include_runtime=True):
+    runtime = [repr(r.runtime_s)] if include_runtime else []
+    return ",".join([str(r.case), str(r.k_or_m), r.method, str(r.n),
+                     str(r.repetition), repr(r.bpd), *runtime, r.status])
+
+
 @dataclass
 class BpdReport:
     rows: list = field(default_factory=list)
@@ -124,14 +124,7 @@ class BpdReport:
     def csv_text(self, include_runtime=True):
         lines = [_CSV_HEADER if include_runtime
                  else _CSV_HEADER.replace(",runtime_s", "")]
-        for r in self.rows:
-            bpd = repr(r.bpd)
-            cells = [str(r.case), str(r.k_or_m), r.method, str(r.n),
-                     str(r.repetition), bpd]
-            if include_runtime:
-                cells.append(repr(r.runtime_s))
-            cells.append(r.status)
-            lines.append(",".join(cells))
+        lines += [_csv_line(r, include_runtime) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def deterministic_csv_bytes(self):
@@ -163,44 +156,61 @@ class BpdReport:
 
 
 def _score_net_arch(dim, hidden_widths):
-    return wsnn.mlp((dim + 1,) + tuple(hidden_widths) + (dim,))
+    return wsnn.mlp((dim + 1, *hidden_widths, dim))
 
 
-def _vanilla_arch(dim, hidden_widths):
-    return wsnn.mlp((dim,) + tuple(hidden_widths) + (dim,))
+def _reverse_sde(config, density, score, cell_rng):
+    cfg = sampler.SamplerConfig(config.em_steps, config.n_eval)
+    return sampler.reverse_sde_sample(score, config.schedule(), cfg,
+                                      density.dim, cell_rng.child(1))
 
 
-def _generate_for_method(config, density, method, data, cell_rng, cell_seed):
-    """Fit the method on `data` and return n_eval generated samples."""
-    schedule = config.schedule()
-    if method in ("kde-g", "kde-u"):
-        kernel = "gaussian" if method == "kde-g" else "uniform"
-        model = kde.fit(data, kernel)
-        return kde.sample(model, config.n_eval, cell_rng.child(1)).x
-    if method == "analytic":
-        score = sampler.analytic_score(density, schedule)
-        cfg = sampler.SamplerConfig(config.em_steps, config.n_eval)
-        return sampler.reverse_sde_sample(score, schedule, cfg, density.dim,
-                                          cell_rng.child(1))
-    if method == "diffusion":
-        arch = _score_net_arch(density.dim, config.hidden_widths)
-        params = wsnn.init_params(arch, cell_rng.child(2))
-        params, _ = train(data, arch, params, schedule,
-                          config.train_config(cell_seed))
-        score = network_score(arch, params)
-        cfg = sampler.SamplerConfig(config.em_steps, config.n_eval)
-        return sampler.reverse_sde_sample(score, schedule, cfg, density.dim,
-                                          cell_rng.child(1))
-    if method == "vanilla-sm":
-        arch = _vanilla_arch(density.dim, config.hidden_widths)
-        params = wsnn.init_params(arch, cell_rng.child(2))
-        params, _ = sampler.train_vanilla_sm(data, arch, params,
-                                             config.train_config(cell_seed))
-        score = sampler.learned_score_time_free(arch, params)
-        return sampler.langevin_sample(score, config.langevin_step,
-                                       config.langevin_steps, config.n_eval,
-                                       density.dim, cell_rng.child(1))
-    raise ValueError(f"unknown method {method!r}")
+def _diffusion(config, density, data, cell_rng, cell_seed):
+    arch = _score_net_arch(density.dim, config.hidden_widths)
+    params = wsnn.init_params(arch, cell_rng.child(2))
+    params, _ = train(data, arch, params, config.schedule(),
+                      config.train_config(cell_seed))
+    return _reverse_sde(config, density, network_score(arch, params), cell_rng)
+
+
+def _analytic(config, density, data, cell_rng, cell_seed):
+    score = sampler.analytic_score(density, config.schedule())
+    return _reverse_sde(config, density, score, cell_rng)
+
+
+def _kde(kernel):
+    def generate(config, density, data, cell_rng, cell_seed):
+        return kde.sample(kde.fit(data, kernel), config.n_eval, cell_rng.child(1)).x
+    return generate
+
+
+def _vanilla_sm(config, density, data, cell_rng, cell_seed):
+    arch = wsnn.mlp((density.dim, *config.hidden_widths, density.dim))
+    params = wsnn.init_params(arch, cell_rng.child(2))
+    params, _ = sampler.train_vanilla_sm(data, arch, params,
+                                         config.train_config(cell_seed))
+    return sampler.langevin_sample(sampler.learned_score_time_free(arch, params),
+                                   config.langevin_step, config.langevin_steps,
+                                   config.n_eval, density.dim, cell_rng.child(1))
+
+
+# method -> generate(config, density, data, cell_rng, cell_seed), which fits
+# the method on `data` and returns config.n_eval samples.  A run_case cell
+# draws from stream slot 1 + the method's position: append, never reorder.
+METHODS = {
+    "diffusion": _diffusion,
+    "kde-g": _kde("gaussian"),
+    "kde-u": _kde("uniform"),
+    "vanilla-sm": _vanilla_sm,
+    "analytic": _analytic,
+}
+
+
+def _cell_rng(config, n, rep, slot):
+    """The stream of one cell of the grid: slot 0 draws the training data,
+    slot 1 + METHODS position is a run_case cell, slot 99 a score_mse_study
+    cell."""
+    return Rng(config.seed, (config.case, config.k_or_m, n, rep, slot))
 
 
 def run_case(config, flush_path=None):
@@ -210,8 +220,7 @@ def run_case(config, flush_path=None):
     aborting the grid; rows are appended to flush_path as they finish when
     given.
     """
-    root = Rng(config.seed)
-    density = make_density(config, root.child(7))
+    density = make_density(config)
     report = BpdReport()
     if flush_path:
         with open(flush_path, "w") as fh:
@@ -219,28 +228,24 @@ def run_case(config, flush_path=None):
     cell_index = 0
     for n in config.train_sizes:
         for rep in range(config.repetitions):
-            data_rng = root.child(config.case, config.k_or_m, n, rep, 0)
-            data = density.sample(n, data_rng)
+            data = density.sample(n, _cell_rng(config, n, rep, 0))
             for method in config.methods:
-                mid = METHODS.index(method)
-                cell_rng = root.child(config.case, config.k_or_m, n, rep, 1 + mid)
+                cell_rng = _cell_rng(config, n, rep, 1 + list(METHODS).index(method))
                 cell_seed = config.seed * 1000003 + cell_index
                 start = time.perf_counter()
                 try:
-                    samples = _generate_for_method(config, density, method,
-                                                   data, cell_rng, cell_seed)
-                    value = densities.bpd(density, samples)
-                    status = "ok" if math.isfinite(value) else "infinite_bpd"
-                    row = BpdRow(config.case, config.k_or_m, method, n, rep,
-                                 value, time.perf_counter() - start, status)
+                    samples = METHODS[method](config, density, data, cell_rng,
+                                              cell_seed)
+                    bpd = densities.bpd(density, samples)
+                    status = "ok" if math.isfinite(bpd) else "infinite_bpd"
                 except DiffdenError as exc:
-                    row = BpdRow(config.case, config.k_or_m, method, n, rep,
-                                 math.inf, time.perf_counter() - start,
-                                 type(exc).__name__)
+                    bpd, status = math.inf, type(exc).__name__
+                row = BpdRow(config.case, config.k_or_m, method, n, rep, bpd,
+                             time.perf_counter() - start, status)
                 report.rows.append(row)
                 if flush_path:
                     with open(flush_path, "a") as fh:
-                        fh.write(report.csv_text().splitlines()[-1] + "\n")
+                        fh.write(_csv_line(row) + "\n")
                 cell_index += 1
     return report
 
@@ -248,16 +253,14 @@ def run_case(config, flush_path=None):
 def score_mse_study(config, n_mc=4096):
     """Rows (n, repetition, score_mse_init, score_mse_trained) for the
     diffusion method on a case with an analytic score."""
-    root = Rng(config.seed)
-    density = make_density(config, root.child(7))
+    density = make_density(config)
     schedule = config.schedule()
     rows = []
     cell_index = 0
     for n in config.train_sizes:
         for rep in range(config.repetitions):
-            data = density.sample(n, root.child(config.case, config.k_or_m,
-                                                n, rep, 0))
-            cell_rng = root.child(config.case, config.k_or_m, n, rep, 99)
+            data = density.sample(n, _cell_rng(config, n, rep, 0))
+            cell_rng = _cell_rng(config, n, rep, 99)
             arch = _score_net_arch(density.dim, config.hidden_widths)
             params0 = wsnn.init_params(arch, cell_rng.child(2))
             init = score_mse(network_score(arch, params0), density, schedule,

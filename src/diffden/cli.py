@@ -34,8 +34,7 @@ def _add_common(p):
 def cmd_gen_data(args):
     cfg = _experiment_config(args)
     density = make_density(cfg)
-    data = densities.sample(density, args.n,
-                            Rng(cfg.seed).child(cfg.case, cfg.k_or_m, args.n, 0, 0))
+    data = densities.sample(density, args.n, bench._cell_rng(cfg, args.n, 0, 0))
     data.to_csv(args.out)
     if args.meta:
         data.write_meta(args.meta)
@@ -81,8 +80,6 @@ def cmd_evaluate(args):
 def cmd_run_case(args):
     cfg = _experiment_config(args)
     report = bench.run_case(cfg, flush_path=args.out)
-    if args.out:
-        report.to_csv(args.out)
     if args.plots:
         for path in bench.emit_plots(report, args.plots):
             print(f"wrote {path}")

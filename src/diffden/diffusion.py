@@ -57,15 +57,15 @@ class DiffusionSchedule:
         if not callable(self.alpha):
             object.__setattr__(self, "alpha", float(self.alpha))
             if self.alpha <= 0:
-                raise ValueError("constant alpha must be positive")
+                raise BadConfig("constant alpha must be positive")
             if self.tau_lower is None:
                 object.__setattr__(self, "tau_lower", self.alpha)
             if self.tau_upper is None:
                 object.__setattr__(self, "tau_upper", self.alpha)
         elif self.tau_lower is None or self.tau_upper is None:
-            raise ValueError("callable alpha requires explicit tau bounds")
+            raise BadConfig("callable alpha requires explicit tau bounds")
         if not 0 < self.t_min < self.t_max:
-            raise ValueError("need 0 < t_min < t_max")
+            raise BadConfig("need 0 < t_min < t_max")
 
     def alpha_at(self, t):
         return self.alpha(t) if callable(self.alpha) else self.alpha

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffden import cli, wsnn
-from diffden.bench import (BpdReport, BpdRow, ExperimentConfig,
+from diffden import cli, densities, kde, wsnn
+from diffden.bench import (METHODS, BpdReport, BpdRow, ExperimentConfig,
                            config_from_values, emit_plots, load_config,
                            make_density, parse_config_text, run_case,
                            score_mse_study, write_score_mse_csv)
 from diffden.densities import iso_gaussian_bpd
+from diffden.diffusion import network_score, score_mse
 from diffden.errors import BadConfig, EmptyReport
 from diffden.numerics import Rng
 
@@ -60,6 +61,23 @@ class TestRunCase:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
 
+    def test_flushed_file_is_the_report(self, tmp_path):
+        # n=1 fails inside the kde cells, so the grid has error rows too
+        path = tmp_path / "report.csv"
+        report = run_case(tiny_config(methods=("kde-u", "kde-g"),
+                                      train_sizes=(1, 50)), flush_path=path)
+        assert {r.status for r in report.rows} == {"ok", "EmptyDataset"}
+        assert path.read_text() == report.csv_text()
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_every_method_runs_a_cell(self, method):
+        cfg = tiny_config(grid_side=2, methods=(method,), train_sizes=(64,),
+                          repetitions=1, n_eval=128, steps=40, em_steps=30,
+                          langevin_steps=30, hidden_widths=(8,))
+        (row,) = run_case(cfg).rows
+        assert (row.method, row.status) == (method, "ok")
+        assert math.isfinite(row.bpd)
+
     def test_csv_roundtrip(self, tmp_path):
         report = run_case(tiny_config(methods=("kde-g", "kde-u")))
         path = tmp_path / "report.csv"
@@ -83,6 +101,52 @@ class TestRunCase:
         assert len(report.rows) == 1
         assert report.rows[0].status == "EmptyDataset"
         assert not math.isnan(report.rows[0].bpd)
+
+
+class TestStreamLayout:
+    """The literal stream keys of the README's reproducibility section."""
+
+    def test_mixture_density_stream(self):
+        cfg = ExperimentConfig(case=3, mixture_size=4, seed=5)
+        want = densities.GaussMixture(9, 4, Rng(5).child(7))
+        assert np.array_equal(make_density(cfg).means, want.means)
+
+    def test_run_case_slot_is_one_plus_table_position(self):
+        # kde-g is METHODS[1]: slot 2, whatever its place in the config
+        cfg = tiny_config(methods=("kde-u", "kde-g"), seed=4)
+        density = make_density(cfg)
+        rows = [r for r in run_case(cfg).rows if r.method == "kde-g"]
+        assert [r.repetition for r in rows] == [0, 1]
+        for row in rows:
+            data = density.sample(100, Rng(4).child(1, 3, 100, row.repetition, 0))
+            cell = Rng(4).child(1, 3, 100, row.repetition, 2)
+            samples = kde.sample(kde.fit(data, "gaussian"), 256, cell.child(1))
+            assert row.bpd == densities.bpd(density, samples.x)
+
+    def test_score_mse_slot_is_99(self):
+        cfg = tiny_config(grid_side=2, train_sizes=(32,), repetitions=1,
+                          steps=5, hidden_widths=(8,), seed=6)
+        ((_, _, init, _),) = score_mse_study(cfg, n_mc=64)
+        arch = wsnn.mlp((5, 8, 4))
+        cell = Rng(6).child(1, 2, 32, 0, 99)
+        params = wsnn.init_params(arch, cell.child(2))
+        want = score_mse(network_score(arch, params), make_density(cfg),
+                         cfg.schedule(), 64, cell.child(3))
+        assert init == want.value
+
+    def test_gen_data_stream(self, tmp_path):
+        out = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--case", "2", "--K", "3", "--seed", "8",
+                         "--n", "40", "--out", str(out)]) == 0
+        density = make_density(ExperimentConfig(case=2, grid_side=3, seed=8))
+        want = density.sample(40, Rng(8).child(2, 3, 40, 0, 0))
+        assert np.array_equal(densities.Dataset.from_csv(out).x, want.x)
+
+    def test_unknown_method(self, capsys):
+        with pytest.raises(BadConfig):
+            tiny_config(methods=("kde-g", "nope"))
+        assert cli.main(["run-case", "--methods", "nope"]) == 2
+        assert "BadConfig" in capsys.readouterr().err
 
 
 class TestPlots:

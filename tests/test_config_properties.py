@@ -58,7 +58,7 @@ VALUES = {
     "M": _ints(1, 8),
     "n_list": _items(st.integers(1, 5000)),
     "n_eval": _ints(1, 5000),
-    "methods": _items(st.sampled_from(METHODS)),
+    "methods": _items(st.sampled_from(list(METHODS))),
     "seed": _ints(-10**6, 10**6),
     "repetitions": _ints(1, 10),
     "steps": _ints(1, 10**5),

@@ -14,8 +14,8 @@ from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                dsm_value_and_grads, fit, forward_sample,
                                network_score, score_mse, train,
                                write_trace_csv)
-from diffden.errors import (DimensionMismatch, EmptyDataset, NegativeTime,
-                            SingularTime)
+from diffden.errors import (BadConfig, DimensionMismatch, EmptyDataset,
+                            NegativeTime, SingularTime)
 from diffden.numerics import Rng
 from diffden.sampler import (vanilla_sm_pointwise,
                              vanilla_sm_stencil_value_and_grads)
@@ -68,6 +68,13 @@ class TestSchedule:
     def test_negative_time(self):
         with pytest.raises(NegativeTime):
             SCHED.mu_sigma(-0.1)
+
+    @pytest.mark.parametrize("kwargs", [dict(t_min=0.5, t_max=0.1),
+                                        dict(t_min=0.0), dict(alpha=0.0),
+                                        dict(alpha=lambda t: 1.0)])
+    def test_bad_setting_is_bad_config(self, kwargs):
+        with pytest.raises(BadConfig):
+            DiffusionSchedule(**kwargs)
 
     def test_vectorized_times(self):
         t = np.array([0.0, math.log(2.0), 1.0])
