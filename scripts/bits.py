@@ -7,9 +7,11 @@ and the first 16 hex digits of the hash of its bytes, and the last line,
 `ALL <hash>`, covers them all.  The results are the report bytes of
 `bench.run_case` on cases 1-3 and the `bench.score_mse_study` rows; DSM
 training (trained weights and per-epoch mean losses) on a plain MLP, on a
-masked network with two permuted replicas per hidden layer, on a dataset
-with duplicated rows and signed zeros, and with one full batch; reverse-SDE
-sampling; vanilla-SM training; Langevin sampling; and the normal draws.
+masked network with two permuted replicas per hidden layer, on a plain
+MLP with a 0/1 mask on every layer (its masked negative weights are -0.0),
+on a dataset with duplicated rows and signed zeros, and with one full
+batch; reverse-SDE sampling; vanilla-SM training; Langevin sampling; and
+the normal draws.
 """
 import hashlib
 
@@ -74,6 +76,14 @@ put_training("dsm_duplicates", *diffusion.train(
     dup, arch, p0, sched, diffusion.TrainConfig(batch_size=64, steps=60, seed=15)))
 put_training("dsm_full_batch", *diffusion.train(
     data[:100], arch, p0, sched, diffusion.TrainConfig(batch_size=128, steps=40, seed=16)))
+
+gen = np.random.default_rng(17)
+masks = tuple((gen.random(arch.layer_shape(i)) < 0.7).astype(float) for i in range(3))
+march = wsnn.WsnnArchitecture(arch.widths, arch.replicas, arch.q_perms, arch.r_perms,
+                              weight_masks=masks)
+put_training("dsm_masked_plain", *diffusion.train(
+    data, march, wsnn.init_params(march, Rng(18)), sched,
+    diffusion.TrainConfig(batch_size=64, steps=200, seed=19)))
 
 y = sampler.reverse_sde_sample(diffusion.network_score(arch, params), sched,
                                sampler.SamplerConfig(80, 3000), 9, Rng(6))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
-                     EmptyDataset, InvalidSize, NoAnalyticScore,
-                     NotPositiveDefinite, OutOfSupport, RejectionBudgetExceeded,
-                     read_text)
+                     EmptyDataset, InvalidSize, NoAnalyticScore, NonFiniteState,
+                     NotPositiveDefinite, OutOfSupport, PreconditionViolated,
+                     RejectionBudgetExceeded, read_text)
 from .numerics import McEstimate
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -34,7 +34,7 @@ class Dataset:
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
         if not np.all(np.isfinite(self.x)):
-            raise ValueError("dataset contains non-finite entries")
+            raise NonFiniteState("dataset contains non-finite entries")
 
     @property
     def n(self):
@@ -240,10 +240,10 @@ class FactorDensity:
         self.factors = tuple(factors)
         self.name = name
         if len(self.index_sets) != len(self.factors):
-            raise ValueError("one factor function per index set")
+            raise InvalidSize("one factor function per index set")
         for idx in self.index_sets:
             if any(i < 0 or i >= self.dim for i in idx):
-                raise ValueError("index set out of range")
+                raise DimensionMismatch("index set out of range")
         if grid_per_axis is None:
             grid_per_axis = {1: 20001, 2: 801, 3: 161}[self.dim]
         self._grid_per_axis = int(grid_per_axis)
@@ -267,7 +267,7 @@ class FactorDensity:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         vals = self.unnormalized(pts)
         if np.any(vals < 0):
-            raise ValueError("factor functions must be nonnegative")
+            raise PreconditionViolated("factor functions must be nonnegative")
         cell = (2.0 / n) ** self.dim
         return float(vals.sum() * cell), float(vals.max())
 
@@ -354,7 +354,7 @@ def bpd(density, samples):
 def reference_bpd(density, n_mc, rng):
     """Monte Carlo estimate of -E[log2 p0(X)] / D with its standard error."""
     if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
+        raise InvalidSize("n_mc must be >= 1")
     data = density.sample(n_mc, rng)
     vals = -density.log_density(data.x) / (_LN2 * density.dim)
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf

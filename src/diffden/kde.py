@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Dataset
-from .errors import EmptyDataset
+from .errors import BadConfig, EmptyDataset
 
 _KERNELS = ("gaussian", "uniform")
 
@@ -41,13 +41,13 @@ def fit(dataset, kernel="gaussian", bandwidth=None):
     if x.shape[0] < 1:
         raise EmptyDataset("KDE needs at least one data point")
     if kernel not in _KERNELS:
-        raise ValueError(f"kernel must be one of {_KERNELS}")
+        raise BadConfig(f"kernel must be one of {_KERNELS}")
     if bandwidth is None:
         if x.shape[0] < 2:
             raise EmptyDataset("automatic bandwidth needs n >= 2")
         bandwidth = scott_bandwidth(x)
     if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+        raise BadConfig("bandwidth must be positive")
     return KdeModel(np.array(x, dtype=np.float64), float(bandwidth), kernel)
 
 

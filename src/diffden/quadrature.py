@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPointCount, DimensionTooLarge, PreconditionViolated
+from .errors import (BadPointCount, DimensionMismatch, DimensionTooLarge,
+                     PreconditionViolated)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -37,7 +38,7 @@ def legendre_rule(n):
     """Order-n rule on [-1, 1]: nodes (the roots of P_n) and weights from
     numpy.polynomial.legendre.leggauss."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise BadPointCount("order must be >= 1")
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return GaussLegendreRule(n, nodes, weights)
 
@@ -56,7 +57,7 @@ class CompositeRule:
 
 def composite_rule(a, b, m, n_beta):
     if a >= b:
-        raise ValueError("need a < b")
+        raise PreconditionViolated("need a < b")
     if n_beta < 1 or m < 1 or m % n_beta != 0:
         raise BadPointCount(f"m={m} must be a positive multiple of n_beta={n_beta}")
     base = legendre_rule(n_beta)
@@ -111,7 +112,7 @@ def pt_quadrature(p0, x, mu, sigma, config=TensorQuadratureConfig()):
     if dim > 3:
         raise DimensionTooLarge("tensor quadrature is limited to D <= 3")
     if x.shape != (dim,):
-        raise ValueError(f"x must have shape ({dim},)")
+        raise DimensionMismatch(f"x must have shape ({dim},)")
     if not 0.5 <= mu <= 1.0:
         raise PreconditionViolated("mu must lie in [1/2, 1]")
     if not 0.0 < sigma < 1.0:

@@ -171,8 +171,7 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta, workspace=None):
         g[1 + dim + i, :, i] = -1.0 / (2.0 * delta * b)
         return float(np.mean(div + 0.5 * np.sum(f * f, axis=1))), g.reshape(-1, dim)
 
-    loss, grads, _ = wsnn.value_and_grads(arch, params, stacked, head, workspace)
-    return loss, grads
+    return wsnn.value_and_grads(arch, params, stacked, head, workspace)
 
 
 def train_vanilla_sm(dataset, arch, init_params, config):

@@ -12,12 +12,16 @@ are stored as index arrays.  Since the replica sum is linear in v, each
 layer is evaluated as one dense matrix A_i = sum_j R_i^(j) W_i Q_i^(j)
 (`replica_sum`), and dense gradients are folded back onto the shared block
 by its adjoint (`replica_fold`).  Both are one gather through a
-`ReplicaIndex` that the architecture builds once per hidden layer.
+`ReplicaIndex` that the architecture builds once per hidden layer.  A plain
+layer (one identity replica) is its own dense layer: the architecture marks
+it once (`plain`), and a pass uses its W_i, b_i and their gradients as they
+are, with neither gather nor fold.
 
 `value_and_grads` runs the network once per call: the forward pass keeps
 only each layer's post-ReLU activations, and reverse mode takes its ReLU
 masks from them (relu(z) > 0 exactly where z > 0) instead of running the
-forward pass again.
+forward pass again.  It returns the value and the parameter gradients,
+stopping at the first layer's: only `backward` forms the input gradient.
 
 A `Workspace` holds the per-layer arrays a pass writes into: the hidden
 activations, and for reverse mode each hidden layer's delta and bool ReLU
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptFile, DimensionMismatch, InvalidSize
+from .errors import CorruptFile, DimensionMismatch, InvalidSize, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ class WsnnArchitecture:
     weight_bound: float = 0.0
     weight_masks: tuple = None  # optional per-layer 0/1 arrays, None = dense
     replica_indices: tuple = field(init=False, repr=False, compare=False)
+    plain: tuple = field(init=False, repr=False, compare=False)  # per hidden layer
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -102,6 +107,9 @@ class WsnnArchitecture:
                     raise InvalidSize(f"layer {i}: R permutations must have size {widths[i + 1]}")
         object.__setattr__(self, "replica_indices", tuple(
             replica_index(q, r) for q, r in zip(self.q_perms, self.r_perms)))
+        object.__setattr__(self, "plain", tuple(  # one identity replica
+            m == 1 and all(np.array_equal(p[0].idx, np.arange(p[0].size)) for p in qr)
+            for m, qr in zip(replicas, zip(self.q_perms, self.r_perms))))
         masks = self.weight_masks
         if masks is not None:
             if not isinstance(masks, (tuple, list)) or len(masks) != self.depth:
@@ -327,10 +335,10 @@ def value_and_grads(arch, params, x, head, workspace=None):
 
     head(out) -> (value, grad_output) turns the (B, d_{L+1}) output into a
     value and its gradient with respect to the output.  Returns (value,
-    WsnnParams of parameter gradients, (B, d_1) gradient with respect to x),
-    all fresh arrays; the per-layer arrays go to `workspace`.
-    Shared-weight gradients accumulate over all replicas of a layer; the
-    ReLU derivative at exactly 0 is taken as 0.
+    WsnnParams of parameter gradients), fresh arrays; the per-layer arrays
+    go to `workspace`, where reverse mode stops, leaving the first layer's
+    delta.  Shared-weight gradients accumulate over all replicas of a
+    layer; the ReLU derivative at exactly 0 is taken as 0.
     """
     a, _ = _as_batch(x, arch.input_dim)
     ws = _workspace(arch, workspace)
@@ -346,33 +354,37 @@ def value_and_grads(arch, params, x, head, workspace=None):
     delta = np.matmul(g, mats[-1], out=deltas[-1])
     for i in range(arch.depth - 2, -1, -1):
         delta *= np.greater(acts[i + 1], 0.0, out=masks[i])
-        dws[i], dbs[i] = replica_fold(delta.T @ acts[i], delta.sum(axis=0),
-                                      arch.replica_indices[i])
-        delta = np.matmul(delta, mats[i], out=deltas[i - 1]) if i else delta @ mats[0]
-    return value, apply_masks(WsnnParams(dws, dbs), arch), delta
+        dws[i], dbs[i] = delta.T @ acts[i], delta.sum(axis=0)
+        if not arch.plain[i]:
+            dws[i], dbs[i] = replica_fold(dws[i], dbs[i], arch.replica_indices[i])
+        if i:
+            delta = np.matmul(delta, mats[i], out=deltas[i - 1])
+    return value, apply_masks(WsnnParams(dws, dbs), arch)
 
 
 def backward(arch, params, x, grad_output):
     """Reverse-mode gradients of sum(grad_output * forward(x)).
 
     Returns (WsnnParams of gradients, gradient w.r.t. x); see
-    `value_and_grads`, which also hands back the value.
+    `value_and_grads`.  The input gradient is the first layer's delta,
+    which that pass leaves in its workspace, times the first dense layer.
     """
     g, _ = _as_batch(grad_output, arch.output_dim)
-    _, grads, dx = value_and_grads(arch, params, x, lambda out: (None, g))
+    ws = Workspace(arch)
+    _, grads = value_and_grads(arch, params, x, lambda out: (None, g), ws)
+    dx = ws.deltas[0] @ effective_layers(arch, params)[0][0]
     return grads, (dx[0] if np.ndim(x) == 1 else dx)
 
 
 def effective_layers(arch, params):
-    """All layers as plain (A_i, b_i) affine maps, replica sums materialised."""
-    mats, bs = [], []
-    for i in range(arch.depth - 1):
-        A, c = replica_sum(params.weights[i], params.biases[i],
-                           arch.replica_indices[i])
-        mats.append(A)
-        bs.append(c)
-    mats.append(params.weights[-1])
-    bs.append(params.biases[-1])
+    """All layers as plain (A_i, b_i) affine maps: a plain hidden layer and
+    the output layer are their own (W_i, b_i), the very arrays of params,
+    and every other hidden layer is its materialised replica sum."""
+    mats, bs = list(params.weights), list(params.biases)
+    for i, plain in enumerate(arch.plain):
+        if not plain:
+            mats[i], bs[i] = replica_sum(params.weights[i], params.biases[i],
+                                         arch.replica_indices[i])
     return mats, bs
 
 
@@ -477,7 +489,7 @@ def covering_bound_numerator(arch, box_half_width):
 def covering_log_bound(arch, box_half_width, delta):
     """(s+1) log(numerator / delta): metric-entropy bound of the class."""
     if delta <= 0 or box_half_width <= 0:
-        raise ValueError("delta and box_half_width must be positive")
+        raise PreconditionViolated("delta and box_half_width must be positive")
     num = covering_bound_numerator(arch, box_half_width)
     return (arch.sparsity + 1) * (math.log(num) - math.log(delta))
 

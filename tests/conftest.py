@@ -34,6 +34,40 @@ def finite_diff_param_grads(loss_fn, params, eps=1e-5):
     return grads_w, grads_b
 
 
+def relu_pattern(arch, params, x):
+    """Which hidden pre-activations are > 0, per row of the (B, d_1) batch x,
+    all hidden layers side by side: the linear region each row lies in."""
+    mats, biases = wsnn.effective_layers(arch, params)
+    a, pattern = np.atleast_2d(x), []
+    for A, c in zip(mats[:-1], biases[:-1]):
+        z = a @ A.T + c
+        pattern.append(z > 0.0)
+        a = np.maximum(z, 0.0)
+    return np.hstack(pattern)
+
+
+def kink_free_entries(pattern, params, eps=1e-5):
+    """Per weight then bias array, a bool array of its entries whose central
+    difference (the entry moved by +-eps, as in finite_diff_param_grads)
+    keeps pattern(params), the ReLU pattern of every pass the loss makes.
+    With every earlier layer's pattern fixed, each pre-activation is affine
+    in one entry, so equal patterns at both ends hold along the whole
+    stencil: the loss is smooth over it, with no ReLU kink inside."""
+    at = pattern(params)
+    flags = []
+    for a in params.weights + params.biases:
+        ok = np.ones(a.shape, dtype=bool)
+        flat, okflat = a.ravel(), ok.ravel()
+        for i in range(flat.size):
+            old = flat[i]
+            for moved in (old + eps, old - eps):
+                flat[i] = moved
+                okflat[i] &= np.array_equal(pattern(params), at)
+            flat[i] = old
+        flags.append(ok)
+    return flags
+
+
 def relative_error(approx, exact, floor=1e-8):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
@@ -263,33 +297,76 @@ def time_input(x, t):
     return out[0] if single else out
 
 
-def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t, workspace=None):
+def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
     target = conditional_score(schedule, x0, x_t, t)
 
     def head(out):
         resid = out - target
         return float(np.mean(np.sum(resid ** 2, axis=1))), 2.0 * resid / x_t.shape[0]
 
-    loss, grads, _ = wsnn.value_and_grads(arch, params, time_input(x_t, t), head,
-                                          workspace)
+    loss, grads, _ = reference_value_and_grads(arch, params, time_input(x_t, t), head)
     return loss, grads
 
 
 def reference_dsm_objective(arch, schedule):
     """The `fit` objective `diffusion.train` builds, in the replaced form."""
-    workspace = wsnn.Workspace(arch)
 
     def objective(params, batch, rng):
         t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
         x_t = forward_sample(schedule, batch, t, rng)
-        return reference_dsm_value_and_grads(arch, params, schedule, batch, x_t, t,
-                                             workspace)
+        return reference_dsm_value_and_grads(arch, params, schedule, batch, x_t, t)
 
     return objective
 
 
 def reference_network_score(arch, params):
     return lambda x, t: wsnn.forward(arch, params, time_input(x, t))
+
+
+# --- gather-and-fold-every-layer reference ------------------------------------
+#
+# The dense path before plain layers were told apart: every hidden layer, a
+# single identity replica included, is materialised by `wsnn.replica_sum` and
+# its dense gradients are folded back by `wsnn.replica_fold`, and reverse mode
+# runs on through the first layer to the input gradient.  Same products in
+# the same order as `wsnn.value_and_grads`, so the bytes must agree.
+
+
+def reference_effective_layers(arch, params):
+    mats, bs = [], []
+    for i in range(arch.depth - 1):
+        A, c = wsnn.replica_sum(params.weights[i], params.biases[i],
+                                arch.replica_indices[i])
+        mats.append(A)
+        bs.append(c)
+    return mats + [params.weights[-1]], bs + [params.biases[-1]]
+
+
+def reference_dense_pass(arch, params, x):
+    """(output, dense layers, [input, post-ReLU activations]) of one pass."""
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    mats, bs = reference_effective_layers(arch, params)
+    acts = [a]
+    for A, b in zip(mats[:-1], bs[:-1]):
+        a = np.maximum(a @ A.T + b, 0.0)
+        acts.append(a)
+    return a @ mats[-1].T + bs[-1], mats, acts
+
+
+def reference_value_and_grads(arch, params, x, head):
+    """(value, parameter gradients, input gradient)."""
+    out, mats, acts = reference_dense_pass(arch, params, x)
+    value, g = head(out)
+    dws, dbs = [None] * arch.depth, [None] * arch.depth
+    dws[-1] = g.T @ acts[-1]
+    dbs[-1] = g.sum(axis=0)
+    delta = g @ mats[-1]
+    for i in range(arch.depth - 2, -1, -1):
+        delta *= acts[i + 1] > 0.0
+        dws[i], dbs[i] = wsnn.replica_fold(delta.T @ acts[i], delta.sum(axis=0),
+                                           arch.replica_indices[i])
+        delta = delta @ mats[i]
+    return value, wsnn.apply_masks(wsnn.WsnnParams(dws, dbs), arch), delta
 
 
 def reference_reverse_sde_sample(score, schedule, config, dim, rng):

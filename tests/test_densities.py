@@ -9,8 +9,10 @@ from diffden.densities import (Dataset, FactorDensity, GaussMixture,
                                grid_mrf_bpd, iso_gaussian_bpd, reference_bpd,
                                sample)
 from diffden.diffusion import DiffusionSchedule, score_t_batch
-from diffden.errors import (CorruptFile, NoAnalyticScore, NotPositiveDefinite,
-                            OutOfSupport, RejectionBudgetExceeded)
+from diffden.errors import (CorruptFile, DimensionMismatch, InvalidSize,
+                            NoAnalyticScore, NonFiniteState, NotPositiveDefinite,
+                            OutOfSupport, PreconditionViolated,
+                            RejectionBudgetExceeded)
 
 SCHED = DiffusionSchedule()
 
@@ -225,6 +227,15 @@ class TestFactorDensity:
         with pytest.raises(NoAnalyticScore):
             cosine_bump(1).score_t(np.zeros((1, 1)), 0.1, SCHED)
 
+    @pytest.mark.parametrize("index_sets, factors, error", [
+        ([(0,), (1,)], [np.ones_like], InvalidSize),       # one factor short
+        ([(0, 2)], [lambda z: z[:, 0] ** 2], DimensionMismatch),
+        ([(0,)], [lambda z: z[:, 0]], PreconditionViolated),  # negative values
+    ])
+    def test_bad_factors_raise_typed_errors(self, index_sets, factors, error):
+        with pytest.raises(error):
+            FactorDensity(2, index_sets, factors, grid_per_axis=11)
+
     def test_effective_dim(self):
         pair = FactorDensity(
             2, [(0, 1)], [lambda z: np.exp(-np.sum(z ** 2, axis=1))])
@@ -324,6 +335,14 @@ class TestDataset:
         path.write_text(text)
         with pytest.raises(CorruptFile, match=f"line {line}:"):
             Dataset.from_csv(path)
+
+    def test_non_finite_entries_raise_typed_error(self):
+        with pytest.raises(NonFiniteState):
+            Dataset(np.array([[0.0, np.inf]]))
+
+    def test_reference_bpd_needs_a_draw(self, rng):
+        with pytest.raises(InvalidSize):
+            reference_bpd(IsoGaussian(2), 0, rng)
 
     def test_meta_sidecar(self, tmp_path, rng):
         data = sample(GridMrfGaussian(3), 5, rng)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffden.densities import IsoGaussian, bpd, sample
-from diffden.errors import EmptyDataset
+from diffden.errors import BadConfig, EmptyDataset
 from diffden.kde import fit, sample as kde_sample, scott_bandwidth
 from diffden.numerics import Rng
 
@@ -30,6 +30,12 @@ class TestFit:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             fit(np.empty((0, 1)))
+
+    @pytest.mark.parametrize("kernel, bandwidth", [("epanechnikov", 1.0),
+                                                   ("gaussian", 0.0)])
+    def test_bad_setting_is_bad_config(self, kernel, bandwidth):
+        with pytest.raises(BadConfig):
+            fit(np.zeros((3, 2)), kernel, bandwidth)
 
     def test_single_point_needs_explicit_bandwidth(self):
         with pytest.raises(EmptyDataset):

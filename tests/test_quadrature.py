@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from diffden.densities import cosine_bump
-from diffden.errors import BadPointCount, DimensionTooLarge, PreconditionViolated
+from diffden.errors import (BadPointCount, DimensionMismatch, DimensionTooLarge,
+                            PreconditionViolated)
 from diffden.quadrature import (TensorQuadratureConfig, composite_quadrature,
                                 composite_rule, convergence_rows,
                                 legendre_rule, pt_quadrature, tail_width,
@@ -101,6 +102,12 @@ class TestCompositeRule:
     def test_bad_point_count(self):
         with pytest.raises(BadPointCount):
             composite_quadrature(lambda x: x, 0.0, 1.0, 7, 2)
+        with pytest.raises(BadPointCount):
+            legendre_rule(0)
+
+    def test_empty_interval(self):
+        with pytest.raises(PreconditionViolated):
+            composite_rule(1.0, 1.0, 8, 2)
 
     def test_exp_loglog_slope(self):
         oracle = riemann_1d(np.exp, -1.0, 1.0)
@@ -168,6 +175,10 @@ class TestPtQuadrature:
     def test_mu_range_checked(self, bump1):
         with pytest.raises(PreconditionViolated):
             pt_quadrature(bump1, [0.0], 0.3, 0.05, QCFG)
+
+    def test_point_of_wrong_dimension(self, bump1):
+        with pytest.raises(DimensionMismatch):
+            pt_quadrature(bump1, [0.0, 0.0], 0.9, 0.05, QCFG)
 
     def test_dimension_cap(self):
         class Fake:

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (finite_diff_param_grads, reference_langevin_sample,
-                      reference_reverse_sde_sample, relative_error, warm_peak)
+from conftest import (finite_diff_param_grads, kink_free_entries,
+                      reference_langevin_sample, reference_reverse_sde_sample,
+                      relative_error, relu_pattern, warm_peak)
 from diffden import wsnn
 from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
 from diffden.diffusion import DiffusionSchedule, TrainConfig, network_score
@@ -189,8 +190,17 @@ class TestVanillaSmLoss:
         arch = wsnn.mlp((2, 8, 2))
         params = wsnn.init_params(arch, rng)
         x = rng.normal_matrix(5, 2)
-        fd = stencil_loss(arch, params, x, 1e-4)
-        assert abs(vanilla_sm_loss(arch, params, x) - fd) < 1e-4
+        h = 1e-4
+        # rows whose stencil x +- h e_i keeps the ReLU pattern of x: the
+        # network is linear over it, so the difference has no kink error
+        at = relu_pattern(arch, params, x)
+        inside = np.ones(5, dtype=bool)
+        for e in np.eye(2):
+            for shifted in (x + h * e, x - h * e):
+                inside &= np.all(relu_pattern(arch, params, shifted) == at, axis=1)
+        assert np.count_nonzero(inside) >= 3
+        fd = stencil_loss(arch, params, x[inside], h)
+        assert abs(vanilla_sm_loss(arch, params, x[inside]) - fd) < 1e-4
 
     def test_requires_square_dims(self):
         arch = wsnn.mlp((3, 4, 2))
@@ -214,10 +224,18 @@ class TestVanillaSmLoss:
         loss, grads = vanilla_sm_stencil_value_and_grads(arch, params, x, delta)
         assert abs(loss - loss_fn(params)) < 1e-12
         fd_w, fd_b = finite_diff_param_grads(loss_fn, params)
-        for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
-            big = np.abs(want) > 1e-5
+        # entries whose difference stencil straddles a ReLU kink at one of
+        # the points the loss evaluates are skipped
+        points = np.concatenate([x] + [x + s * delta * e for e in np.eye(2)
+                                       for s in (1.0, -1.0)])
+        inside = kink_free_entries(lambda p: relu_pattern(arch, p, points), params)
+        checked = 0
+        for got, want, ok in zip(grads.weights + grads.biases, fd_w + fd_b, inside):
+            big = (np.abs(want) > 1e-5) & ok
             if big.any():
                 assert relative_error(got[big], want[big]) < 1e-4
+            checked += np.count_nonzero(big)
+        assert checked >= 16
 
     def test_gradients_with_nontrivial_permutations(self, rng):
         gen = np.random.default_rng(33)

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import (finite_diff_param_grads, max_scaled_dev, perm_tables,
-                      reference_backward, reference_forward, relative_error,
+                      reference_backward, reference_dense_pass,
+                      reference_dsm_objective, reference_forward,
+                      reference_value_and_grads, relative_error, time_input,
                       warm_peak, wsnn_layer_forward_np)
-from diffden.errors import CorruptFile, DimensionMismatch, InvalidSize
+from diffden import wsnn
+from diffden.diffusion import DiffusionSchedule, TrainConfig, fit, network_score, train
+from diffden.errors import (CorruptFile, DimensionMismatch, InvalidSize,
+                            PreconditionViolated)
 from diffden.numerics import Rng
-from diffden.sampler import learned_score_time_free
+from diffden.sampler import SamplerConfig, learned_score_time_free, reverse_sde_sample
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           Workspace, backward, conv2d_valid, conv_as_wsnn,
                           covering_bound_numerator, covering_log_bound,
@@ -243,6 +248,11 @@ class TestCoveringBound:
         assert covering_bound_numerator(arch, 1.0) == 25920.0
         assert abs(covering_log_bound(arch, 1.0, 0.1) - 74.79213146076154) < 1e-10
 
+    @pytest.mark.parametrize("half_width, delta", [(1.0, 0.0), (-1.0, 0.1)])
+    def test_nonpositive_arguments_rejected(self, half_width, delta):
+        with pytest.raises(PreconditionViolated):
+            covering_log_bound(self._arch(), half_width, delta)
+
     def test_randomized_monotonicity(self):
         gen = np.random.default_rng(11)
         for _ in range(200):
@@ -327,8 +337,8 @@ class TestWorkspace:
             got = value_and_grads(self.ARCH, params, x, self._head, ws)
             want = value_and_grads(self.ARCH, params, x, self._head, Workspace(self.ARCH))
             assert got[0] == want[0]
-            for a, b in zip(got[1].weights + got[1].biases + [got[2]],
-                            want[1].weights + want[1].biases + [want[2]]):
+            for a, b in zip(got[1].weights + got[1].biases,
+                            want[1].weights + want[1].biases):
                 assert np.array_equal(a, b)
             assert np.array_equal(forward(self.ARCH, params, x, ws),
                                   forward(self.ARCH, params, x))
@@ -342,10 +352,10 @@ class TestWorkspace:
         score(2.0 * x, 0.0)
         assert np.array_equal(first, kept)
         ws = Workspace(self.ARCH)
-        _, grads, dx = value_and_grads(self.ARCH, params, x, self._head, ws)
-        kept = [a.copy() for a in grads.weights + grads.biases + [dx]]
+        _, grads = value_and_grads(self.ARCH, params, x, self._head, ws)
+        kept = [a.copy() for a in grads.weights + grads.biases]
         value_and_grads(self.ARCH, params, 2.0 * x, self._head, ws)
-        for a, b in zip(grads.weights + grads.biases + [dx], kept):
+        for a, b in zip(grads.weights + grads.biases, kept):
             assert np.array_equal(a, b)
 
     def test_forward_only_workspace_has_no_reverse_arrays(self):
@@ -371,6 +381,112 @@ class TestWorkspace:
         assert ws.inputs(5) is inp
         assert np.array_equal(out, forward(self.ARCH, params, inp.copy()))
         assert ws.inputs(6).shape == (6, 9)
+
+
+def replicated(gen, widths, m):
+    """Network with m random permuted replicas per hidden layer."""
+    q = tuple(tuple(random_perm(gen, widths[i]) for _ in range(m))
+              for i in range(len(widths) - 2))
+    r = tuple(tuple(random_perm(gen, widths[i + 1]) for _ in range(m))
+              for i in range(len(widths) - 2))
+    return WsnnArchitecture(widths, (m,) * (len(widths) - 2), q, r)
+
+
+def masked_mlp(gen, widths):
+    """Plain MLP with a random 0/1 mask on every layer, so that init_params
+    leaves each masked negative weight at -0.0."""
+    base = mlp(widths)
+    masks = tuple((gen.random(base.layer_shape(i)) < 0.7).astype(float)
+                  for i in range(base.depth))
+    return WsnnArchitecture(base.widths, base.replicas, base.q_perms,
+                            base.r_perms, weight_masks=masks)
+
+
+class TestPlainLayers:
+    """A plain hidden layer (one identity replica) skips the replica gather
+    and fold, and reverse mode stops at the first layer's parameter
+    gradients.  The bytes are those of the gather-and-fold-every-layer
+    reference, which turns the -0.0 of a masked weight into +0.0."""
+
+    ARCH = masked_mlp(np.random.default_rng(19), (10, 64, 64, 9))
+    SCHED = DiffusionSchedule()
+
+    def _params(self):
+        params = init_params(self.ARCH, Rng(20))
+        negative_zeros = sum(np.count_nonzero((w == 0) & np.signbit(w))
+                             for w in params.weights)
+        assert negative_zeros > 500
+        return params
+
+    def test_one_identity_replica_marks_a_plain_layer(self):
+        gen = np.random.default_rng(21)
+        assert self.ARCH.plain == (True, True)
+        assert replicated(gen, (3, 4, 5, 2), 2).plain == (False, False)
+        shifted = Permutation(np.roll(np.arange(4), 1))
+        one_permuted = WsnnArchitecture((3, 4, 2), (1,), ((Permutation.identity(3),),),
+                                        ((shifted,),))
+        assert one_permuted.plain == (False,)
+        assert len(self.ARCH.replica_indices) == 2
+
+    def test_plain_layers_are_the_parameters(self):
+        params = self._params()
+        mats, biases = effective_layers(self.ARCH, params)
+        assert all(a is b for a, b in zip(mats + biases, params.weights + params.biases))
+
+    def test_pass_bytes_equal_reference(self):
+        params = self._params()
+        x = Rng(22).normal_matrix(300, 10)
+        g = Rng(23).normal_matrix(300, 9)
+
+        def head(out):
+            return float(np.sum(out * g)), g
+
+        want_out = reference_dense_pass(self.ARCH, params, x)[0]
+        want_value, want, want_dx = reference_value_and_grads(self.ARCH, params, x, head)
+        value, grads = value_and_grads(self.ARCH, params, x, head)
+        back, dx = backward(self.ARCH, params, x, g)
+        assert forward(self.ARCH, params, x).tobytes() == want_out.tobytes()
+        assert value == want_value
+        assert dx.tobytes() == want_dx.tobytes()
+        for got in (grads, back):
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                assert a.tobytes() == b.tobytes()
+
+    def test_train_and_sampling_bytes_equal_reference(self):
+        p0 = self._params()
+        data = Rng(24).normal_matrix(400, 9)
+        cfg = TrainConfig(batch_size=64, steps=200, seed=25)
+        got, trace = train(data, self.ARCH, p0, self.SCHED, cfg)
+        want, want_trace = fit(data, self.ARCH, p0, cfg,
+                               reference_dsm_objective(self.ARCH, self.SCHED))
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        assert [r.mean_loss for r in trace] == [r.mean_loss for r in want_trace]
+        config = SamplerConfig(60, 500)
+        y = reverse_sde_sample(network_score(self.ARCH, got), self.SCHED, config, 9,
+                               Rng(26))
+        want_y = reverse_sde_sample(
+            lambda x, t: reference_dense_pass(self.ARCH, want, time_input(x, t))[0],
+            self.SCHED, config, 9, Rng(26))
+        assert y.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_dsm_step_gathers_and_folds_replicated_layers_only(self, monkeypatch, m):
+        calls = []
+        for name in ("replica_sum", "replica_fold"):
+            real = getattr(wsnn, name)
+
+            def counted(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(wsnn, name, counted)
+        widths = (4, 16, 16, 3)
+        arch = mlp(widths) if m == 1 else replicated(np.random.default_rng(27), widths, m)
+        train(Rng(28).normal_matrix(64, 3), arch, init_params(arch, Rng(29)), self.SCHED,
+              TrainConfig(batch_size=16, steps=3, seed=1))
+        each = 0 if m == 1 else 2 * 3  # once per hidden layer and step
+        assert sorted(calls) == ["replica_fold"] * each + ["replica_sum"] * each
 
 
 class TestCheckpoint:
