@@ -10,8 +10,9 @@ training (trained weights and per-epoch mean losses) on a plain MLP, on a
 masked network with two permuted replicas per hidden layer, on a plain
 MLP with a 0/1 mask on every layer (its masked negative weights are -0.0),
 on a dataset with duplicated rows and signed zeros, and with one full
-batch; reverse-SDE sampling; vanilla-SM training; Langevin sampling; and
-the normal draws.
+batch; reverse-SDE sampling; vanilla-SM training; Langevin sampling; the
+dense matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
+negative entries are -0.0; and the normal draws.
 """
 import hashlib
 
@@ -95,6 +96,9 @@ put("vanilla_weights", b"".join(a.tobytes() for a in vt.weights + vt.biases))
 z = sampler.langevin_sample(sampler.learned_score_time_free(varch, vp), 0.01, 80,
                             3000, 9, Rng(9))
 put("langevin", z.tobytes())
+filt = np.random.default_rng(20).normal(size=4)
+filt *= filt > 0  # negative entries become -0.0
+put("conv_materialize", wsnn.conv_as_wsnn(5, 2).materialize(filt).tobytes())
 for n in (1, 2, 3, 127, 27000, 27001):
     put(f"normal{n}", Rng(10).child(n).standard_normal(n).tobytes())
 for k, v in h.items():

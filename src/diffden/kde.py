@@ -37,7 +37,7 @@ def scott_bandwidth(x):
 
 def fit(dataset, kernel="gaussian", bandwidth=None):
     """Fit a KDE; bandwidth defaults to Scott's rule (needs n >= 2)."""
-    x = dataset.x if isinstance(dataset, Dataset) else np.atleast_2d(np.asarray(dataset))
+    x = (dataset if isinstance(dataset, Dataset) else Dataset(dataset)).x
     if x.shape[0] < 1:
         raise EmptyDataset("KDE needs at least one data point")
     if kernel not in _KERNELS:
@@ -46,8 +46,8 @@ def fit(dataset, kernel="gaussian", bandwidth=None):
         if x.shape[0] < 2:
             raise EmptyDataset("automatic bandwidth needs n >= 2")
         bandwidth = scott_bandwidth(x)
-    if bandwidth <= 0:
-        raise BadConfig("bandwidth must be positive")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise BadConfig(f"bandwidth must be finite and positive, got {bandwidth}")
     return KdeModel(np.array(x, dtype=np.float64), float(bandwidth), kernel)
 
 

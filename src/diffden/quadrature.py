@@ -56,8 +56,8 @@ class CompositeRule:
 
 
 def composite_rule(a, b, m, n_beta):
-    if a >= b:
-        raise PreconditionViolated("need a < b")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise PreconditionViolated(f"need finite a < b, got a={a}, b={b}")
     if n_beta < 1 or m < 1 or m % n_beta != 0:
         raise BadPointCount(f"m={m} must be a positive multiple of n_beta={n_beta}")
     base = legendre_rule(n_beta)

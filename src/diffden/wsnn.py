@@ -11,11 +11,11 @@ identity replica per layer the class reduces to a plain MLP.  Permutations
 are stored as index arrays.  Since the replica sum is linear in v, each
 layer is evaluated as one dense matrix A_i = sum_j R_i^(j) W_i Q_i^(j)
 (`replica_sum`), and dense gradients are folded back onto the shared block
-by its adjoint (`replica_fold`).  Both are one gather through a
-`ReplicaIndex` that the architecture builds once per hidden layer.  A plain
-layer (one identity replica) is its own dense layer: the architecture marks
-it once (`plain`), and a pass uses its W_i, b_i and their gradients as they
-are, with neither gather nor fold.
+by its adjoint (`replica_fold`).  Both loop over the layer's replicas,
+each going through its own pair of permutations.  A plain layer (one
+identity replica) is its own dense layer: the architecture marks it once
+(`plain`), and a pass uses its W_i, b_i and their gradients as they are,
+with neither sum nor fold.
 
 `value_and_grads` runs the network once per call: the forward pass keeps
 only each layer's post-ReLU activations, and reverse mode takes its ReLU
@@ -82,7 +82,6 @@ class WsnnArchitecture:
     sparsity: int = 0
     weight_bound: float = 0.0
     weight_masks: tuple = None  # optional per-layer 0/1 arrays, None = dense
-    replica_indices: tuple = field(init=False, repr=False, compare=False)
     plain: tuple = field(init=False, repr=False, compare=False)  # per hidden layer
 
     def __post_init__(self):
@@ -92,6 +91,8 @@ class WsnnArchitecture:
         object.__setattr__(self, "replicas", replicas)
         if len(widths) < 3:
             raise InvalidSize("depth must be at least 2 (widths needs >= 3 entries)")
+        if min(widths) < 1:
+            raise InvalidSize(f"every width must be >= 1, got {widths}")
         if len(replicas) != self.depth - 1:
             raise InvalidSize("need one replica count per hidden layer")
         if len(self.q_perms) != self.depth - 1 or len(self.r_perms) != self.depth - 1:
@@ -105,8 +106,6 @@ class WsnnArchitecture:
             for r in self.r_perms[i]:
                 if r.size != widths[i + 1]:
                     raise InvalidSize(f"layer {i}: R permutations must have size {widths[i + 1]}")
-        object.__setattr__(self, "replica_indices", tuple(
-            replica_index(q, r) for q, r in zip(self.q_perms, self.r_perms)))
         object.__setattr__(self, "plain", tuple(  # one identity replica
             m == 1 and all(np.array_equal(p[0].idx, np.arange(p[0].size)) for p in qr)
             for m, qr in zip(replicas, zip(self.q_perms, self.r_perms))))
@@ -206,52 +205,30 @@ def _check_params(arch, params):
                                     f"!= {(arch.widths[i + 1],)}")
 
 
-@dataclass(frozen=True)
-class ReplicaIndex:
-    """Flat gather tables of one weight-sharing layer, one row per replica.
-
-    The dense layer is A.ravel() = sum_j W.ravel()[gather[j]] and
-    c = sum_j b[bias_gather[j]]; the adjoint is dW.ravel() =
-    sum_j dA.ravel()[fold[j]] and db = sum_j dc[bias_fold[j]].  Each table
-    holds m * (entries of the layer) indices, the elements one sum touches.
-    """
-
-    gather: np.ndarray
-    bias_gather: np.ndarray
-    fold: np.ndarray
-    bias_fold: np.ndarray
-
-
-def replica_index(q_perms, r_perms):
-    """ReplicaIndex of the layer sum_j R^(j) W Q^(j).
+def replica_sum(W, b, q_perms, r_perms):
+    """Dense (A, c) = (sum_j R^(j) W Q^(j), sum_j R^(j) b) of one layer.
 
     Replica j routes input coordinate q.idx[d] into weight column d and
     weight row k onto output coordinate r.idx[k], so W[k, d] lands on
-    A[r.idx[k], q.idx[d]]: the fold reads dA there, and the sum reads W
-    through the inverse permutations.
-    """
-    q = np.stack([p.idx for p in q_perms])
-    r = np.stack([p.idx for p in r_perms])
-    q_inv, r_inv = np.argsort(q, axis=1), np.argsort(r, axis=1)
-    m, d_in = q.shape
-    return ReplicaIndex(
-        (r_inv[:, :, None] * d_in + q_inv[:, None, :]).reshape(m, -1), r_inv,
-        (r[:, :, None] * d_in + q[:, None, :]).reshape(m, -1), r)
+    A[r.idx[k], q.idx[d]].  The replicas are added in order onto zeros, so
+    an entry that every replica leaves at -0.0 comes out +0.0;
+    `replica_fold` is the exact adjoint."""
+    A, c = np.zeros_like(W), np.zeros_like(b)
+    for q, r in zip(q_perms, r_perms):
+        # exact: a Permutation has no repeated index, so no entry is hit twice
+        A[np.ix_(r.idx, q.idx)] += W
+        c[r.idx] += b
+    return A, c
 
 
-def replica_sum(W, b, index):
-    """Dense (A, c) = (sum_j R^(j) W Q^(j), sum_j R^(j) b) of one layer.
-    The replicas are added in order onto zeros (`initial=0.0`), so an entry
-    that every replica leaves at -0.0 comes out +0.0, as a scatter loop over
-    the replicas gives it; `replica_fold` is the exact adjoint."""
-    return (np.take(W, index.gather).sum(axis=0, initial=0.0).reshape(W.shape),
-            np.take(b, index.bias_gather).sum(axis=0, initial=0.0))
-
-
-def replica_fold(dA, dc, index):
-    """Gradients on the shared (W, b) from gradients on the dense (A, c)."""
-    return (np.take(dA, index.fold).sum(axis=0, initial=0.0).reshape(dA.shape),
-            np.take(dc, index.bias_fold).sum(axis=0, initial=0.0))
+def replica_fold(dA, dc, q_perms, r_perms):
+    """Gradients on the shared (W, b) from gradients on the dense (A, c):
+    each replica reads dA and dc where `replica_sum` put its copy."""
+    dW, db = np.zeros_like(dA), np.zeros_like(dc)
+    for q, r in zip(q_perms, r_perms):
+        dW += dA[np.ix_(r.idx, q.idx)]
+        db += dc[r.idx]
+    return dW, db
 
 
 class Workspace:
@@ -356,7 +333,7 @@ def value_and_grads(arch, params, x, head, workspace=None):
         delta *= np.greater(acts[i + 1], 0.0, out=masks[i])
         dws[i], dbs[i] = delta.T @ acts[i], delta.sum(axis=0)
         if not arch.plain[i]:
-            dws[i], dbs[i] = replica_fold(dws[i], dbs[i], arch.replica_indices[i])
+            dws[i], dbs[i] = replica_fold(dws[i], dbs[i], arch.q_perms[i], arch.r_perms[i])
         if i:
             delta = np.matmul(delta, mats[i], out=deltas[i - 1])
     return value, apply_masks(WsnnParams(dws, dbs), arch)
@@ -384,7 +361,7 @@ def effective_layers(arch, params):
     for i, plain in enumerate(arch.plain):
         if not plain:
             mats[i], bs[i] = replica_sum(params.weights[i], params.biases[i],
-                                         arch.replica_indices[i])
+                                         arch.q_perms[i], arch.r_perms[i])
     return mats, bs
 
 
@@ -412,7 +389,7 @@ class ConvAsWsnn:
 
     def materialize(self, filter_vec):
         return replica_sum(self.place_filter(filter_vec), np.zeros(self.d_out),
-                           replica_index(self.q_perms, self.r_perms))[0]
+                           self.q_perms, self.r_perms)[0]
 
 
 def conv_as_wsnn(input_side, filter_side):
@@ -488,8 +465,8 @@ def covering_bound_numerator(arch, box_half_width):
 
 def covering_log_bound(arch, box_half_width, delta):
     """(s+1) log(numerator / delta): metric-entropy bound of the class."""
-    if delta <= 0 or box_half_width <= 0:
-        raise PreconditionViolated("delta and box_half_width must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (delta, box_half_width)):
+        raise PreconditionViolated("delta and box_half_width must be finite and positive")
     num = covering_bound_numerator(arch, box_half_width)
     return (arch.sparsity + 1) * (math.log(num) - math.log(delta))
 
@@ -554,6 +531,8 @@ def load_checkpoint(path):
         if depth < 2:
             raise CorruptFile(f"{path}: checkpoint depth {depth} < 2")
         widths = tuple(read_exact(fh, np.int64, depth + 1).tolist())
+        if min(widths) < 1:  # before the tables: an empty table reads no bytes
+            raise CorruptFile(f"{path}: invalid network: widths {widths} below 1")
         replicas = tuple(read_exact(fh, np.int64, depth - 1).tolist())
         sparsity = int(read_exact(fh, np.int64, 1)[0])
         bound = float(read_exact(fh, np.float64, 1)[0])

@@ -148,8 +148,8 @@ def reference_backward(arch, params, x, g):
 
 # --- replica-sum loop reference -----------------------------------------------
 #
-# The per-replica scatter and gather loops that the index gathers
-# `wsnn.replica_sum` / `wsnn.replica_fold` replaced: replica j adds W onto
+# The per-replica scatter and gather loops, written out independently of
+# `wsnn.replica_sum` / `wsnn.replica_fold`: replica j adds W onto
 # A[r_j][:, q_j] and reads the fold from there, replicas in order onto zeros.
 
 
@@ -336,7 +336,7 @@ def reference_effective_layers(arch, params):
     mats, bs = [], []
     for i in range(arch.depth - 1):
         A, c = wsnn.replica_sum(params.weights[i], params.biases[i],
-                                arch.replica_indices[i])
+                                arch.q_perms[i], arch.r_perms[i])
         mats.append(A)
         bs.append(c)
     return mats + [params.weights[-1]], bs + [params.biases[-1]]
@@ -364,7 +364,7 @@ def reference_value_and_grads(arch, params, x, head):
     for i in range(arch.depth - 2, -1, -1):
         delta *= acts[i + 1] > 0.0
         dws[i], dbs[i] = wsnn.replica_fold(delta.T @ acts[i], delta.sum(axis=0),
-                                           arch.replica_indices[i])
+                                           arch.q_perms[i], arch.r_perms[i])
         delta = delta @ mats[i]
     return value, wsnn.apply_masks(wsnn.WsnnParams(dws, dbs), arch), delta
 

@@ -78,6 +78,36 @@ class TestRunCase:
         assert (row.method, row.status) == (method, "ok")
         assert math.isfinite(row.bpd)
 
+    def test_pipeline_trains_plain_networks_only(self, monkeypatch):
+        # every network of every method, case and study is a plain MLP, so
+        # no workload reaches the replica sum or its fold
+        calls, archs = [], []
+        for name in ("replica_sum", "replica_fold"):
+            real = getattr(wsnn, name)
+
+            def counted(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(wsnn, name, counted)
+        real_init = wsnn.init_params
+
+        def init_params(arch, rng):
+            archs.append(arch)
+            return real_init(arch, rng)
+
+        monkeypatch.setattr(wsnn, "init_params", init_params)
+        for case in (1, 2, 3):
+            cfg = tiny_config(case=case, grid_side=2, methods=tuple(METHODS),
+                              train_sizes=(64,), repetitions=1, n_eval=128, steps=10,
+                              em_steps=10, langevin_steps=10, hidden_widths=(8,))
+            run_case(cfg)
+        score_mse_study(tiny_config(grid_side=2, train_sizes=(32,), repetitions=1,
+                                    steps=5, hidden_widths=(8,)), n_mc=64)
+        assert calls == []
+        assert len(archs) == 3 * 2 + 1  # diffusion and vanilla-sm per case, the study
+        assert all(all(arch.plain) for arch in archs)
+
     def test_csv_roundtrip(self, tmp_path):
         report = run_case(tiny_config(methods=("kde-g", "kde-u")))
         path = tmp_path / "report.csv"

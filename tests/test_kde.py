@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffden.densities import IsoGaussian, bpd, sample
-from diffden.errors import BadConfig, EmptyDataset
+from diffden.errors import BadConfig, EmptyDataset, NonFiniteState
 from diffden.kde import fit, sample as kde_sample, scott_bandwidth
 from diffden.numerics import Rng
 
@@ -32,10 +32,17 @@ class TestFit:
             fit(np.empty((0, 1)))
 
     @pytest.mark.parametrize("kernel, bandwidth", [("epanechnikov", 1.0),
-                                                   ("gaussian", 0.0)])
+                                                   ("gaussian", 0.0),
+                                                   ("gaussian", math.nan),
+                                                   ("gaussian", math.inf)])
     def test_bad_setting_is_bad_config(self, kernel, bandwidth):
         with pytest.raises(BadConfig):
             fit(np.zeros((3, 2)), kernel, bandwidth)
+
+    def test_non_finite_data_is_non_finite_state(self):
+        # not BadConfig for the NaN bandwidth that Scott's rule makes of it
+        with pytest.raises(NonFiniteState):
+            fit(np.array([[0.0, 1.0], [math.nan, 2.0], [3.0, 4.0]]))
 
     def test_single_point_needs_explicit_bandwidth(self):
         with pytest.raises(EmptyDataset):

@@ -109,6 +109,12 @@ class TestCompositeRule:
         with pytest.raises(PreconditionViolated):
             composite_rule(1.0, 1.0, 8, 2)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan),
+                                      (-math.inf, 1.0), (0.0, math.inf)])
+    def test_non_finite_endpoint_rejected(self, a, b):
+        with pytest.raises(PreconditionViolated):
+            composite_rule(a, b, 4, 2)
+
     def test_exp_loglog_slope(self):
         oracle = riemann_1d(np.exp, -1.0, 1.0)
         ms = [4, 8, 16, 32]

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -248,7 +249,9 @@ class TestCoveringBound:
         assert covering_bound_numerator(arch, 1.0) == 25920.0
         assert abs(covering_log_bound(arch, 1.0, 0.1) - 74.79213146076154) < 1e-10
 
-    @pytest.mark.parametrize("half_width, delta", [(1.0, 0.0), (-1.0, 0.1)])
+    @pytest.mark.parametrize("half_width, delta", [(1.0, 0.0), (-1.0, 0.1),
+                                                   (1.0, math.nan), (math.nan, 0.1),
+                                                   (1.0, math.inf), (math.inf, 0.1)])
     def test_nonpositive_arguments_rejected(self, half_width, delta):
         with pytest.raises(PreconditionViolated):
             covering_log_bound(self._arch(), half_width, delta)
@@ -301,6 +304,11 @@ class TestParamOps:
         with pytest.raises(InvalidSize):
             WsnnArchitecture(base.widths, base.replicas, base.q_perms,
                              base.r_perms, weight_masks=masks)
+
+    @pytest.mark.parametrize("widths", [(2, 0, 2), (0, 3, 2), (2, 3, 0), (2, -1, 2)])
+    def test_width_below_one_rejected(self, widths):
+        with pytest.raises(InvalidSize, match="width"):
+            mlp(widths)
 
 
 class TestWorkspace:
@@ -426,7 +434,6 @@ class TestPlainLayers:
         one_permuted = WsnnArchitecture((3, 4, 2), (1,), ((Permutation.identity(3),),),
                                         ((shifted,),))
         assert one_permuted.plain == (False,)
-        assert len(self.ARCH.replica_indices) == 2
 
     def test_plain_layers_are_the_parameters(self):
         params = self._params()
@@ -540,6 +547,22 @@ class TestCheckpoint:
             with pytest.raises(CorruptFile,
                                match=re.escape(f"{path}: invalid network")):
                 load_checkpoint(path)
+
+    def test_zero_width_header_fails_fast(self, tmp_path):
+        """A zero-width permutation table takes no bytes, so an 80-byte file
+        can declare a million replicas of one: it must fail on its widths,
+        not after reading a million empty tables."""
+        path = tmp_path / "net.bin"
+        depth, widths, replicas, sparsity = 2, (0, 0, 1), 10 ** 6, 0
+        path.write_bytes(b"DDWSNN1\n"
+                         + np.array([depth, *widths, replicas, sparsity], np.int64).tobytes()
+                         + np.float64(0.0).tobytes()      # weight bound
+                         + np.int64(0).tobytes()          # no masks
+                         + np.zeros(1).tobytes())         # b_2; every W is empty
+        start = time.perf_counter()
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: invalid network")):
+            load_checkpoint(path)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLinearNetwork:

@@ -103,8 +103,9 @@ def test_fold_is_adjoint_of_materialize(case, seed):
         W, b = params.weights[i], params.biases[i]
         dA = gen.normal(size=W.shape)
         dc = gen.normal(size=b.shape)
-        A, c = replica_sum(W, b, arch.replica_indices[i])
-        dW, db = replica_fold(dA, dc, arch.replica_indices[i])
+        q, r = arch.q_perms[i], arch.r_perms[i]
+        A, c = replica_sum(W, b, q, r)
+        dW, db = replica_fold(dA, dc, q, r)
         lhs = np.sum(A * dA) + np.sum(c * dc)
         rhs = np.sum(W * dW) + np.sum(b * db)
         scale = np.sum(np.abs(A * dA)) + np.sum(np.abs(c * dc))
@@ -114,21 +115,21 @@ def test_fold_is_adjoint_of_materialize(case, seed):
 @settings(SETTINGS, max_examples=200)
 @given(architectures(), st.integers(0, 2 ** 32 - 1))
 def test_index_gathers_equal_replica_loops(case, seed):
-    """replica_sum and replica_fold through the architecture's index give
-    the bytes of the per-replica loops, signed zeros included (masked
-    weights and the zeroed gradient entries below are -0.0 where negative)."""
+    """replica_sum and replica_fold give the bytes of the conftest
+    reference loops, signed zeros included (masked weights and the zeroed
+    gradient entries below are -0.0 where negative)."""
     arch, params, _, _ = case
     gen = np.random.default_rng(seed)
-    for i, index in enumerate(arch.replica_indices):
+    for i in range(arch.depth - 1):
         q, r = arch.q_perms[i], arch.r_perms[i]
         dA = gen.normal(size=arch.layer_shape(i))
         dc = gen.normal(size=arch.widths[i + 1])
         dA *= gen.random(dA.shape) < 0.7
         dc *= gen.random(dc.shape) < 0.7
-        for got, want in ((replica_sum(params.weights[i], params.biases[i], index),
+        for got, want in ((replica_sum(params.weights[i], params.biases[i], q, r),
                            reference_replica_sum(params.weights[i], params.biases[i],
                                                  q, r)),
-                          (replica_fold(dA, dc, index),
+                          (replica_fold(dA, dc, q, r),
                            reference_replica_fold(dA, dc, q, r))):
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
