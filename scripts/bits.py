@@ -12,13 +12,18 @@ MLP with a 0/1 mask on every layer (its masked negative weights are -0.0),
 on a dataset with duplicated rows and signed zeros, and with one full
 batch; reverse-SDE sampling; vanilla-SM training; Langevin sampling; the
 dense matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
-negative entries are -0.0; and the normal draws.
+negative entries are -0.0; the dataset CSV and metadata JSON that
+`diffden gen-data --meta` writes on cases 1-3; and the normal draws.
 """
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from diffden import bench, diffusion, sampler, wsnn
+from diffden import bench, cli, diffusion, sampler, wsnn
 from diffden.numerics import Rng
 
 h = {}
@@ -99,6 +104,15 @@ put("langevin", z.tobytes())
 filt = np.random.default_rng(20).normal(size=4)
 filt *= filt > 0  # negative entries become -0.0
 put("conv_materialize", wsnn.conv_as_wsnn(5, 2).materialize(filt).tobytes())
+with tempfile.TemporaryDirectory() as tmp:
+    for case in (1, 2, 3):
+        csv, meta = Path(tmp, f"data{case}.csv"), Path(tmp, f"meta{case}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["gen-data", "--case", str(case), "--seed", "21", "--n", "300",
+                           "--out", str(csv), "--meta", str(meta)])
+        assert rc == 0, f"gen-data failed on case {case}"
+        put(f"gen_data{case}", csv.read_bytes())
+        put(f"gen_meta{case}", meta.read_bytes())
 for n in (1, 2, 3, 127, 27000, 27001):
     put(f"normal{n}", Rng(10).child(n).standard_normal(n).tobytes())
 for k, v in h.items():

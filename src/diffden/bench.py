@@ -180,7 +180,7 @@ def _analytic(config, density, data, cell_rng, cell_seed):
 
 def _kde(kernel):
     def generate(config, density, data, cell_rng, cell_seed):
-        return kde.sample(kde.fit(data, kernel), config.n_eval, cell_rng.child(1)).x
+        return kde.sample(kde.fit(data, kernel), config.n_eval, cell_rng.child(1))
     return generate
 
 

@@ -34,18 +34,18 @@ def _add_common(p):
 def cmd_gen_data(args):
     cfg = _experiment_config(args)
     density = make_density(cfg)
-    data = densities.sample(density, args.n, bench._cell_rng(cfg, args.n, 0, 0))
-    data.to_csv(args.out)
+    x = densities.sample(density, args.n, bench._cell_rng(cfg, args.n, 0, 0))
+    densities.write_csv(args.out, x)
     if args.meta:
-        data.write_meta(args.meta)
-    print(f"wrote {data.n} x {data.dim} samples to {args.out}")
+        densities.write_meta(args.meta, density.meta())
+    print(f"wrote {x.shape[0]} x {x.shape[1]} samples to {args.out}")
     return 0
 
 
 def cmd_train(args):
     cfg = _experiment_config(args)
-    data = densities.Dataset.from_csv(args.data)
-    arch = bench._score_net_arch(data.dim, cfg.hidden_widths)
+    data = densities.read_csv(args.data)
+    arch = bench._score_net_arch(data.shape[1], cfg.hidden_widths)
     params = wsnn.init_params(arch, Rng(cfg.seed).child(2))
     params, trace = train(data, arch, params, cfg.schedule(),
                           cfg.train_config(cfg.seed))
@@ -63,7 +63,7 @@ def cmd_sample(args):
     scfg = sampler.SamplerConfig(cfg.em_steps, args.n)
     x = sampler.reverse_sde_sample(score, cfg.schedule(), scfg,
                                    arch.output_dim, Rng(cfg.seed).child(3))
-    densities.Dataset(x).to_csv(args.out)
+    densities.write_csv(args.out, x)
     print(f"wrote {args.n} samples to {args.out}")
     return 0
 
@@ -71,8 +71,7 @@ def cmd_sample(args):
 def cmd_evaluate(args):
     cfg = _experiment_config(args)
     density = make_density(cfg)
-    samples = densities.Dataset.from_csv(args.samples)
-    value = densities.bpd(density, samples)
+    value = densities.bpd(density, densities.read_csv(args.samples))
     print(f"bpd {value!r}")
     return 0
 

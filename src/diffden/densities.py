@@ -6,17 +6,21 @@ a grid Markov-random-field Gaussian whose precision couples only 4-neighbor
 pixels (effective dimension 2), and a Gaussian mixture with frozen random
 means (not factorizable).  FactorDensity covers generic factorizable targets
 on [-1,1]^D for the quadrature machinery.
+
+Samples are plain (n, D) float64 arrays: `sample` returns one, and
+`read_csv`/`write_csv` read and write the dataset CSV.  A density's
+`meta()` is the generator metadata `write_meta` puts in the JSON sidecar.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CorruptFile, DimensionMismatch, DimensionTooLarge,
-                     EmptyDataset, InvalidSize, NoAnalyticScore, NonFiniteState,
-                     NotPositiveDefinite, OutOfSupport, PreconditionViolated,
+from .errors import (BadConfig, CorruptFile, DimensionMismatch,
+                     DimensionTooLarge, EmptyDataset, InvalidSize,
+                     NoAnalyticScore, NonFiniteState, NotPositiveDefinite,
+                     OutOfSupport, PreconditionViolated,
                      RejectionBudgetExceeded, read_text)
 from .numerics import McEstimate
 
@@ -24,63 +28,48 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 
 
-@dataclass
-class Dataset:
-    """Sample matrix (n, D) plus generator metadata."""
+def write_csv(path, x):
+    """Write the dataset CSV: an x1,..,xD header, then one row per sample in
+    round-trip repr form."""
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(x.shape[1])) + "\n")
+        for row in x:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-    x: np.ndarray
-    meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        if not np.all(np.isfinite(self.x)):
-            raise NonFiniteState("dataset contains non-finite entries")
-
-    @property
-    def n(self):
-        return self.x.shape[0]
-
-    @property
-    def dim(self):
-        return self.x.shape[1]
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(f"x{i + 1}" for i in range(self.dim)) + "\n")
-            for row in self.x:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @staticmethod
-    def from_csv(path, meta=None):
-        header, *lines = read_text(path).split("\n")
-        if not header.startswith("x1"):
+def read_csv(path):
+    """The (n, D) float64 samples of a dataset CSV."""
+    header, *lines = read_text(path).split("\n")
+    if not header.startswith("x1"):
+        raise CorruptFile(
+            f"{path} line 1: dataset CSV must start with an x1,..,xD header")
+    width = len(header.split(","))
+    rows = []
+    for lineno, line in enumerate(lines, 2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
             raise CorruptFile(
-                f"{path} line 1: dataset CSV must start with an x1,..,xD header")
-        width = len(header.split(","))
-        rows = []
-        for lineno, line in enumerate(lines, 2):
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            if len(cells) != width:
-                raise CorruptFile(
-                    f"{path} line {lineno}: {len(cells)} cells, header has {width}")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                raise CorruptFile(
-                    f"{path} line {lineno}: non-numeric cell") from None
-            if not all(map(math.isfinite, row)):
-                raise CorruptFile(f"{path} line {lineno}: non-finite cell")
-            rows.append(row)
-        if not rows:
-            raise EmptyDataset(f"no rows in {path}")
-        return Dataset(np.array(rows), meta or {})
+                f"{path} line {lineno}: {len(cells)} cells, header has {width}")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise CorruptFile(
+                f"{path} line {lineno}: non-numeric cell") from None
+        if not all(map(math.isfinite, row)):
+            raise CorruptFile(f"{path} line {lineno}: non-finite cell")
+        rows.append(row)
+    if not rows:
+        raise EmptyDataset(f"no rows in {path}")
+    return np.array(rows)
 
-    def write_meta(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def write_meta(path, meta):
+    """Generator metadata (a density's `meta()`) as a JSON sidecar."""
+    with open(path, "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class IsoGaussian:
@@ -93,8 +82,7 @@ class IsoGaussian:
         self.dim = int(dim)
 
     def sample(self, n, rng):
-        x = rng.standard_normal(n * self.dim).reshape(n, self.dim)
-        return Dataset(x, {"family": self.family, "dim": self.dim})
+        return rng.standard_normal(n * self.dim).reshape(n, self.dim)
 
     def log_density(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -117,7 +105,7 @@ class GridMrfGaussian:
     all come from (lam, V).  Sampling maps z through the eigen factor
     V diag(lam)^(-1/2) of the covariance.  A smallest eigenvalue at or
     below dim * eps * (largest eigenvalue), the rounding floor of the
-    decomposition, is not positive.
+    decomposition, or NaN, is not positive.
     """
 
     family = "grid_mrf"
@@ -127,10 +115,13 @@ class GridMrfGaussian:
         self.dim = self.side ** 2
         self.diag_value = float(diag_value)
         self.coupling = float(coupling)
+        if not (math.isfinite(self.diag_value) and math.isfinite(self.coupling)):
+            raise BadConfig(f"MRF precision parameters must be finite, got "
+                            f"{self.diag_value!r} and {self.coupling!r}")
         self.precision = self._build_precision()
         self._eigvals, self._eigvecs = np.linalg.eigh(self.precision)
         floor = self.dim * np.finfo(np.float64).eps * abs(self._eigvals[-1])
-        if self._eigvals[0] <= floor:
+        if not self._eigvals[0] > floor:
             raise NotPositiveDefinite(
                 f"MRF precision has smallest eigenvalue {float(self._eigvals[0])!r}")
         self.covariance = (self._eigvecs / self._eigvals) @ self._eigvecs.T
@@ -153,7 +144,7 @@ class GridMrfGaussian:
 
     def sample(self, n, rng):
         z = rng.standard_normal(n * self.dim).reshape(n, self.dim)
-        return Dataset(z @ self._factor.T, self.meta())
+        return z @ self._factor.T
 
     def log_density(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -190,11 +181,16 @@ class GaussMixture:
             self.means = np.asarray(means, dtype=np.float64)
         else:
             self.means = rng.normal_matrix(self.n_components, self.dim)
+        if self.means.shape != (self.n_components, self.dim):
+            raise DimensionMismatch(f"means have shape {self.means.shape}, "
+                                    f"need ({self.n_components}, {self.dim})")
+        if not np.all(np.isfinite(self.means)):
+            raise NonFiniteState("mixture means must be finite")
 
     def sample(self, n, rng):
         comp = rng.integers(0, self.n_components, n)
         z = rng.standard_normal(n * self.dim).reshape(n, self.dim)
-        return Dataset(self.means[comp] + z, self.meta())
+        return self.means[comp] + z
 
     def _component_logpdfs(self, x, mean_scale=1.0):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -305,7 +301,7 @@ class FactorDensity:
             take = min(int(keep.sum()), n - got)
             out[got:got + take] = props[keep][:take]
             got += take
-        return Dataset(out, self.meta())
+        return out
 
     def score_t(self, x, t, schedule):
         raise NoAnalyticScore(
@@ -339,7 +335,7 @@ def sample(density, n, rng):
 def bpd(density, samples):
     """-(1 / (n D)) sum log2 p0(x_i) over generated samples; a zero-density
     sample yields +inf."""
-    x = samples.x if isinstance(samples, Dataset) else np.atleast_2d(samples)
+    x = np.atleast_2d(samples)
     if x.shape[0] < 1:
         raise EmptyDataset("bpd requires at least one sample")
     if x.shape[1] != density.dim:
@@ -355,8 +351,7 @@ def reference_bpd(density, n_mc, rng):
     """Monte Carlo estimate of -E[log2 p0(X)] / D with its standard error."""
     if n_mc < 1:
         raise InvalidSize("n_mc must be >= 1")
-    data = density.sample(n_mc, rng)
-    vals = -density.log_density(data.x) / (_LN2 * density.dim)
+    vals = -density.log_density(density.sample(n_mc, rng)) / (_LN2 * density.dim)
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
     return McEstimate(float(np.mean(vals)), se, n_mc)
 

@@ -347,7 +347,7 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
 
     Returns (trained params, list of TraceRow).
     """
-    x_data = dataset.x if hasattr(dataset, "x") else np.atleast_2d(np.asarray(dataset))
+    x_data = np.atleast_2d(np.asarray(dataset))
     n, dim = x_data.shape
     if n < 1:
         raise EmptyDataset("train requires a nonempty dataset")
@@ -382,9 +382,9 @@ def score_mse(score, density, schedule, n_mc, rng):
         int_Tmin^Tmax E |score(X_t, t) - grad log p_t(X_t)|^2 dt
 
     for a density with an analytic noised score.  Returns an McEstimate."""
-    r_t, r_x0, r_z = rng.split(3)
-    t = r_t.uniform(n_mc, schedule.t_min, schedule.t_max)
-    x_t = forward_sample(schedule, density.sample(n_mc, r_x0).x, t, r_z)
+    t = rng.child(0).uniform(n_mc, schedule.t_min, schedule.t_max)
+    x_t = forward_sample(schedule, density.sample(n_mc, rng.child(1)), t,
+                         rng.child(2))
 
     # the analytic score first: while it runs, no network workspace holds
     # its activations and input buffer yet

@@ -1,14 +1,14 @@
 """Kernel density estimation baselines (Gaussian and uniform kernels) for
 the bits-per-dimension comparison.  Only fitting and sampling are needed:
-BPD is taken under p0, so the KDE's own density is never evaluated."""
+BPD is taken under p0, so the KDE's own density is never evaluated.  Data
+in and samples out are plain (n, D) float64 arrays."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Dataset
-from .errors import BadConfig, EmptyDataset
+from .errors import BadConfig, EmptyDataset, NonFiniteState
 
 _KERNELS = ("gaussian", "uniform")
 
@@ -37,7 +37,9 @@ def scott_bandwidth(x):
 
 def fit(dataset, kernel="gaussian", bandwidth=None):
     """Fit a KDE; bandwidth defaults to Scott's rule (needs n >= 2)."""
-    x = (dataset if isinstance(dataset, Dataset) else Dataset(dataset)).x
+    x = np.array(dataset, dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteState("KDE data contains non-finite entries")
     if x.shape[0] < 1:
         raise EmptyDataset("KDE needs at least one data point")
     if kernel not in _KERNELS:
@@ -48,7 +50,7 @@ def fit(dataset, kernel="gaussian", bandwidth=None):
         bandwidth = scott_bandwidth(x)
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise BadConfig(f"bandwidth must be finite and positive, got {bandwidth}")
-    return KdeModel(np.array(x, dtype=np.float64), float(bandwidth), kernel)
+    return KdeModel(x, float(bandwidth), kernel)
 
 
 def sample(model, n_samples, rng):
@@ -62,5 +64,4 @@ def sample(model, n_samples, rng):
         noise = rng.uniform(n_samples * model.dim,
                             -model.bandwidth, model.bandwidth
                             ).reshape(n_samples, model.dim)
-    return Dataset(base + noise, {"family": f"kde_{model.kernel}",
-                                  "bandwidth": model.bandwidth, "n": model.n})
+    return base + noise

@@ -2,7 +2,7 @@
 
 Vectors and matrices are plain float64 ndarrays; factorisations, solves and
 eigendecompositions call numpy.linalg (LAPACK) directly.  The Rng wraps a
-counter-based Philox bit generator so that `split` yields independent,
+counter-based Philox bit generator so that `child` yields independent,
 reproducible substreams.  Normal draws are numpy's ziggurat method
 (`Generator.standard_normal`); a hot loop hands `standard_normal` a buffer
 it owns and the draws are written there.  The ziggurat method rejects a
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidSize
+from .errors import BadConfig, InvalidSize
 
 
 class McEstimate(NamedTuple):
@@ -32,22 +32,22 @@ class McEstimate(NamedTuple):
 class Rng:
     """Splittable counter-based random stream.
 
-    The stream is fully determined by (seed, path): `split(k)` and
-    `child(*ints)` derive substreams by extending the path, so parallel or
+    The stream is fully determined by (seed, path), non-negative integers:
+    `child(*ints)` derives a substream by extending the path, so parallel or
     keyed consumers stay reproducible without sharing mutable state.
     """
 
     def __init__(self, seed, path=()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
+        if self.seed < 0 or min(self.path, default=0) < 0:
+            raise BadConfig(f"seed and stream key must be >= 0, got "
+                            f"seed {self.seed}, path {self.path}")
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, path={self.path})"
-
-    def split(self, k):
-        return [Rng(self.seed, self.path + (i,)) for i in range(k)]
 
     def child(self, *ints):
         return Rng(self.seed, self.path + tuple(int(i) for i in ints))

@@ -27,51 +27,34 @@ def _phi(y):
     return np.exp(-0.5 * np.asarray(y) ** 2) / _SQRT_2PI
 
 
-@dataclass(frozen=True)
-class GaussLegendreRule:
-    order: int
-    nodes: np.ndarray    # strictly increasing, inside (-1, 1)
-    weights: np.ndarray  # positive, summing to 2
-
-
 def legendre_rule(n):
-    """Order-n rule on [-1, 1]: nodes (the roots of P_n) and weights from
+    """Order-n rule on [-1, 1] as (nodes, weights): the roots of P_n,
+    strictly increasing, and positive weights summing to 2, from
     numpy.polynomial.legendre.leggauss."""
     if n < 1:
         raise BadPointCount("order must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return GaussLegendreRule(n, nodes, weights)
-
-
-@dataclass(frozen=True)
-class CompositeRule:
-    """m-point rule on [a, b]: m/n_beta blocks of an order-n_beta base rule."""
-
-    a: float
-    b: float
-    m: int
-    n_beta: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    return np.polynomial.legendre.leggauss(n)
 
 
 def composite_rule(a, b, m, n_beta):
+    """m-point rule on [a, b] as (nodes, weights): m/n_beta blocks of an
+    order-n_beta base rule."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise PreconditionViolated(f"need finite a < b, got a={a}, b={b}")
     if n_beta < 1 or m < 1 or m % n_beta != 0:
         raise BadPointCount(f"m={m} must be a positive multiple of n_beta={n_beta}")
-    base = legendre_rule(n_beta)
+    base_nodes, base_weights = legendre_rule(n_beta)
     half = (b - a) * n_beta / (2.0 * m)
     blocks = np.arange(m // n_beta)
-    nodes = a + half * (base.nodes[None, :] + 2 * blocks[:, None] + 1)
-    weights = np.broadcast_to(half * base.weights, nodes.shape)
-    return CompositeRule(a, b, m, n_beta, nodes.ravel(), weights.ravel().copy())
+    nodes = a + half * (base_nodes[None, :] + 2 * blocks[:, None] + 1)
+    weights = np.broadcast_to(half * base_weights, nodes.shape)
+    return nodes.ravel(), weights.ravel().copy()
 
 
 def composite_quadrature(g, a, b, m, n_beta):
     """Integrate a 1-D callable over [a, b] with the composite rule."""
-    rule = composite_rule(a, b, m, n_beta)
-    return float(np.sum(rule.weights * np.asarray(g(rule.nodes), dtype=np.float64)))
+    nodes, weights = composite_rule(a, b, m, n_beta)
+    return float(np.sum(weights * np.asarray(g(nodes), dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -86,15 +69,6 @@ def tail_width(sigma, config):
     """Standardised half-width scale 2 sqrt(2 tau_tail) log(1/sigma)^(tau_bd + 1/2)."""
     return (2.0 * math.sqrt(2.0 * config.tau_tail)
             * math.log(1.0 / sigma) ** (config.tau_bd + 0.5))
-
-
-def _axis_nodes(x_i, mu, sigma, config):
-    """Composite nodes/weights on the truncated standardised interval
-    [(-x_i - mu) D, (-x_i + mu) D] for one coordinate."""
-    d_sigma = tail_width(sigma, config)
-    rule = composite_rule((-x_i - mu) * d_sigma, (-x_i + mu) * d_sigma,
-                          config.m, config.n_beta)
-    return rule.nodes, rule.weights
 
 
 def pt_quadrature(p0, x, mu, sigma, config=TensorQuadratureConfig()):
@@ -130,7 +104,10 @@ def pt_quadrature(p0, x, mu, sigma, config=TensorQuadratureConfig()):
     axis_y, axis_a, axis_c = [], [], []
     limit = 1.0 - margin / 2.0
     for i in range(dim):
-        y, v = _axis_nodes(x[i], mu, sigma, config)
+        # composite rule on the truncated standardised interval
+        # [(-x_i - mu) D, (-x_i + mu) D]
+        y, v = composite_rule((-x[i] - mu) * d_sigma, (-x[i] + mu) * d_sigma,
+                              config.m, config.n_beta)
         c = (x[i] + sigma * y) / mu
         # the lemma's containment guarantee must hold at every node
         assert np.max(np.abs(c)) <= limit + 1e-12, "containment violated"

@@ -139,11 +139,6 @@ def vanilla_sm_pointwise(arch, params, x):
     return _divergence_exact(mats, acts) + 0.5 * np.sum(f * f, axis=1)
 
 
-def vanilla_sm_loss(arch, params, x):
-    """Mean vanilla score-matching loss over the batch."""
-    return float(np.mean(vanilla_sm_pointwise(arch, params, x)))
-
-
 def vanilla_sm_stencil_value_and_grads(arch, params, x, delta, workspace=None):
     """Loss/gradients with the divergence replaced by the central stencil
     sum_i (f_i(x + delta e_i) - f_i(x - delta e_i)) / (2 delta).
@@ -181,7 +176,7 @@ def train_vanilla_sm(dataset, arch, init_params, config):
     _DIVERGENCE_STEP); the pointwise-exact divergence gradient ignores ReLU
     kink motion and empirically ratchets the loss upward.
     """
-    x_data = dataset.x if hasattr(dataset, "x") else np.atleast_2d(np.asarray(dataset))
+    x_data = np.atleast_2d(np.asarray(dataset))
     n, dim = x_data.shape
     if n < 1:
         raise EmptyDataset("train requires a nonempty dataset")

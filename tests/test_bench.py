@@ -151,7 +151,7 @@ class TestStreamLayout:
             data = density.sample(100, Rng(4).child(1, 3, 100, row.repetition, 0))
             cell = Rng(4).child(1, 3, 100, row.repetition, 2)
             samples = kde.sample(kde.fit(data, "gaussian"), 256, cell.child(1))
-            assert row.bpd == densities.bpd(density, samples.x)
+            assert row.bpd == densities.bpd(density, samples)
 
     def test_score_mse_slot_is_99(self):
         cfg = tiny_config(grid_side=2, train_sizes=(32,), repetitions=1,
@@ -170,7 +170,7 @@ class TestStreamLayout:
                          "--n", "40", "--out", str(out)]) == 0
         density = make_density(ExperimentConfig(case=2, grid_side=3, seed=8))
         want = density.sample(40, Rng(8).child(2, 3, 40, 0, 0))
-        assert np.array_equal(densities.Dataset.from_csv(out).x, want.x)
+        assert np.array_equal(densities.read_csv(out), want)
 
     def test_unknown_method(self, capsys):
         with pytest.raises(BadConfig):
@@ -340,6 +340,18 @@ class TestCli:
         rc = cli.main(["evaluate", "--case", "1", "--samples", str(missing)])
         assert rc == 2
         assert "EmptyDataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "gen-data --seed -1 --n 10 --out {tmp}/out.csv",
+        "train --seed -1 --data {tmp}/data.csv --out {tmp}/net.ckpt --steps 1",
+        "run-case --seed -1 --n-list 10 --methods kde-g --repetitions 1",
+        "score-mse --seed -1 --n-list 10 --repetitions 1 --out {tmp}/mse.csv",
+        "gen-data --n -3 --out {tmp}/out.csv",
+    ])
+    def test_negative_seed_or_stream_key_exit_code(self, tmp_path, capsys, argv):
+        (tmp_path / "data.csv").write_text("x1\n0.5\n1.5\n")
+        assert cli.main(argv.format(tmp=tmp_path).split()) == 2
+        assert "BadConfig" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.cfg"

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from diffden.densities import (Dataset, FactorDensity, GaussMixture,
-                               GridMrfGaussian, IsoGaussian, bpd, cosine_bump,
-                               grid_mrf_bpd, iso_gaussian_bpd, reference_bpd,
-                               sample)
+from diffden.densities import (FactorDensity, GaussMixture, GridMrfGaussian,
+                               IsoGaussian, bpd, cosine_bump, grid_mrf_bpd,
+                               iso_gaussian_bpd, read_csv, reference_bpd,
+                               sample, write_csv, write_meta)
 from diffden.diffusion import DiffusionSchedule, score_t_batch
-from diffden.errors import (CorruptFile, DimensionMismatch, InvalidSize,
-                            NoAnalyticScore, NonFiniteState, NotPositiveDefinite,
-                            OutOfSupport, PreconditionViolated,
-                            RejectionBudgetExceeded)
+from diffden.errors import (BadConfig, CorruptFile, DimensionMismatch,
+                            InvalidSize, NoAnalyticScore, NonFiniteState,
+                            NotPositiveDefinite, OutOfSupport,
+                            PreconditionViolated, RejectionBudgetExceeded)
 
 SCHED = DiffusionSchedule()
 
@@ -33,7 +33,7 @@ class TestIsoGaussian:
 
     def test_sample_covariance(self, rng):
         data = sample(IsoGaussian(2), 100_000, rng)
-        cov = np.cov(data.x.T)
+        cov = np.cov(data.T)
         assert np.max(np.abs(cov - np.eye(2))) < 0.05
 
     def test_score_is_negative_x(self, rng):
@@ -59,7 +59,7 @@ class TestGridMrf:
 
     def test_sample_covariance_matches_inverse(self, mrf, rng):
         data = sample(mrf, 100_000, rng)
-        cov = np.cov(data.x.T)
+        cov = np.cov(data.T)
         assert np.max(np.abs(cov - mrf.covariance)) < 0.05
 
     def test_log_density_matches_dense_oracle(self, mrf, rng):
@@ -100,13 +100,38 @@ class TestGridMrf:
         with pytest.raises(NotPositiveDefinite):
             GridMrfGaussian(2, 0.4000000000000001, -0.2)
 
+    def test_infinite_diagonal_is_bad_config(self):
+        # its eigenvalues would be NaN
+        with pytest.raises(BadConfig):
+            GridMrfGaussian(3, math.inf)
+
+    def test_nan_coupling_is_bad_config(self):
+        # eigh would raise numpy's LinAlgError
+        with pytest.raises(BadConfig):
+            GridMrfGaussian(3, 1.0, math.nan)
+
+    def test_nan_spectrum_fails_the_floor(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: (np.full(len(a), np.nan), eigh(a)[1]))
+        with pytest.raises(NotPositiveDefinite):
+            GridMrfGaussian(3)
+
 
 class TestGaussMixture:
+    def test_non_finite_means_rejected(self, rng):
+        with pytest.raises(NonFiniteState):
+            GaussMixture(2, 1, rng, means=[[math.inf, 0.0]])
+
+    def test_means_of_another_shape_rejected(self, rng):
+        with pytest.raises(DimensionMismatch):
+            GaussMixture(2, 2, rng, means=np.zeros((2, 3)))
+
     def test_component_occupancy(self, rng):
         means = np.array([[2.0, 0.0], [-2.0, 0.0]])
         mix = GaussMixture(2, 2, rng, means=means)
         data = sample(mix, 10_000, rng.child(1))
-        frac = np.mean(data.x[:, 0] > 0)
+        frac = np.mean(data[:, 0] > 0)
         assert abs(frac - 0.5) < 0.03
 
     def test_symmetric_midpoint(self, rng):
@@ -145,8 +170,8 @@ class TestGaussMixture:
         t = 0.7
         mu_t, sigma_t = SCHED.mu_sigma(t)
         data = sample(mix, 60_000, rng.child(2))
-        z = rng.child(3).standard_normal(data.n * 2).reshape(data.n, 2)
-        xt = mu_t * data.x + sigma_t * z
+        z = rng.child(3).standard_normal(data.shape[0] * 2).reshape(data.shape[0], 2)
+        xt = mu_t * data + sigma_t * z
         want_mean = mu_t * mix.means.mean(axis=0)
         centered = mu_t * mix.means - want_mean
         want_cov = np.eye(2) + centered.T @ centered / 3.0
@@ -215,8 +240,8 @@ class TestFactorDensity:
         grid = np.linspace(-1, 1, 200_001)
         dens = (1 + np.cos(np.pi * grid)) / 2
         var = np.trapezoid(grid ** 2 * dens, grid)
-        assert abs(data.x.mean()) < 0.01
-        assert abs(data.x.var() - var) < 0.01
+        assert abs(data.mean()) < 0.01
+        assert abs(data.var() - var) < 0.01
 
     def test_rejection_budget(self, rng):
         bump = cosine_bump(1)
@@ -318,9 +343,9 @@ class TestDataset:
     def test_csv_roundtrip(self, tmp_path, rng):
         data = sample(IsoGaussian(3), 50, rng)
         path = tmp_path / "data.csv"
-        data.to_csv(path)
-        again = Dataset.from_csv(path)
-        assert np.array_equal(again.x, data.x)
+        write_csv(path, data)
+        again = read_csv(path)
+        assert np.array_equal(again, data)
         assert path.read_text().splitlines()[0] == "x1,x2,x3"
 
     @pytest.mark.parametrize("text, line", [
@@ -334,20 +359,16 @@ class TestDataset:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(CorruptFile, match=f"line {line}:"):
-            Dataset.from_csv(path)
-
-    def test_non_finite_entries_raise_typed_error(self):
-        with pytest.raises(NonFiniteState):
-            Dataset(np.array([[0.0, np.inf]]))
+            read_csv(path)
 
     def test_reference_bpd_needs_a_draw(self, rng):
         with pytest.raises(InvalidSize):
             reference_bpd(IsoGaussian(2), 0, rng)
 
     def test_meta_sidecar(self, tmp_path, rng):
-        data = sample(GridMrfGaussian(3), 5, rng)
+        density = GridMrfGaussian(3)
         path = tmp_path / "meta.json"
-        data.write_meta(path)
+        write_meta(path, density.meta())
         meta = json.loads(path.read_text())
         assert meta["family"] == "grid_mrf"
         assert meta["K"] == 3

@@ -9,7 +9,7 @@ from conftest import (ReferenceAdamState, finite_diff_param_grads,
                       reference_network_score, relative_error, relu_pattern,
                       time_input, warm_peak)
 from diffden import diffusion, wsnn
-from diffden.densities import Dataset, IsoGaussian
+from diffden.densities import IsoGaussian
 from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                conditional_score, dsm_loss,
                                dsm_value_and_grads, fit, forward_sample,
@@ -286,7 +286,7 @@ class TestTrain:
         cfg = TrainConfig(batch_size=64, steps=800, seed=3, epoch_len=100)
         trained, _ = train(data, arch, params, SCHED, cfg)
         draws = rng.child(10)
-        x0 = IsoGaussian(1).sample(4096, draws).x
+        x0 = IsoGaussian(1).sample(4096, draws)
         t = draws.uniform(4096, SCHED.t_min, SCHED.t_max)
         xt = forward_sample(SCHED, x0, t, draws)
         before, after = (dsm_loss(arch, p, SCHED, x0, xt, t) for p in (params, trained))
@@ -300,7 +300,7 @@ class TestTrain:
         data, arch, params = self._toy(rng, n=32)
         cfg = TrainConfig(batch_size=32, steps=25, seed=7)
         ref, _ = train(data, arch, params, SCHED, cfg)
-        perm = Dataset(data.x[::-1])
+        perm = data[::-1]
         out, _ = train(perm, arch, params, SCHED, cfg)
         for a, b in zip(ref.weights + ref.biases, out.weights + out.biases):
             assert np.array_equal(a, b)
@@ -455,7 +455,7 @@ class TestVincentIdentity:
         t = 0.6
         mu, sigma = SCHED.mu_sigma(t)
         n = 100_000
-        x0 = d.sample(n, rng).x
+        x0 = d.sample(n, rng)
         z = rng.child(1).standard_normal(n).reshape(n, 1)
         xt = mu * x0 + sigma * z
         marginal = -xt  # stationary score
@@ -496,7 +496,7 @@ class TestFusedDsm:
 
     @pytest.mark.parametrize("n, batch_size", [(300, 32), (40, 64)])
     def test_train_equals_reference_objective(self, rng, n, batch_size):
-        data = IsoGaussian(3).sample(n, rng).x
+        data = IsoGaussian(3).sample(n, rng)
         p0 = wsnn.init_params(self.ARCH, rng.child(1))
         cfg = TrainConfig(batch_size=batch_size, steps=30, seed=5, epoch_len=10)
         got, trace = train(data, self.ARCH, p0, SCHED, cfg)

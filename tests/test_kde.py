@@ -56,27 +56,27 @@ class TestSampling:
         data = sample(IsoGaussian(2), 20, rng)
         model = fit(data, "gaussian", bandwidth=1e-12)
         out = kde_sample(model, 200, rng.child(1))
-        d2 = np.min(np.sum((out.x[:, None, :] - data.x[None, :, :]) ** 2, axis=2),
+        d2 = np.min(np.sum((out[:, None, :] - data[None, :, :]) ** 2, axis=2),
                     axis=1)
         assert np.max(d2) < 1e-20
 
     def test_single_datum_gaussian_moments(self, rng):
         model = fit(np.zeros((1, 2)), "gaussian", bandwidth=1.0)
         out = kde_sample(model, 100_000, rng)
-        assert np.max(np.abs(out.x.mean(axis=0))) < 0.02
-        assert np.max(np.abs(out.x.var(axis=0) - 1.0)) < 0.03
+        assert np.max(np.abs(out.mean(axis=0))) < 0.02
+        assert np.max(np.abs(out.var(axis=0) - 1.0)) < 0.03
 
     def test_uniform_kernel_support(self, rng):
         model = fit(np.zeros((1, 1)), "uniform", bandwidth=0.25)
         out = kde_sample(model, 5000, rng)
-        assert np.max(np.abs(out.x)) <= 0.25
+        assert np.max(np.abs(out)) <= 0.25
 
     def test_seed_determinism(self, rng):
         data = sample(IsoGaussian(1), 10, rng)
         model = fit(data, "gaussian")
         a = kde_sample(model, 50, Rng(3))
         b = kde_sample(model, 50, Rng(3))
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a, b)
 
 
 class TestBpdIntegration:

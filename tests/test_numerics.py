@@ -25,8 +25,8 @@ class TestRng:
         assert np.all(np.isfinite(z))
 
     def test_split_deterministic_and_distinct(self):
-        kids = Rng(123).split(3)
-        again = Rng(123).split(3)
+        kids = [Rng(123).child(i) for i in range(3)]
+        again = [Rng(123).child(i) for i in range(3)]
         draws = [k.standard_normal(4) for k in kids]
         for d, e in zip(draws, (k.standard_normal(4) for k in again)):
             assert np.array_equal(d, e)
@@ -35,7 +35,7 @@ class TestRng:
                 assert not np.array_equal(draws[i], draws[j])
 
     def test_split_streams_look_independent(self):
-        a, b = Rng(77).split(2)
+        a, b = Rng(77).child(0), Rng(77).child(1)
         x, y = a.standard_normal(50_000), b.standard_normal(50_000)
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 0.02

@@ -16,7 +16,7 @@ from diffden.numerics import Rng
 from diffden.sampler import (SamplerConfig, _guard, analytic_score,
                              langevin_sample, learned_score_time_free,
                              read_samples_binary, reverse_sde_sample,
-                             train_vanilla_sm, vanilla_sm_loss,
+                             train_vanilla_sm, vanilla_sm_pointwise,
                              vanilla_sm_stencil_value_and_grads,
                              write_samples_binary)
 
@@ -178,13 +178,14 @@ class TestVanillaSmLoss:
         d = 3
         arch, params = wsnn.linear_network(-np.eye(d))
         x = rng.normal_matrix(7, d)
-        got = vanilla_sm_loss(arch, params, x)
+        got = np.mean(vanilla_sm_pointwise(arch, params, x))
         want = float(np.mean(-d + 0.5 * np.sum(x * x, axis=1)))
         assert abs(got - want) < 1e-10
 
     def test_zero_network(self):
         arch = wsnn.mlp((2, 4, 2))
-        assert vanilla_sm_loss(arch, wsnn.zero_params(arch), np.ones((3, 2))) == 0.0
+        assert np.mean(vanilla_sm_pointwise(arch, wsnn.zero_params(arch),
+                                            np.ones((3, 2)))) == 0.0
 
     def test_exact_divergence_matches_fd(self, rng):
         arch = wsnn.mlp((2, 8, 2))
@@ -200,17 +201,17 @@ class TestVanillaSmLoss:
                 inside &= np.all(relu_pattern(arch, params, shifted) == at, axis=1)
         assert np.count_nonzero(inside) >= 3
         fd = stencil_loss(arch, params, x[inside], h)
-        assert abs(vanilla_sm_loss(arch, params, x[inside]) - fd) < 1e-4
+        assert abs(np.mean(vanilla_sm_pointwise(arch, params, x[inside])) - fd) < 1e-4
 
     def test_requires_square_dims(self):
         arch = wsnn.mlp((3, 4, 2))
         with pytest.raises(DimensionMismatch):
-            vanilla_sm_loss(arch, wsnn.zero_params(arch), np.ones((1, 3)))
+            np.mean(vanilla_sm_pointwise(arch, wsnn.zero_params(arch), np.ones((1, 3))))
 
     def test_dimension_cap_for_exact_divergence(self):
         arch = wsnn.mlp((65, 66, 65))
         with pytest.raises(DimensionTooLarge):
-            vanilla_sm_loss(arch, wsnn.zero_params(arch), np.ones((1, 65)))
+            np.mean(vanilla_sm_pointwise(arch, wsnn.zero_params(arch), np.ones((1, 65))))
 
     def test_stencil_gradients_match_finite_differences(self, rng):
         arch = wsnn.mlp((2, 6, 2))
