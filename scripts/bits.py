@@ -10,8 +10,9 @@ training (trained weights and per-epoch mean losses) on a plain MLP, on a
 masked network with two permuted replicas per hidden layer, on a plain
 MLP with a 0/1 mask on every layer (its masked negative weights are -0.0),
 on a dataset with duplicated rows and signed zeros, and with one full
-batch; reverse-SDE sampling; vanilla-SM training; Langevin sampling; the
-dense matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
+batch; one evaluation of the float32 `network_score` at 3000 rows;
+reverse-SDE sampling; vanilla-SM training; Langevin sampling; the dense
+matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
 negative entries are -0.0; the dataset CSV and metadata JSON that
 `diffden gen-data --meta` writes on cases 1-3; and the normal draws.
 """
@@ -91,6 +92,9 @@ put_training("dsm_masked_plain", *diffusion.train(
     data, march, wsnn.init_params(march, Rng(18)), sched,
     diffusion.TrainConfig(batch_size=64, steps=200, seed=19)))
 
+x = Rng(22).normal_matrix(3000, 9)
+put("score32", diffusion.network_score(arch, params)(x, Rng(23).uniform(3000, 1e-3, 3.0))
+    .tobytes())
 y = sampler.reverse_sde_sample(diffusion.network_score(arch, params), sched,
                                sampler.SamplerConfig(80, 3000), 9, Rng(6))
 put("reverse_sde", y.tobytes())

@@ -112,6 +112,8 @@ class GridMrfGaussian:
 
     def __init__(self, side, diag_value=1.0, coupling=-0.2):
         self.side = int(side)
+        if self.side < 1:
+            raise InvalidSize(f"grid side must be >= 1, got {self.side}")
         self.dim = self.side ** 2
         self.diag_value = float(diag_value)
         self.coupling = float(coupling)
@@ -334,7 +336,8 @@ def sample(density, n, rng):
 
 def bpd(density, samples):
     """-(1 / (n D)) sum log2 p0(x_i) over generated samples; a zero-density
-    sample yields +inf."""
+    sample yields +inf, and a NaN log-density (a sample holding NaN) is
+    NonFiniteState."""
     x = np.atleast_2d(samples)
     if x.shape[0] < 1:
         raise EmptyDataset("bpd requires at least one sample")
@@ -342,6 +345,9 @@ def bpd(density, samples):
         raise DimensionMismatch(
             f"samples have {x.shape[1]} columns, the density has dim {density.dim}")
     logp = density.log_density(x)
+    nan = np.count_nonzero(np.isnan(logp))
+    if nan:
+        raise NonFiniteState(f"log-density is NaN at {nan} of {x.shape[0]} samples")
     if np.any(np.isneginf(logp)):
         return math.inf
     return float(-np.mean(logp) / (_LN2 * x.shape[1]))

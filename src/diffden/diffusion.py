@@ -119,12 +119,15 @@ def conditional_score(schedule, x0, x_t, t):
 
 
 def network_score(arch, params):
-    """Score callable (x, t) -> f(concat(x, t)) backed by a network; every
-    call writes x and t side by side into the input buffer of one workspace
-    the score owns for as long as it lives, and runs the pass there."""
+    """Score callable (x, t) -> f(concat(x, t)) backed by a network.  It
+    evaluates a float32 copy of params, cast once, here: every call writes
+    x and t side by side into the float32 input buffer of one workspace
+    the score owns for as long as it lives, runs the pass there and
+    returns the output as float64."""
     if arch.output_dim != arch.input_dim - 1:
         raise DimensionMismatch("score network must map D + 1 -> D")
-    workspace = wsnn.Workspace(arch)
+    params32 = params.astype(np.float32)
+    workspace = wsnn.Workspace(arch, np.float32)
     dim = arch.output_dim
 
     def score(x, t):
@@ -135,7 +138,7 @@ def network_score(arch, params):
         inp = workspace.inputs(xb.shape[0])
         inp[:, :dim] = xb
         inp[:, dim] = t
-        out = wsnn.forward(arch, params, inp, workspace)
+        out = wsnn.forward(arch, params32, inp, workspace).astype(np.float64)
         return out[0] if x.ndim == 1 else out
 
     return score
@@ -150,14 +153,6 @@ def score_at(score, x, t):
         raise DimensionMismatch(f"score output shape {out.shape} != input shape "
                                 f"{np.shape(x)}")
     return out
-
-
-def dsm_loss(arch, params, schedule, x0, x_t, t):
-    """Denoising loss |f(x_t, t) + (x_t - mu_t x0) / sigma_t^2|^2,
-    averaged over the batch when inputs are batched."""
-    f = network_score(arch, params)(x_t, t)
-    resid = f - conditional_score(schedule, x0, x_t, t)
-    return float(np.mean(np.sum(np.atleast_2d(resid) ** 2, axis=1)))
 
 
 def dsm_value_and_grads(arch, params, schedule, x0, t, z, workspace=None):

@@ -32,10 +32,25 @@ def analytic_score(density, schedule):
 
 
 def learned_score_time_free(arch, params):
-    """Score from a D -> D network that ignores the time argument; reuses
-    one workspace for as long as it lives."""
-    workspace = wsnn.Workspace(arch)
-    return lambda x, t: wsnn.forward(arch, params, x, workspace)
+    """Score from a D -> D network that ignores the time argument.  Like
+    `diffusion.network_score`, it casts params to float32 once, here, and
+    every call writes x into the float32 input buffer of one workspace it
+    owns, runs the pass there and returns the output as float64."""
+    params32 = params.astype(np.float32)
+    workspace = wsnn.Workspace(arch, np.float32)
+    dim = arch.input_dim
+
+    def score(x, t):
+        x = np.asarray(x, dtype=np.float64)
+        xb = x[None, :] if x.ndim == 1 else x
+        if xb.ndim != 2 or xb.shape[1] != dim:
+            raise DimensionMismatch(f"score input width {xb.shape[-1]} != D = {dim}")
+        inp = workspace.inputs(xb.shape[0])
+        inp[...] = xb
+        out = wsnn.forward(arch, params32, inp, workspace).astype(np.float64)
+        return out[0] if x.ndim == 1 else out
+
+    return score
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,7 @@ def vanilla_sm_pointwise(arch, params, x):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != arch.input_dim:
         raise DimensionMismatch("input width does not match the network")
+    wsnn._check_params(arch, params)
     f, mats, acts = wsnn._forward_cache(arch, params, x, wsnn.Workspace(arch))
     return _divergence_exact(mats, acts) + 0.5 * np.sum(f * f, axis=1)
 

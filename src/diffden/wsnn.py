@@ -39,6 +39,11 @@ evaluation keeps nothing alive.  The workspace never holds a result: the
 network output and every gradient are fresh arrays the caller owns, so a
 kept output is not overwritten by the next call.  Results are
 bit-identical with and without a reused workspace.
+
+A pass runs in the dtype of the parameters: the input is cast to it and
+the workspace's arrays are of it.  Training passes are float64; a score
+built for sampling evaluates a float32 copy of its parameters
+(`WsnnParams.astype`) in a float32 workspace.
 """
 
 import math
@@ -155,6 +160,11 @@ class WsnnParams:
         return WsnnParams([w.copy() for w in self.weights],
                           [b.copy() for b in self.biases])
 
+    def astype(self, dtype):
+        """A copy with every array cast to dtype."""
+        return WsnnParams([w.astype(dtype) for w in self.weights],
+                          [b.astype(dtype) for b in self.biases])
+
 
 def init_params(arch, rng):
     """He-style fan-in initialisation, deterministic per rng stream."""
@@ -183,8 +193,8 @@ def apply_masks(params, arch):
     return params
 
 
-def _as_batch(x, width):
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x, width, dtype):
+    x = np.asarray(x, dtype=dtype)
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -194,6 +204,7 @@ def _as_batch(x, width):
 
 
 def _check_params(arch, params):
+    """The dtype a pass on params runs in, once their shapes fit arch."""
     if len(params.weights) != arch.depth or len(params.biases) != arch.depth:
         raise DimensionMismatch("params depth does not match architecture")
     for i in range(arch.depth):
@@ -203,6 +214,7 @@ def _check_params(arch, params):
         if params.biases[i].shape != (arch.widths[i + 1],):
             raise DimensionMismatch(f"b_{i + 1} shape {params.biases[i].shape} "
                                     f"!= {(arch.widths[i + 1],)}")
+    return params.weights[0].dtype
 
 
 def replica_sum(W, b, q_perms, r_perms):
@@ -234,18 +246,20 @@ def replica_fold(dA, dc, q_perms, r_perms):
 class Workspace:
     """The (rows, width) arrays one pass writes per hidden layer, and the
     network input buffer, reused by every call that is handed this
-    workspace; see the module docstring."""
+    workspace; see the module docstring.  They are of `dtype`, the dtype
+    of the parameters of every pass run here."""
 
-    def __init__(self, arch):
+    def __init__(self, arch, dtype=np.float64):
         self.input_dim = arch.input_dim
         self.widths = arch.widths[1:-1]
+        self.dtype = np.dtype(dtype)
         self.rows = None
         self.input = self.acts = self.deltas = self.masks = None
 
     def _fit(self, rows):
         if rows != self.rows:
             self.rows = rows
-            self.acts = [np.empty((rows, w)) for w in self.widths]
+            self.acts = [np.empty((rows, w), self.dtype) for w in self.widths]
             self.input = self.deltas = self.masks = None
 
     def inputs(self, rows):
@@ -254,7 +268,7 @@ class Workspace:
         then runs the pass on it in this workspace."""
         self._fit(rows)
         if self.input is None:
-            self.input = np.empty((rows, self.input_dim))
+            self.input = np.empty((rows, self.input_dim), self.dtype)
         return self.input
 
     def hidden(self, rows):
@@ -266,35 +280,37 @@ class Workspace:
         """(delta, ReLU mask) buffers for reverse mode over `rows` rows."""
         self._fit(rows)
         if self.deltas is None:
-            self.deltas = [np.empty((rows, w)) for w in self.widths]
+            self.deltas = [np.empty((rows, w), self.dtype) for w in self.widths]
             self.masks = [np.empty((rows, w), dtype=bool) for w in self.widths]
         return self.deltas, self.masks
 
 
-def _workspace(arch, workspace):
+def _workspace(arch, workspace, dtype=np.float64):
     if workspace is None:
-        return Workspace(arch)
+        return Workspace(arch, dtype)
     if (workspace.input_dim, workspace.widths) != (arch.input_dim, arch.widths[1:-1]):
         raise DimensionMismatch(f"workspace of input width {workspace.input_dim} and "
                                 f"hidden widths {workspace.widths} does not fit "
                                 f"{arch.widths}")
+    if workspace.dtype != dtype:
+        raise PreconditionViolated(f"{workspace.dtype} workspace for a {dtype} pass")
     return workspace
 
 
 def forward(arch, params, x, workspace=None):
     """Evaluate the network; accepts a single vector or a (B, d_1) batch.
     The output is a fresh array; the hidden layers go to `workspace`."""
-    a, single = _as_batch(x, arch.input_dim)
-    out = _forward_cache(arch, params, a, _workspace(arch, workspace))[0]
+    dtype = _check_params(arch, params)
+    a, single = _as_batch(x, arch.input_dim, dtype)
+    out = _forward_cache(arch, params, a, _workspace(arch, workspace, dtype))[0]
     return out[0] if single else out
 
 
 def _forward_cache(arch, params, a, ws):
     """(output, dense layers, [input, post-ReLU activations]) of one pass
-    over the (B, d_1) batch a.  Each hidden layer is computed in place in
-    its `ws` buffer (product, bias, ReLU); only the output is a fresh
-    array."""
-    _check_params(arch, params)
+    over the (B, d_1) batch a, whose dtype is that of params and of ws.
+    Each hidden layer is computed in place in its `ws` buffer (product,
+    bias, ReLU); only the output is a fresh array."""
     mats, bs = effective_layers(arch, params)
     acts = [a]
     for A, b, z in zip(mats[:-1], bs[:-1], ws.hidden(a.shape[0])):
@@ -317,8 +333,9 @@ def value_and_grads(arch, params, x, head, workspace=None):
     delta.  Shared-weight gradients accumulate over all replicas of a
     layer; the ReLU derivative at exactly 0 is taken as 0.
     """
-    a, _ = _as_batch(x, arch.input_dim)
-    ws = _workspace(arch, workspace)
+    dtype = _check_params(arch, params)
+    a, _ = _as_batch(x, arch.input_dim, dtype)
+    ws = _workspace(arch, workspace, dtype)
     out, mats, acts = _forward_cache(arch, params, a, ws)
     value, g = head(out)
     if g.shape != out.shape:
@@ -346,8 +363,8 @@ def backward(arch, params, x, grad_output):
     `value_and_grads`.  The input gradient is the first layer's delta,
     which that pass leaves in its workspace, times the first dense layer.
     """
-    g, _ = _as_batch(grad_output, arch.output_dim)
-    ws = Workspace(arch)
+    ws = Workspace(arch, _check_params(arch, params))
+    g, _ = _as_batch(grad_output, arch.output_dim, ws.dtype)
     _, grads = value_and_grads(arch, params, x, lambda out: (None, g), ws)
     dx = ws.deltas[0] @ effective_layers(arch, params)[0][0]
     return grads, (dx[0] if np.ndim(x) == 1 else dx)

@@ -284,7 +284,8 @@ class ReferenceAdamState:
 # drawn by `forward_sample`, the target from `conditional_score` (a second
 # mu_sigma call), the network input concatenated by `time_input` (moved here
 # from `diffusion`), and sampler loops that allocate their drift and noise
-# afresh every step.
+# afresh every step.  `dsm_loss`, moved here from `diffusion`, is the
+# unfused denoising loss through the float64 pass.
 
 
 def time_input(x, t):
@@ -320,7 +321,24 @@ def reference_dsm_objective(arch, schedule):
 
 
 def reference_network_score(arch, params):
-    return lambda x, t: wsnn.forward(arch, params, time_input(x, t))
+    """The float32 network score: one dense pass on float32 copies of the
+    parameters and of concat(x, t), its output cast to float64."""
+    params32 = params.astype(np.float32)
+
+    def score(x, t):
+        out = reference_dense_pass(arch, params32, time_input(x, t))[0]
+        return (out[0] if np.ndim(x) == 1 else out).astype(np.float64)
+
+    return score
+
+
+def dsm_loss(arch, params, schedule, x0, x_t, t):
+    """Denoising loss |f(x_t, t) + (x_t - mu_t x0) / sigma_t^2|^2,
+    averaged over the batch when inputs are batched, through the float64
+    network pass: the oracle of the fused `diffusion.dsm_value_and_grads`."""
+    f = wsnn.forward(arch, params, time_input(x_t, t))
+    resid = f - conditional_score(schedule, x0, x_t, t)
+    return float(np.mean(np.sum(np.atleast_2d(resid) ** 2, axis=1)))
 
 
 # --- gather-and-fold-every-layer reference ------------------------------------
@@ -343,8 +361,9 @@ def reference_effective_layers(arch, params):
 
 
 def reference_dense_pass(arch, params, x):
-    """(output, dense layers, [input, post-ReLU activations]) of one pass."""
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """(output, dense layers, [input, post-ReLU activations]) of one pass,
+    run in the dtype of params: x is cast to it."""
+    a = np.atleast_2d(np.asarray(x, dtype=params.weights[0].dtype))
     mats, bs = reference_effective_layers(arch, params)
     acts = [a]
     for A, b in zip(mats[:-1], bs[:-1]):

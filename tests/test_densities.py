@@ -50,6 +50,11 @@ def mrf():
 
 class TestGridMrf:
 
+    @pytest.mark.parametrize("side", [0, -2])
+    def test_side_below_one_is_invalid_size(self, side):
+        with pytest.raises(InvalidSize, match="side"):
+            GridMrfGaussian(side)
+
     def test_precision_structure(self, mrf):
         lam = mrf.precision
         assert np.array_equal(lam, lam.T)
@@ -290,6 +295,15 @@ class TestBpd:
         bump = cosine_bump(1)
         edge = np.array([[1.0]])  # density vanishes smoothly at the boundary
         assert bpd(bump, edge) == math.inf
+
+    @pytest.mark.parametrize("density", [IsoGaussian(2), GridMrfGaussian(2)])
+    def test_nan_samples_are_non_finite_state(self, density):
+        x = np.zeros((3, density.dim))
+        x[1, 0] = np.nan
+        with pytest.raises(NonFiniteState):
+            bpd(density, x)
+        with pytest.raises(NonFiniteState):
+            bpd(density, np.full((2, density.dim), np.nan))
 
     def test_reference_bpd_iso(self, rng):
         est = reference_bpd(IsoGaussian(3), 20_000, rng)

@@ -3,22 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (ReferenceAdamState, finite_diff_param_grads,
-                      kink_free_entries, reference_canonical_order,
-                      reference_dsm_objective, reference_dsm_value_and_grads,
-                      reference_network_score, relative_error, relu_pattern,
-                      time_input, warm_peak)
+from conftest import (ReferenceAdamState, dsm_loss, finite_diff_param_grads,
+                      kink_free_entries, max_scaled_dev, reference_canonical_order,
+                      reference_dense_pass, reference_dsm_objective,
+                      reference_dsm_value_and_grads, reference_network_score,
+                      relative_error, relu_pattern, time_input, warm_peak)
 from diffden import diffusion, wsnn
 from diffden.densities import IsoGaussian
 from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
-                               conditional_score, dsm_loss,
-                               dsm_value_and_grads, fit, forward_sample,
-                               network_score, score_mse, train,
+                               conditional_score, dsm_value_and_grads, fit,
+                               forward_sample, network_score, score_mse, train,
                                write_trace_csv)
 from diffden.errors import (BadConfig, DimensionMismatch, EmptyDataset,
                             NegativeTime, SingularTime)
 from diffden.numerics import Rng
-from diffden.sampler import (vanilla_sm_pointwise,
+from diffden.sampler import (learned_score_time_free, vanilla_sm_pointwise,
                              vanilla_sm_stencil_value_and_grads)
 
 SCHED = DiffusionSchedule()
@@ -445,6 +444,49 @@ class TestScoreMse:
         score = network_score(arch, params)
         out = score(np.zeros((5, 2)), 0.3)
         assert out.shape == (5, 2)
+
+
+class TestFloat32Score:
+    """The network scores evaluate a float32 copy of the parameters and
+    return float64; training and the caller's parameters stay float64."""
+
+    ARCH = wsnn.mlp((10, 64, 64, 9))
+
+    def test_deviation_from_float64_pass_is_bounded(self):
+        """On desk's network at n_eval = 3000 rows, the float32 score lies
+        within 1e-5 of the float64 pass, relative to its largest entry
+        (`max_scaled_dev`; about 2e-7 here)."""
+        params = wsnn.init_params(self.ARCH, Rng(30))
+        x = Rng(31).normal_matrix(3000, 9)
+        t = Rng(32).uniform(3000, SCHED.t_min, SCHED.t_max)
+        want = wsnn.forward(self.ARCH, params, time_input(x, t))
+        assert max_scaled_dev(network_score(self.ARCH, params)(x, t), want) < 1e-5
+
+    @pytest.mark.parametrize("time_free", [False, True])
+    def test_output_is_float64_and_params_are_left_alone(self, time_free):
+        arch = wsnn.mlp((9, 64, 64, 9)) if time_free else self.ARCH
+        params = wsnn.init_params(arch, Rng(33))
+        kept = params.copy()
+        make = learned_score_time_free if time_free else network_score
+        score = make(arch, params)
+        x = Rng(34).normal_matrix(200, 9)
+        first = score(x, 0.5)
+        assert first.dtype == np.float64 and score(x[0], 0.5).dtype == np.float64
+        for a, b in zip(params.weights + params.biases, kept.weights + kept.biases):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        for a in params.weights + params.biases:
+            a += 1.0  # the score holds its own copy, not a view of these
+        assert score(x, 0.5).tobytes() == first.tobytes()
+
+    def test_time_free_score_equals_float32_reference(self):
+        arch = wsnn.mlp((9, 32, 32, 9))
+        params = wsnn.init_params(arch, Rng(35))
+        score = learned_score_time_free(arch, params)
+        for x in (Rng(36).normal_matrix(300, 9), Rng(37).normal_matrix(1, 9)[0]):
+            want = reference_dense_pass(arch, params.astype(np.float32), x)[0]
+            got = score(x, 0.0)
+            assert got.shape == x.shape
+            assert got.tobytes() == want.reshape(x.shape).astype(np.float64).tobytes()
 
 
 class TestVincentIdentity:

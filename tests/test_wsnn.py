@@ -8,8 +8,8 @@ import pytest
 from conftest import (finite_diff_param_grads, max_scaled_dev, perm_tables,
                       reference_backward, reference_dense_pass,
                       reference_dsm_objective, reference_forward,
-                      reference_value_and_grads, relative_error, time_input,
-                      warm_peak, wsnn_layer_forward_np)
+                      reference_network_score, reference_value_and_grads,
+                      relative_error, warm_peak, wsnn_layer_forward_np)
 from diffden import wsnn
 from diffden.diffusion import DiffusionSchedule, TrainConfig, fit, network_score, train
 from diffden.errors import (CorruptFile, DimensionMismatch, InvalidSize,
@@ -379,6 +379,18 @@ class TestWorkspace:
             forward(self.ARCH, init_params(self.ARCH, Rng(10)), np.ones((2, 9)),
                     Workspace(mlp((10, 64, 64, 9))))
 
+    def test_float32_pass_runs_in_a_float32_workspace(self):
+        params = init_params(self.ARCH, Rng(13)).astype(np.float32)
+        x = Rng(14).normal_matrix(6, 9)
+        ws = Workspace(self.ARCH, np.float32)
+        out = forward(self.ARCH, params, x, ws)
+        assert out.dtype == np.float32
+        assert ws.inputs(6).dtype == np.float32
+        assert all(a.dtype == np.float32 for a in ws.hidden(6))
+        assert out.tobytes() == reference_dense_pass(self.ARCH, params, x)[0].tobytes()
+        with pytest.raises(PreconditionViolated):
+            forward(self.ARCH, params, x, Workspace(self.ARCH))
+
     def test_input_buffer_is_kept_per_row_count(self):
         ws = Workspace(self.ARCH)
         inp = ws.inputs(5)
@@ -472,9 +484,8 @@ class TestPlainLayers:
         config = SamplerConfig(60, 500)
         y = reverse_sde_sample(network_score(self.ARCH, got), self.SCHED, config, 9,
                                Rng(26))
-        want_y = reverse_sde_sample(
-            lambda x, t: reference_dense_pass(self.ARCH, want, time_input(x, t))[0],
-            self.SCHED, config, 9, Rng(26))
+        want_y = reverse_sde_sample(reference_network_score(self.ARCH, want),
+                                    self.SCHED, config, 9, Rng(26))
         assert y.tobytes() == want_y.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2])
