@@ -6,12 +6,14 @@ Run it on two checkouts and diff the output: each line is a result name
 and the first 16 hex digits of the hash of its bytes, and the last line,
 `ALL <hash>`, covers them all.  The results are the report bytes of
 `bench.run_case` on cases 1-3 and the `bench.score_mse_study` rows; DSM
-training (trained weights and per-epoch mean losses) on a plain MLP, on a
-masked network with two permuted replicas per hidden layer, on a plain
-MLP with a 0/1 mask on every layer (its masked negative weights are -0.0),
-on a dataset with duplicated rows and signed zeros, and with one full
-batch; one evaluation of the float32 `network_score` at 3000 rows;
-reverse-SDE sampling; vanilla-SM training; Langevin sampling; the dense
+training (trained float64 weights and per-epoch mean losses of its
+float32 passes) on a plain MLP, on a masked network with two permuted
+replicas per hidden layer, on a plain MLP with a 0/1 mask on every layer
+(its masked negative weights are -0.0), on a dataset with duplicated rows
+and signed zeros, and with one full batch; one evaluation of the float32
+`network_score` at 3000 rows on the initial weights, so that it moves
+with the score's arithmetic only; reverse-SDE sampling on the trained
+network; vanilla-SM training; Langevin sampling; the dense
 matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
 negative entries are -0.0; the dataset CSV and metadata JSON that
 `diffden gen-data --meta` writes on cases 1-3; and the normal draws.
@@ -93,7 +95,7 @@ put_training("dsm_masked_plain", *diffusion.train(
     diffusion.TrainConfig(batch_size=64, steps=200, seed=19)))
 
 x = Rng(22).normal_matrix(3000, 9)
-put("score32", diffusion.network_score(arch, params)(x, Rng(23).uniform(3000, 1e-3, 3.0))
+put("score32", diffusion.network_score(arch, p0)(x, Rng(23).uniform(3000, 1e-3, 3.0))
     .tobytes())
 y = sampler.reverse_sde_sample(diffusion.network_score(arch, params), sched,
                                sampler.SamplerConfig(80, 3000), 9, Rng(6))

@@ -159,24 +159,26 @@ def dsm_value_and_grads(arch, params, schedule, x0, t, z, workspace=None):
     """(loss, parameter gradients) of the batch-mean denoising loss
     |f(x_t, t) + (x_t - mu_t x0) / sigma_t^2|^2 at x_t = mu_t x0 + sigma_t z,
     for a (B, D) batch x0, its (B, D) noise z and one time per row (or one
-    shared time).  mu_t and sigma_t are computed once; x_t and t are written
-    straight into the network input of `workspace`, where the pass runs,
-    and the residual is formed in place in the network output.  z is only
-    read."""
+    shared time).  mu_t and sigma_t are computed once; x_t and the target
+    are formed in float64, x_t and t are rounded once into the network
+    input of `workspace`, and the residual is formed in place in the
+    network output.  The pass runs in the dtype of params, and `workspace`
+    must be of it.  z is only read."""
     x0 = np.asarray(x0, dtype=np.float64)
     b, dim = x0.shape
     if np.shape(z) != (b, dim) or dim + 1 != arch.input_dim:
         raise DimensionMismatch(f"batch {x0.shape} and noise {np.shape(z)} do not "
                                 f"fit a network of input width {arch.input_dim}")
-    ws = wsnn._workspace(arch, workspace)
+    ws = wsnn._workspace(arch, workspace, wsnn._check_params(arch, params))
     mu, sigma = schedule.mu_sigma(t)
     mu, sigma = np.reshape(mu, (-1, 1)), np.reshape(sigma, (-1, 1))
     if np.any(sigma == 0.0):
         raise SingularTime("conditional score undefined at sigma_t = 0")
     inp = ws.inputs(b)
-    x_t = np.multiply(sigma, z, out=inp[:, :dim])
+    x_t = sigma * z
     mu_x0 = mu * x0
     x_t += mu_x0
+    inp[:, :dim] = x_t
     inp[:, dim] = t
     # minus the conditional score: (x_t - mu_t x0) / sigma_t^2
     target = np.subtract(x_t, mu_x0, out=mu_x0)
@@ -208,32 +210,44 @@ class TrainConfig:
             raise BadConfig("batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise BadConfig("learning_rate must be finite and >= 0")
+        if self.epoch_len is not None and self.epoch_len < 1:
+            raise BadConfig("epoch_len must be >= 1, or None for the default")
 
 
 class AdamState:
-    """Adam over one flat buffer.  The trained parameters and both moment
-    accumulators are flat arrays; `params` is a copy of the initial
-    parameters whose arrays are views into the parameter buffer, so a step
-    is one elementwise update of the whole buffer."""
+    """Adam over one flat float64 buffer, with a float32 copy for the passes.
 
-    def __init__(self, params):
-        arrays = params.weights + params.biases
-        self.flat = np.concatenate(arrays, axis=None)
-        ends = np.cumsum([a.size for a in arrays])
-        views = [v.reshape(a.shape)
-                 for a, v in zip(arrays, np.split(self.flat, ends[:-1]))]
-        self.params = wsnn.WsnnParams(views[:len(params.weights)],
-                                      views[len(params.weights):])
+    The trained parameters and both moment accumulators are flat float64
+    arrays; `params` is a copy of the initial parameters, masked by arch,
+    whose arrays are views into the parameter buffer, so a step is one
+    elementwise update of the whole buffer.  `params32` views a float32
+    buffer holding the parameters rounded once: one cast refreshes it after
+    every step and its mask reapplication, so a masked entry is the same
+    signed zero in both."""
+
+    def __init__(self, params, arch):
+        self.arch = arch
+        self.flat = np.concatenate(params.weights + params.biases, axis=None,
+                                   dtype=np.float64)
+        self.flat32 = np.empty(self.flat.shape, np.float32)
+        self.params = _views(self.flat, params)
+        self.params32 = _views(self.flat32, params)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
         self._grad = np.empty_like(self.flat)
         self._scratch = np.empty_like(self.flat)
+        self._project()
+
+    def _project(self):
+        wsnn.apply_masks(self.params, self.arch)
+        np.copyto(self.flat32, self.flat)
 
     def step(self, grads, lr):
         """One update, m += (1 - b1) g, v += (1 - b2) g g and
         flat -= lr (m / c1) / (sqrt(v / c2) + eps) after the decays, run
-        elementwise in that order over two scratch buffers."""
+        elementwise in that order over two scratch buffers; then the masks
+        and the float32 copy.  grads of either dtype widen into g."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         g, s = self._grad, self._scratch
@@ -253,6 +267,15 @@ class AdamState:
         g += eps
         s /= g
         self.flat -= s
+        self._project()
+
+
+def _views(flat, like):
+    """WsnnParams shaped like `like` whose arrays are views into flat."""
+    arrays = like.weights + like.biases
+    ends = np.cumsum([a.size for a in arrays])
+    views = [v.reshape(a.shape) for a, v in zip(arrays, np.split(flat, ends[:-1]))]
+    return wsnn.WsnnParams(views[:len(like.weights)], views[len(like.weights):])
 
 
 def _row_classes(x_data):
@@ -291,19 +314,21 @@ def fit(x_data, arch, init_params, config, objective, probe=None):
     Step k draws its minibatch (with replacement, or all rows when the batch
     covers them) from the substream rng = Rng(config.seed).child(1, k),
     sorts it lexicographically and hands the same rng to the objective for
-    any further draws; masks are reapplied after every step.  The dataset
-    is sorted once per fit, and a minibatch is ordered by the sorted place
-    of its rows, equal rows kept in draw order: the bytes a stable sort of
-    the minibatch itself gives.  Losses are averaged over trace epochs of
+    any further draws.  The objective gets the float32 copy of the
+    parameters (`AdamState.params32`), so its passes run in float32, while
+    Adam updates the float64 master, reapplies the masks and refreshes the
+    copy after every step.  The dataset is sorted once per fit, and a
+    minibatch is ordered by the sorted place of its rows, equal rows kept
+    in draw order: the bytes a stable sort of the minibatch itself gives.
+    Losses are averaged over trace epochs of
     config.epoch_len steps (n // batch_size by default), and
-    probe(params, rng), when given, is recorded as the epoch's score_mse
-    with rng = Rng(config.seed).child(2, k).
+    probe(params, rng), when given the float64 master, is recorded as the
+    epoch's score_mse with rng = Rng(config.seed).child(2, k).
 
-    Returns (trained params, list of TraceRow).
+    Returns (trained float64 params, list of TraceRow).
     """
     n = x_data.shape[0]
-    adam = AdamState(init_params)
-    params = wsnn.apply_masks(adam.params, arch)
+    adam = AdamState(init_params, arch)
     root = Rng(config.seed)
     epoch_len = config.epoch_len or max(1, n // config.batch_size)
     order, cls = _row_classes(x_data)
@@ -319,16 +344,15 @@ def fit(x_data, arch, init_params, config, objective, probe=None):
             batch = x_data[idx[np.argsort(cls[idx], kind="stable")]]
         else:
             batch = full
-        loss, grads = objective(params, batch, rs)
+        loss, grads = objective(adam.params32, batch, rs)
         adam.step(grads, config.learning_rate)
-        wsnn.apply_masks(params, arch)
         bucket.append(loss)
         if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
-            sm = math.nan if probe is None else probe(params, root.child(2, step))
+            sm = math.nan if probe is None else probe(adam.params, root.child(2, step))
             trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), sm,
                                   time.perf_counter() - t0))
             bucket = []
-    return params, trace
+    return adam.params, trace
 
 
 def train(dataset, arch, init_params, schedule, config, score_probe=None):
@@ -336,11 +360,12 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
 
     Per step: draw a minibatch, draw t ~ Uniform[t_min, t_max] and the
     forward noise independently per element, and descend the mean denoising
-    loss.  All randomness derives from config.seed, so runs are repeatable.
-    score_probe, when given as (density, n_mc), records a score-MSE estimate
-    once per trace epoch.
+    loss, each step one float32 pass in a float32 workspace the loop owns
+    (see `fit`).  All randomness derives from config.seed, so runs are
+    repeatable.  score_probe, when given as (density, n_mc), records a
+    score-MSE estimate once per trace epoch.
 
-    Returns (trained params, list of TraceRow).
+    Returns (trained float64 params, list of TraceRow).
     """
     x_data = np.atleast_2d(np.asarray(dataset))
     n, dim = x_data.shape
@@ -352,7 +377,7 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
     if arch.output_dim != dim:
         raise DimensionMismatch("network output width must equal the data dimension")
 
-    workspace = wsnn.Workspace(arch)
+    workspace = wsnn.Workspace(arch, np.float32)
     noise = np.empty((min(n, config.batch_size), dim))
 
     def objective(params, batch, rng):

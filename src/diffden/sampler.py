@@ -163,13 +163,21 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta, workspace=None):
     parameters (kink crossings are smeared over the stencil width), which is
     what makes gradient descent on a ReLU network stable here.  The 2D + 1
     blocks [x; x + delta e_i; x - delta e_i] go through the network as one
-    stacked batch: one forward and one backward pass per call, run in
-    `workspace`.
+    stacked batch: one forward and one backward pass per call, run in the
+    dtype of params in `workspace` (which must be of it).  The blocks are
+    formed in float64 and rounded once into its input buffer.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, dim = x.shape
+    if dim != arch.input_dim:
+        raise DimensionMismatch(f"input width {dim} != d_1 = {arch.input_dim}")
+    ws = wsnn._workspace(arch, workspace, wsnn._check_params(arch, params))
+    stacked = ws.inputs((2 * dim + 1) * b)
+    blocks = stacked.reshape(2 * dim + 1, b, dim)
     shifts = delta * np.eye(dim)[:, None, :]
-    stacked = np.concatenate([x[None], x + shifts, x - shifts]).reshape(-1, dim)
+    blocks[0] = x
+    np.add(x, shifts, out=blocks[1:dim + 1])
+    np.subtract(x, shifts, out=blocks[dim + 1:])
     i = np.arange(dim)
 
     def head(out):
@@ -182,7 +190,7 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta, workspace=None):
         g[1 + dim + i, :, i] = -1.0 / (2.0 * delta * b)
         return float(np.mean(div + 0.5 * np.sum(f * f, axis=1))), g.reshape(-1, dim)
 
-    return wsnn.value_and_grads(arch, params, stacked, head, workspace)
+    return wsnn.value_and_grads(arch, params, stacked, head, ws)
 
 
 def train_vanilla_sm(dataset, arch, init_params, config):
@@ -190,7 +198,9 @@ def train_vanilla_sm(dataset, arch, init_params, config):
 
     Training descends the stencil-smoothed divergence (width
     _DIVERGENCE_STEP); the pointwise-exact divergence gradient ignores ReLU
-    kink motion and empirically ratchets the loss upward.
+    kink motion and empirically ratchets the loss upward.  As in
+    `diffusion.train`, every step is one float32 pass in a float32
+    workspace the loop owns, and Adam keeps the float64 master (see `fit`).
     """
     x_data = np.atleast_2d(np.asarray(dataset))
     n, dim = x_data.shape
@@ -198,7 +208,7 @@ def train_vanilla_sm(dataset, arch, init_params, config):
         raise EmptyDataset("train requires a nonempty dataset")
     if arch.input_dim != dim or arch.output_dim != dim:
         raise DimensionMismatch("vanilla network must map D -> D")
-    workspace = wsnn.Workspace(arch)
+    workspace = wsnn.Workspace(arch, np.float32)
     return fit(x_data, arch, init_params, config,
                lambda params, batch, rng: vanilla_sm_stencil_value_and_grads(
                    arch, params, batch, _DIVERGENCE_STEP, workspace))

@@ -41,9 +41,11 @@ kept output is not overwritten by the next call.  Results are
 bit-identical with and without a reused workspace.
 
 A pass runs in the dtype of the parameters: the input is cast to it and
-the workspace's arrays are of it.  Training passes are float64; a score
-built for sampling evaluates a float32 copy of its parameters
-(`WsnnParams.astype`) in a float32 workspace.
+the workspace's arrays are of it.  Training passes are float32, on the
+float32 copy `diffusion.AdamState` keeps of its float64 master weights,
+in a float32 workspace the training loop owns; a score built for sampling
+evaluates a float32 copy of its parameters (`WsnnParams.astype`) in a
+float32 workspace of its own.
 """
 
 import math
@@ -285,7 +287,7 @@ class Workspace:
         return self.deltas, self.masks
 
 
-def _workspace(arch, workspace, dtype=np.float64):
+def _workspace(arch, workspace, dtype):
     if workspace is None:
         return Workspace(arch, dtype)
     if (workspace.input_dim, workspace.widths) != (arch.input_dim, arch.widths[1:-1]):

@@ -68,6 +68,28 @@ def kink_free_entries(pattern, params, eps=1e-5):
     return flags
 
 
+def random_perm(gen, n):
+    return wsnn.Permutation(gen.permutation(n).astype(np.int64))
+
+
+def replicated(gen, widths, m):
+    """Network with m random permuted replicas per hidden layer."""
+    q = tuple(tuple(random_perm(gen, widths[i]) for _ in range(m))
+              for i in range(len(widths) - 2))
+    r = tuple(tuple(random_perm(gen, widths[i + 1]) for _ in range(m))
+              for i in range(len(widths) - 2))
+    return wsnn.WsnnArchitecture(widths, (m,) * (len(widths) - 2), q, r)
+
+
+def with_masks(gen, base):
+    """base with a random 0/1 mask on every layer, so that init_params
+    leaves each masked negative weight at -0.0."""
+    masks = tuple((gen.random(base.layer_shape(i)) < 0.7).astype(float)
+                  for i in range(base.depth))
+    return wsnn.WsnnArchitecture(base.widths, base.replicas, base.q_perms,
+                                 base.r_perms, weight_masks=masks)
+
+
 def relative_error(approx, exact, floor=1e-8):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
@@ -299,10 +321,15 @@ def time_input(x, t):
 
 
 def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
+    """The denoising step in the dtype of params, as `fit` hands them over
+    (float32 in training): concat(x_t, t) and the residual against the
+    float64 target are each rounded once to that dtype, as the fused step
+    rounds x_t into its input buffer and forms the residual in place in
+    the pass's output."""
     target = conditional_score(schedule, x0, x_t, t)
 
     def head(out):
-        resid = out - target
+        resid = (out - target).astype(out.dtype)
         return float(np.mean(np.sum(resid ** 2, axis=1))), 2.0 * resid / x_t.shape[0]
 
     loss, grads, _ = reference_value_and_grads(arch, params, time_input(x_t, t), head)

@@ -7,8 +7,9 @@ from conftest import (ReferenceAdamState, dsm_loss, finite_diff_param_grads,
                       kink_free_entries, max_scaled_dev, reference_canonical_order,
                       reference_dense_pass, reference_dsm_objective,
                       reference_dsm_value_and_grads, reference_network_score,
-                      relative_error, relu_pattern, time_input, warm_peak)
-from diffden import diffusion, wsnn
+                      relative_error, relu_pattern, replicated, time_input,
+                      warm_peak, with_masks)
+from diffden import diffusion, sampler, wsnn
 from diffden.densities import IsoGaussian
 from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                conditional_score, dsm_value_and_grads, fit,
@@ -347,7 +348,7 @@ class TestTrain:
         arch = wsnn.mlp((4, 6, 5, 3))
         p0 = wsnn.init_params(arch, rng.child(1))
         kept = p0.copy()
-        adam = AdamState(p0)
+        adam = AdamState(p0, arch)
         want = p0.copy()
         ref = ReferenceAdamState(want)
         gen = np.random.default_rng(22)
@@ -408,6 +409,19 @@ class TestTrain:
         cells = path.read_text().splitlines()[1].split(",")
         assert float(cells[2]) == trace[0].score_mse
 
+    @pytest.mark.parametrize("epoch_len", [0, -2])
+    def test_epoch_len_below_one_is_bad_config(self, epoch_len):
+        """0 used to fall back to the default and -2 to write a trace row
+        every 2 steps; None is still the default."""
+        with pytest.raises(BadConfig):
+            TrainConfig(steps=6, epoch_len=epoch_len)
+
+    def test_default_epoch_len_is_n_over_batch(self, rng):
+        data, arch, params = self._toy(rng)
+        _, trace = train(data, arch, params, SCHED,
+                         TrainConfig(batch_size=16, steps=8, seed=2, epoch_len=None))
+        assert [r.epoch for r in trace] == [1, 2]
+
 
 class TestScoreMse:
     def test_exact_score_gives_zero(self, rng):
@@ -448,7 +462,7 @@ class TestScoreMse:
 
 class TestFloat32Score:
     """The network scores evaluate a float32 copy of the parameters and
-    return float64; training and the caller's parameters stay float64."""
+    return float64; the caller's parameters stay float64."""
 
     ARCH = wsnn.mlp((10, 64, 64, 9))
 
@@ -487,6 +501,125 @@ class TestFloat32Score:
             got = score(x, 0.0)
             assert got.shape == x.shape
             assert got.tobytes() == want.reshape(x.shape).astype(np.float64).tobytes()
+
+
+class TestMixedPrecisionTraining:
+    """Training passes run on the float32 copy of the parameters in a
+    float32 workspace; Adam, its moments, the trained parameters and the
+    checkpoint stay float64."""
+
+    @pytest.mark.parametrize("method", ["dsm", "vanilla"])
+    def test_objective_runs_float32_and_master_stays_float64(self, method,
+                                                             monkeypatch, tmp_path):
+        seen, states = [], []
+
+        class Recorded(AdamState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
+
+        monkeypatch.setattr(diffusion, "AdamState", Recorded)
+        module = diffusion if method == "dsm" else sampler
+        name = ("dsm_value_and_grads" if method == "dsm"
+                else "vanilla_sm_stencil_value_and_grads")
+        real = getattr(module, name)
+
+        def recorded(arch, params, *args):
+            seen.append((params.weights + params.biases, args[-1].dtype))
+            return real(arch, params, *args)
+
+        monkeypatch.setattr(module, name, recorded)
+        data = Rng(60).normal_matrix(100, 3)
+        cfg = TrainConfig(batch_size=32, steps=4, seed=61)
+        if method == "dsm":
+            arch = wsnn.mlp((4, 16, 16, 3))
+            trained, _ = train(data, arch, wsnn.init_params(arch, Rng(62)), SCHED, cfg)
+        else:
+            arch = wsnn.mlp((3, 16, 16, 3))
+            trained, _ = sampler.train_vanilla_sm(data, arch,
+                                                  wsnn.init_params(arch, Rng(62)), cfg)
+        assert len(seen) == 4 and len(states) == 1
+        for arrays, ws_dtype in seen:
+            assert ws_dtype == np.float32
+            assert all(a.dtype == np.float32 for a in arrays)
+        adam = states[0]
+        for a in (adam.flat, adam.m, adam.v, *trained.weights, *trained.biases):
+            assert a.dtype == np.float64
+        assert adam.flat32.tobytes() == adam.flat.astype(np.float32).tobytes()
+        path = tmp_path / "net.ckpt"
+        wsnn.save_checkpoint(path, arch, trained)
+        body = b"".join(w.tobytes() + b.tobytes()
+                        for w, b in zip(trained.weights, trained.biases))
+        assert path.read_bytes().endswith(body)
+        _, loaded = wsnn.load_checkpoint(path)
+        for a, b in zip(loaded.weights + loaded.biases, trained.weights + trained.biases):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_masked_entries_stay_signed_zeros_in_both_copies(self, m, monkeypatch):
+        """With a 0/1 mask on every layer, each masked weight is still the
+        zero init_params left (-0.0 for a negative draw) after training,
+        in the float64 master and in the float32 copy the passes read."""
+        gen, widths = np.random.default_rng(63), (10, 24, 16, 9)
+        arch = with_masks(gen, wsnn.mlp(widths) if m == 1 else replicated(gen, widths, m))
+        p0 = wsnn.init_params(arch, Rng(64))
+        copies = []
+        real = diffusion.dsm_value_and_grads
+
+        def recorded(arch, params, *args):
+            copies.append(params)
+            return real(arch, params, *args)
+
+        monkeypatch.setattr(diffusion, "dsm_value_and_grads", recorded)
+        trained, _ = train(Rng(65).normal_matrix(200, 9), arch, p0, SCHED,
+                           TrainConfig(batch_size=32, steps=30, seed=66))
+        copy = copies[-1]  # views of the copy: the last refresh is in them
+        negative_zeros = 0
+        for w0, w, w32, mask in zip(p0.weights, trained.weights, copy.weights,
+                                    arch.weight_masks):
+            assert w32.dtype == np.float32
+            assert w32.tobytes() == w.astype(np.float32).tobytes()
+            off = mask == 0
+            assert np.all(w[off] == 0) and np.all(w32[off] == 0)
+            assert np.array_equal(np.signbit(w[off]), np.signbit(w0[off]))
+            assert np.array_equal(np.signbit(w32[off]), np.signbit(w0[off]))
+            negative_zeros += np.count_nonzero(np.signbit(w0[off]))
+        assert negative_zeros > 50
+
+    def test_dsm_step_deviation_from_float64_is_bounded(self):
+        """One DSM step on desk's 10-64-64-9 network at batch 128: the
+        float32 pass's loss is within 1e-6 of the float64 one, relatively,
+        and its gradients within 1e-5 (`max_scaled_dev` over all of them;
+        2e-7 to 3e-7 measured over 8 draws)."""
+        arch = wsnn.mlp((10, 64, 64, 9))
+        params = wsnn.init_params(arch, Rng(40))
+        x0, z = Rng(41).normal_matrix(128, 9), Rng(43).normal_matrix(128, 9)
+        t = Rng(42).uniform(128, SCHED.t_min, SCHED.t_max)
+        want_loss, want = dsm_value_and_grads(arch, params, SCHED, x0, t, z)
+        loss, got = dsm_value_and_grads(arch, params.astype(np.float32), SCHED, x0, t,
+                                        z, wsnn.Workspace(arch, np.float32))
+        assert got.weights[0].dtype == np.float32
+        assert abs(loss - want_loss) < 1e-6 * abs(want_loss)
+        assert max_scaled_dev(_flat(got), _flat(want)) < 1e-5
+
+    def test_stencil_step_deviation_from_float64_is_bounded(self):
+        """One stencil step on vanilla-sm's 9-64-64-9 network at 19 x 128
+        rows: loss within 1e-6, gradients within 1e-4 (3e-6 to 1.6e-5
+        measured over 8 draws: the +-delta blocks enter with weights
+        +-1 / (2 delta b) and nearly cancel, which magnifies the rounding)."""
+        arch = wsnn.mlp((9, 64, 64, 9))
+        params = wsnn.init_params(arch, Rng(50))
+        x = Rng(51).normal_matrix(128, 9)
+        want_loss, want = vanilla_sm_stencil_value_and_grads(arch, params, x, 0.1)
+        loss, got = vanilla_sm_stencil_value_and_grads(
+            arch, params.astype(np.float32), x, 0.1, wsnn.Workspace(arch, np.float32))
+        assert got.weights[0].dtype == np.float32
+        assert abs(loss - want_loss) < 1e-6 * abs(want_loss)
+        assert max_scaled_dev(_flat(got), _flat(want)) < 1e-4
+
+
+def _flat(params):
+    return np.concatenate([a.ravel() for a in params.weights + params.biases])
 
 
 class TestVincentIdentity:
@@ -595,6 +728,6 @@ class TestFusedDsm:
 
     def test_adam_step_allocates_less_than_its_buffer(self, rng):
         arch = wsnn.mlp((26, 64, 64, 25))
-        adam = AdamState(wsnn.init_params(arch, rng))
+        adam = AdamState(wsnn.init_params(arch, rng), arch)
         grads = wsnn.init_params(arch, rng.child(1))
         assert warm_peak(lambda: adam.step(grads, 1e-3)) < adam.flat.nbytes

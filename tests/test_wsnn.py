@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import (finite_diff_param_grads, max_scaled_dev, perm_tables,
-                      reference_backward, reference_dense_pass,
+                      random_perm, reference_backward, reference_dense_pass,
                       reference_dsm_objective, reference_forward,
                       reference_network_score, reference_value_and_grads,
-                      relative_error, warm_peak, wsnn_layer_forward_np)
+                      relative_error, replicated, warm_peak, with_masks,
+                      wsnn_layer_forward_np)
 from diffden import wsnn
 from diffden.diffusion import DiffusionSchedule, TrainConfig, fit, network_score, train
 from diffden.errors import (CorruptFile, DimensionMismatch, InvalidSize,
@@ -22,10 +23,6 @@ from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           effective_layers, forward, init_params,
                           linear_network, load_checkpoint, mlp,
                           save_checkpoint, value_and_grads, zero_params)
-
-
-def random_perm(gen, n):
-    return Permutation(gen.permutation(n).astype(np.int64))
 
 
 def random_arch(gen, max_width=32, max_depth=4, max_replicas=3):
@@ -403,32 +400,13 @@ class TestWorkspace:
         assert ws.inputs(6).shape == (6, 9)
 
 
-def replicated(gen, widths, m):
-    """Network with m random permuted replicas per hidden layer."""
-    q = tuple(tuple(random_perm(gen, widths[i]) for _ in range(m))
-              for i in range(len(widths) - 2))
-    r = tuple(tuple(random_perm(gen, widths[i + 1]) for _ in range(m))
-              for i in range(len(widths) - 2))
-    return WsnnArchitecture(widths, (m,) * (len(widths) - 2), q, r)
-
-
-def masked_mlp(gen, widths):
-    """Plain MLP with a random 0/1 mask on every layer, so that init_params
-    leaves each masked negative weight at -0.0."""
-    base = mlp(widths)
-    masks = tuple((gen.random(base.layer_shape(i)) < 0.7).astype(float)
-                  for i in range(base.depth))
-    return WsnnArchitecture(base.widths, base.replicas, base.q_perms,
-                            base.r_perms, weight_masks=masks)
-
-
 class TestPlainLayers:
     """A plain hidden layer (one identity replica) skips the replica gather
     and fold, and reverse mode stops at the first layer's parameter
     gradients.  The bytes are those of the gather-and-fold-every-layer
     reference, which turns the -0.0 of a masked weight into +0.0."""
 
-    ARCH = masked_mlp(np.random.default_rng(19), (10, 64, 64, 9))
+    ARCH = with_masks(np.random.default_rng(19), mlp((10, 64, 64, 9)))
     SCHED = DiffusionSchedule()
 
     def _params(self):
