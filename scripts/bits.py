@@ -16,7 +16,10 @@ with the score's arithmetic only; reverse-SDE sampling on the trained
 network; vanilla-SM training; Langevin sampling; the dense
 matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
 negative entries are -0.0; the dataset CSV and metadata JSON that
-`diffden gen-data --meta` writes on cases 1-3; and the normal draws.
+`diffden gen-data --meta` writes on cases 1-3; and the normal draws,
+float64 (numpy's ziggurat) and float32 (Box-Muller, the samplers' draws).
+`score32` hashes the float32 score output widened to float64, the bytes
+it had when the scores returned float64.
 """
 import contextlib
 import hashlib
@@ -96,7 +99,7 @@ put_training("dsm_masked_plain", *diffusion.train(
 
 x = Rng(22).normal_matrix(3000, 9)
 put("score32", diffusion.network_score(arch, p0)(x, Rng(23).uniform(3000, 1e-3, 3.0))
-    .tobytes())
+    .astype(np.float64).tobytes())
 y = sampler.reverse_sde_sample(diffusion.network_score(arch, params), sched,
                                sampler.SamplerConfig(80, 3000), 9, Rng(6))
 put("reverse_sde", y.tobytes())
@@ -121,6 +124,8 @@ with tempfile.TemporaryDirectory() as tmp:
         put(f"gen_meta{case}", meta.read_bytes())
 for n in (1, 2, 3, 127, 27000, 27001):
     put(f"normal{n}", Rng(10).child(n).standard_normal(n).tobytes())
+    put(f"normal32_{n}", Rng(10).child(n).standard_normal(n, out=np.empty(n, np.float32))
+        .tobytes())
 for k, v in h.items():
     print(k, v)
 print("ALL", hashlib.sha256(repr(sorted(h.items())).encode()).hexdigest())

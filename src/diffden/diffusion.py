@@ -44,7 +44,8 @@ class DiffusionSchedule:
 
     alpha may be a positive constant (closed-form mu_t) or a callable, in
     which case int_0^t alpha is evaluated by adaptive quadrature to 1e-10.
-    The loss weight is identically 1 on [t_min, t_max].
+    A constant alpha, the tau bounds and the times must be finite.  The
+    loss weight is identically 1 on [t_min, t_max].
     """
 
     alpha: Union[float, Callable] = 1.0
@@ -56,16 +57,21 @@ class DiffusionSchedule:
     def __post_init__(self):
         if not callable(self.alpha):
             object.__setattr__(self, "alpha", float(self.alpha))
-            if self.alpha <= 0:
-                raise BadConfig("constant alpha must be positive")
+            if not 0 < self.alpha < math.inf:
+                raise BadConfig(f"constant alpha must be positive and finite, got "
+                                f"{self.alpha}")
             if self.tau_lower is None:
                 object.__setattr__(self, "tau_lower", self.alpha)
             if self.tau_upper is None:
                 object.__setattr__(self, "tau_upper", self.alpha)
         elif self.tau_lower is None or self.tau_upper is None:
             raise BadConfig("callable alpha requires explicit tau bounds")
-        if not 0 < self.t_min < self.t_max:
-            raise BadConfig("need 0 < t_min < t_max")
+        if not all(math.isfinite(tau) for tau in (self.tau_lower, self.tau_upper)):
+            raise BadConfig(f"tau bounds must be finite, got {self.tau_lower}, "
+                            f"{self.tau_upper}")
+        if not 0 < self.t_min < self.t_max < math.inf:
+            raise BadConfig(f"need 0 < t_min < t_max < inf, got {self.t_min}, "
+                            f"{self.t_max}")
 
     def alpha_at(self, t):
         return self.alpha(t) if callable(self.alpha) else self.alpha
@@ -123,7 +129,7 @@ def network_score(arch, params):
     evaluates a float32 copy of params, cast once, here: every call writes
     x and t side by side into the float32 input buffer of one workspace
     the score owns for as long as it lives, runs the pass there and
-    returns the output as float64."""
+    returns its float32 output, a fresh array."""
     if arch.output_dim != arch.input_dim - 1:
         raise DimensionMismatch("score network must map D + 1 -> D")
     params32 = params.astype(np.float32)
@@ -131,24 +137,25 @@ def network_score(arch, params):
     dim = arch.output_dim
 
     def score(x, t):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         xb = x[None, :] if x.ndim == 1 else x
         if xb.ndim != 2 or xb.shape[1] != dim:
             raise DimensionMismatch(f"score input width {xb.shape[-1]} != D = {dim}")
         inp = workspace.inputs(xb.shape[0])
         inp[:, :dim] = xb
         inp[:, dim] = t
-        out = wsnn.forward(arch, params32, inp, workspace).astype(np.float64)
+        out = wsnn.forward(arch, params32, inp, workspace)
         return out[0] if x.ndim == 1 else out
 
     return score
 
 
 def score_at(score, x, t):
-    """score(x, t) as a float64 array, which must have the shape of x.  A
-    score is any callable (x, t) -> array shaped like x; the samplers and
-    score_mse evaluate every score through this check."""
-    out = np.asarray(score(x, t), dtype=np.float64)
+    """score(x, t) as an array, which must have the shape of x; its dtype
+    is the score's (float32 for the network scores, float64 for the
+    analytic ones).  A score is any callable (x, t) -> array shaped like x;
+    the samplers and score_mse evaluate every score through this check."""
+    out = np.asarray(score(x, t))
     if out.shape != np.shape(x):
         raise DimensionMismatch(f"score output shape {out.shape} != input shape "
                                 f"{np.shape(x)}")

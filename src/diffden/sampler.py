@@ -6,6 +6,9 @@ The reverse sampler integrates
 
 by Euler-Maruyama on a uniform grid over [0, Tmax - Tmin].  The Langevin
 sampler uses the drift +grad log p (the sign that makes p stationary).
+Both samplers step in float32: the state, drift and noise are float32,
+the normals are float32 draws (`Rng.standard_normal` into a float32
+buffer), and the samples widen to float64 on return.
 Vanilla score matching trains a time-free network on
 tr(grad f(x)) + |f(x)|^2 / 2 with the divergence replaced by a central
 stencil; the exact divergence, read off the network's piecewise-linear
@@ -35,19 +38,19 @@ def learned_score_time_free(arch, params):
     """Score from a D -> D network that ignores the time argument.  Like
     `diffusion.network_score`, it casts params to float32 once, here, and
     every call writes x into the float32 input buffer of one workspace it
-    owns, runs the pass there and returns the output as float64."""
+    owns, runs the pass there and returns its float32 output."""
     params32 = params.astype(np.float32)
     workspace = wsnn.Workspace(arch, np.float32)
     dim = arch.input_dim
 
     def score(x, t):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         xb = x[None, :] if x.ndim == 1 else x
         if xb.ndim != 2 or xb.shape[1] != dim:
             raise DimensionMismatch(f"score input width {xb.shape[-1]} != D = {dim}")
         inp = workspace.inputs(xb.shape[0])
         inp[...] = xb
-        out = wsnn.forward(arch, params32, inp, workspace).astype(np.float64)
+        out = wsnn.forward(arch, params32, inp, workspace)
         return out[0] if x.ndim == 1 else out
 
     return score
@@ -81,18 +84,22 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
     """Euler-Maruyama reverse-SDE samples, shape (n_samples, dim), on the
     uniform forward-time grid T_max = t_0 > ... > t_n = T_min.
 
-    Per step, y += h (a y + 2 a f(y, t)) + sqrt(2 a h) z.  The drift and
-    the noise live in two buffers the loop owns; the score's output is
-    read, never written."""
+    Per step, y += h (a y + 2 a f(y, t)) + sqrt(2 a h) z.  The state, the
+    drift and the noise are float32 buffers the loop owns, and the first
+    state and every step's noise are float32 normals drawn into them; the
+    score's output, of either float dtype, is read, never written, and is
+    rounded to float32 as it is scaled into the drift.  The samples widen
+    to float64 once, on return."""
     n = config.n_samples
-    y = rng.standard_normal(n * dim).reshape(n, dim)
+    y = rng.standard_normal(n * dim, out=np.empty((n, dim), np.float32))
     drift = np.empty_like(y)
     noise = np.empty_like(y)
-    times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1)
+    # Python floats, so that every step's arithmetic stays float32
+    times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1).tolist()
     for k in range(config.n_steps):
         t_rev = times[k]
         h = times[k] - times[k + 1]
-        a = schedule.alpha_at(t_rev)
+        a = float(schedule.alpha_at(t_rev))
         np.multiply(score_at(score, y, t_rev), 2.0 * a, out=drift)
         drift += np.multiply(y, a, out=noise)  # noise is free until the draw
         rng.standard_normal(n * dim, out=noise)
@@ -101,17 +108,19 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
         noise *= math.sqrt(2.0 * a * h)
         y += noise
         _guard(np.abs(y, out=noise), "reverse SDE sampling", k, t_rev)
-    return y
+    return y.astype(np.float64)
 
 
 def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
     """Unadjusted Langevin chain Z += h * score(Z) + sqrt(2h) * noise, with
-    the drift and the noise in two buffers the loop owns."""
-    if not step_size > 0:
-        raise BadConfig(f"Langevin step_size must be > 0, got {step_size}")
+    the state, the drift and the noise in float32 buffers the loop owns, as
+    in `reverse_sde_sample`; the samples widen to float64 on return."""
+    if not 0 < step_size < math.inf:
+        raise BadConfig(f"Langevin step_size must be > 0 and finite, got {step_size}")
     if n_steps < 1:
         raise InvalidSize("n_steps must be >= 1")
-    z = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
+    step_size = float(step_size)
+    z = rng.standard_normal(n_samples * dim, out=np.empty((n_samples, dim), np.float32))
     drift = np.empty_like(z)
     noise = np.empty_like(z)
     root_2h = math.sqrt(2.0 * step_size)
@@ -121,7 +130,7 @@ def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
         noise *= root_2h
         z += noise
         _guard(np.abs(z, out=noise), "Langevin sampling", k)
-    return z
+    return z.astype(np.float64)
 
 
 # --- vanilla score matching -------------------------------------------------

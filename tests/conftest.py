@@ -349,12 +349,12 @@ def reference_dsm_objective(arch, schedule):
 
 def reference_network_score(arch, params):
     """The float32 network score: one dense pass on float32 copies of the
-    parameters and of concat(x, t), its output cast to float64."""
+    parameters and of concat(x, t), its float32 output returned as it is."""
     params32 = params.astype(np.float32)
 
     def score(x, t):
         out = reference_dense_pass(arch, params32, time_input(x, t))[0]
-        return (out[0] if np.ndim(x) == 1 else out).astype(np.float64)
+        return out[0] if np.ndim(x) == 1 else out
 
     return score
 
@@ -415,26 +415,35 @@ def reference_value_and_grads(arch, params, x, head):
     return value, wsnn.apply_masks(wsnn.WsnnParams(dws, dbs), arch), delta
 
 
+def normal32(rng, shape):
+    """A fresh array of float32 normals, as the samplers draw them."""
+    out = np.empty(shape, np.float32)
+    return rng.standard_normal(out.size, out=out)
+
+
 def reference_reverse_sde_sample(score, schedule, config, dim, rng):
+    """Float32 state and draws, step scalars Python floats; the scaled
+    score, of either float dtype, is rounded to float32 before it joins the
+    drift, and the samples widen to float64 on return."""
     n = config.n_samples
-    y = rng.standard_normal(n * dim).reshape(n, dim)
-    times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1)
+    y = normal32(rng, (n, dim))
+    times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1).tolist()
     for k in range(config.n_steps):
         t_rev = times[k]
         h = times[k] - times[k + 1]
         a = schedule.alpha_at(t_rev)
-        drift = a * y + 2.0 * a * score(y, t_rev)
-        z = rng.standard_normal(n * dim).reshape(n, dim)
+        drift = a * y + (2.0 * a * score(y, t_rev)).astype(np.float32)
+        z = normal32(rng, (n, dim))
         y += h * drift
         y += math.sqrt(2.0 * a * h) * z
-    return y
+    return y.astype(np.float64)
 
 
 def reference_langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
-    z = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
+    z = normal32(rng, (n_samples, dim))
     root_2h = math.sqrt(2.0 * step_size)
     for _ in range(n_steps):
-        noise = rng.standard_normal(n_samples * dim).reshape(n_samples, dim)
-        z += step_size * score(z, 0.0)
+        noise = normal32(rng, (n_samples, dim))
+        z += (step_size * score(z, 0.0)).astype(np.float32)
         z += root_2h * noise
-    return z
+    return z.astype(np.float64)

@@ -77,6 +77,19 @@ class TestSchedule:
         with pytest.raises(BadConfig):
             DiffusionSchedule(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(t_max=math.inf), dict(t_max=math.nan), dict(t_min=math.nan),
+        dict(t_min=math.inf, t_max=math.inf), dict(alpha=math.inf),
+        dict(alpha=math.nan), dict(tau_lower=math.inf), dict(tau_upper=math.nan),
+        dict(alpha=lambda t: 1.0, tau_lower=1.0, tau_upper=math.inf),
+        dict(alpha=lambda t: 1.0, tau_lower=-math.inf, tau_upper=1.0)])
+    def test_non_finite_setting_is_bad_config(self, kwargs):
+        """A non-finite constant alpha, tau bound or time is refused when the
+        schedule is built: t_max = inf used to fail only inside reverse-SDE
+        sampling, and alpha = inf gave mu_sigma(0) = (nan, nan)."""
+        with pytest.raises(BadConfig):
+            DiffusionSchedule(**kwargs)
+
     def test_vectorized_times(self):
         t = np.array([0.0, math.log(2.0), 1.0])
         mu, sigma = SCHED.mu_sigma(t)
@@ -462,7 +475,7 @@ class TestScoreMse:
 
 class TestFloat32Score:
     """The network scores evaluate a float32 copy of the parameters and
-    return float64; the caller's parameters stay float64."""
+    return the float32 pass output; the caller's parameters stay float64."""
 
     ARCH = wsnn.mlp((10, 64, 64, 9))
 
@@ -477,7 +490,7 @@ class TestFloat32Score:
         assert max_scaled_dev(network_score(self.ARCH, params)(x, t), want) < 1e-5
 
     @pytest.mark.parametrize("time_free", [False, True])
-    def test_output_is_float64_and_params_are_left_alone(self, time_free):
+    def test_output_is_float32_and_params_are_left_alone(self, time_free):
         arch = wsnn.mlp((9, 64, 64, 9)) if time_free else self.ARCH
         params = wsnn.init_params(arch, Rng(33))
         kept = params.copy()
@@ -485,7 +498,7 @@ class TestFloat32Score:
         score = make(arch, params)
         x = Rng(34).normal_matrix(200, 9)
         first = score(x, 0.5)
-        assert first.dtype == np.float64 and score(x[0], 0.5).dtype == np.float64
+        assert first.dtype == np.float32 and score(x[0], 0.5).dtype == np.float32
         for a, b in zip(params.weights + params.biases, kept.weights + kept.biases):
             assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
         for a in params.weights + params.biases:
@@ -500,7 +513,8 @@ class TestFloat32Score:
             want = reference_dense_pass(arch, params.astype(np.float32), x)[0]
             got = score(x, 0.0)
             assert got.shape == x.shape
-            assert got.tobytes() == want.reshape(x.shape).astype(np.float64).tobytes()
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.reshape(x.shape).tobytes()
 
 
 class TestMixedPrecisionTraining:

@@ -1,8 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
-from diffden.errors import InvalidSize
+from conftest import normal32
+from diffden.errors import InvalidSize, PreconditionViolated
 from diffden.numerics import Rng
+
+
+def philox(seed, *path):
+    """numpy's generator on the Philox stream Rng(seed).child(*path) wraps."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed,
+                                                                       spawn_key=path)))
+
+
+def box_muller64(seed, n):
+    """The float32 draw's transform in float64, on the float32 uniforms the
+    same stream gives: ceil(n/2) values of u1, then as many of u2."""
+    half = (n + 1) // 2
+    u = philox(seed).random(2 * half, dtype=np.float32).astype(np.float64)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:half]))
+    theta = 2.0 * math.pi * u[half:]
+    return np.concatenate([r * np.cos(theta), (r * np.sin(theta))[:n - half]])
 
 
 class TestRng:
@@ -84,3 +103,76 @@ class TestOutBuffer:
     def test_out_of_another_size_is_invalid_size(self):
         with pytest.raises(InvalidSize):
             Rng(1).standard_normal(4, out=np.empty(5))
+
+    def test_float64_draws_are_numpys_ziggurat(self):
+        """No buffer, or a float64 one, gives the bytes of numpy's own
+        standard_normal on the Philox stream of (seed, path)."""
+        for n in (1, 2, 27001):
+            want = philox(3, n).standard_normal(n).tobytes()
+            assert Rng(3).child(n).standard_normal(n).tobytes() == want
+            buf = np.empty(n)
+            assert Rng(3).child(n).standard_normal(n, out=buf).tobytes() == want
+
+    @pytest.mark.parametrize("bad", [
+        np.empty(6, np.float16), np.empty(6, np.int64), np.empty(6, np.complex128),
+        np.empty((6, 2))[:, 0], np.empty((6, 2), np.float32)[:, 1],
+        np.empty((3, 2)).T, [0.0] * 6])
+    def test_out_of_another_kind_is_precondition_violated(self, bad):
+        """An out that is not a C-contiguous float64 or float32 array is
+        refused before anything is drawn (numpy raised TypeError or
+        ValueError)."""
+        with pytest.raises(PreconditionViolated):
+            Rng(1).standard_normal(6, out=bad)
+
+
+class TestFloat32Normals:
+    """A float32 buffer gets the Box-Muller transform of float32 uniforms."""
+
+    N = 1_000_001
+
+    def test_distribution_of_a_million_draws(self):
+        """Fixed bounds at n = 1,000,001: mean and variance within about 5
+        standard errors, the fourth moment within 0.05 of 3, the
+        Kolmogorov-Smirnov distance under its 1% critical value 1.63 /
+        sqrt(n), and the tails reaching past 4 but never past
+        sqrt(-2 log 2^-24) = 5.77."""
+        z = normal32(Rng(2024), self.N)
+        assert z.dtype == np.float32
+        z = z.astype(np.float64)
+        assert abs(z.mean()) < 5e-3
+        assert abs(z.var() - 1.0) < 7e-3
+        assert abs(np.mean(z ** 4) - 3.0) < 0.05
+        assert 4.0 < np.max(np.abs(z)) <= math.sqrt(48.0 * math.log(2.0)) + 1e-6
+        zs = np.sort(z)
+        cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in zs.tolist()])
+        i = np.arange(1, self.N + 1)
+        ks = max(np.max(i / self.N - cdf), np.max(cdf - (i - 1) / self.N))
+        assert ks < 1.63 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 27000, 27001])
+    def test_transform_of_the_streams_uniforms(self, n):
+        """cos into the first ceil(n/2) entries, sin into the rest (an odd n
+        drops the last sine), within float32 rounding of the float64
+        transform."""
+        got = normal32(Rng(5), n)
+        assert np.max(np.abs(got - box_muller64(5, n))) < 1e-5
+
+    @pytest.mark.parametrize("n", [1, 3, 27001])
+    def test_odd_count_fills_every_entry(self, n):
+        buf = np.full(n, np.nan, np.float32)
+        assert Rng(6).standard_normal(n, out=buf) is buf
+        assert np.all(np.isfinite(buf))
+
+    def test_reruns_and_shapes_give_identical_bytes(self):
+        first = normal32(Rng(7).child(1), 27001)
+        assert normal32(Rng(7).child(1), 27001).tobytes() == first.tobytes()
+        matrix = Rng(7).child(1).standard_normal(27001, out=np.empty((31, 871),
+                                                                     np.float32))
+        assert matrix.tobytes() == first.tobytes()
+
+    def test_draws_continue_the_stream(self):
+        a, b = Rng(8), Rng(8)
+        first, second = normal32(a, 9), normal32(a, 9)
+        assert first.tobytes() == normal32(b, 9).tobytes()
+        assert second.tobytes() == normal32(b, 9).tobytes()
+        assert first.tobytes() != second.tobytes()

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (finite_diff_param_grads, kink_free_entries,
+from conftest import (finite_diff_param_grads, kink_free_entries, normal32,
                       reference_langevin_sample, reference_reverse_sde_sample,
                       relative_error, relu_pattern, warm_peak)
 from diffden import wsnn
@@ -54,11 +54,12 @@ class TestReverseSde:
         cfg = SamplerConfig(n_steps=1, n_samples=3)
         got = reverse_sde_sample(zero_score, SCHED, cfg, 2, Rng(42))
         mirror = Rng(42)
-        y0 = mirror.standard_normal(6).reshape(3, 2)
-        z = mirror.standard_normal(6).reshape(3, 2)
+        y0 = normal32(mirror, (3, 2))
+        z = normal32(mirror, (3, 2))
         h = SCHED.t_max - SCHED.t_min
-        want = y0 + h * y0 + math.sqrt(2.0 * h) * z
-        assert np.array_equal(got, want)
+        want = y0 + h * y0 + math.sqrt(2.0 * h) * z  # float32 arithmetic
+        assert want.dtype == np.float32 and got.dtype == np.float64
+        assert got.tobytes() == want.astype(np.float64).tobytes()
 
     def test_invalid_step_count(self):
         with pytest.raises(InvalidSize):
@@ -171,6 +172,12 @@ class TestLangevin:
     def test_step_not_positive_is_bad_config(self, step):
         with pytest.raises(BadConfig, match="step_size must be > 0"):
             langevin_sample(zero_score, step, 10, 4, 1, Rng(0))
+
+    def test_infinite_step_is_bad_config(self):
+        """inf used to pass the positivity check and fail at step 0 with
+        NonFiniteState."""
+        with pytest.raises(BadConfig, match="step_size must be > 0"):
+            langevin_sample(zero_score, math.inf, 10, 4, 1, Rng(0))
 
 
 class TestVanillaSmLoss:
@@ -374,6 +381,24 @@ class TestLoopBuffers:
                 lambda: langevin_sample(score, 0.01, 3, 3000, 9, Rng(1)))
         for run in runs:
             assert warm_peak(run) < 3.5 * held.nbytes
+
+    def test_samples_are_float32_states_widened_to_float64(self):
+        """Both samplers run a float32 state, with a float32 network score
+        or a float64 analytic one, and return it as float64."""
+        arch = wsnn.mlp((4, 16, 16, 4))
+        analytic = analytic_score(GridMrfGaussian(2), SCHED)
+        cfg = SamplerConfig(n_steps=5, n_samples=30)
+        runs = [reverse_sde_sample(score, SCHED, cfg, 4, Rng(8))
+                for score in (network_score(self.ARCH,
+                                            wsnn.init_params(self.ARCH, Rng(7))),
+                              analytic)]
+        runs += [langevin_sample(score, 0.01, 5, 30, 4, Rng(9))
+                 for score in (learned_score_time_free(arch,
+                                                       wsnn.init_params(arch, Rng(10))),
+                               analytic)]
+        for x in runs:
+            assert x.dtype == np.float64 and x.shape == (30, 4)
+            assert x.astype(np.float32).astype(np.float64).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6,
                                      np.nextafter(1e6, np.inf)])
