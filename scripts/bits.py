@@ -16,10 +16,14 @@ with the score's arithmetic only; reverse-SDE sampling on the trained
 network; vanilla-SM training; Langevin sampling; the dense
 matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
 negative entries are -0.0; the dataset CSV and metadata JSON that
-`diffden gen-data --meta` writes on cases 1-3; and the normal draws,
-float64 (numpy's ziggurat) and float32 (Box-Muller, the samplers' draws).
-`score32` hashes the float32 score output widened to float64, the bytes
-it had when the scores returned float64.
+`diffden gen-data --meta` writes on cases 1-3; every other file the CLI
+writes (`file_*`: the checkpoint and the loss trace of `train --trace`,
+the dataset CSV of `sample`, the `score-mse --out` CSV, the `run-case
+--out` report and the SVGs of `plot`, each with its wall-clock column
+dropped); and the normal draws, float64 (numpy's ziggurat) and float32
+(Box-Muller, the samplers' draws).  `score32` hashes the float32 score
+output widened to float64, the bytes it had when the scores returned
+float64.
 """
 import contextlib
 import hashlib
@@ -122,6 +126,39 @@ with tempfile.TemporaryDirectory() as tmp:
         assert rc == 0, f"gen-data failed on case {case}"
         put(f"gen_data{case}", csv.read_bytes())
         put(f"gen_meta{case}", meta.read_bytes())
+    cfg_path = Path(tmp, "run.cfg")
+    cfg_path.write_text("case = 3\nK = 2\nM = 2\nn_list = 60\nrepetitions = 1\n"
+                        "steps = 30\nem_steps = 20\nn_eval = 200\nseed = 24\n"
+                        "langevin_steps = 20\nlangevin_step = 0.05\n"
+                        f"methods = {', '.join(bench.METHODS)}\n")
+    files = {name: Path(tmp, name) for name in (
+        "net.ckpt", "trace.csv", "samples.csv", "mse.csv", "report.csv", "plots")}
+    for argv in (["train", "--data", str(Path(tmp, "data1.csv")), "--steps", "40",
+                  "--seed", "25", "--out", str(files["net.ckpt"]),
+                  "--trace", str(files["trace.csv"])],
+                 ["sample", "--checkpoint", str(files["net.ckpt"]), "--n", "300",
+                  "--em-steps", "30", "--seed", "26", "--out", str(files["samples.csv"])],
+                 ["score-mse", "--case", "2", "--K", "2", "--n-list", "50",
+                  "--repetitions", "1", "--steps", "30", "--seed", "27",
+                  "--out", str(files["mse.csv"])],
+                 ["run-case", "--config", str(cfg_path), "--out", str(files["report.csv"])],
+                 ["plot", "--report", str(files["report.csv"]), "--out", str(files["plots"])]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        assert rc == 0, f"{argv[0]} failed"
+
+    def drop_column(path, name):
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        col = lines[0].index(name)
+        return "".join(",".join(c[:col] + c[col + 1:]) + "\n" for c in lines).encode()
+
+    put("file_checkpoint", files["net.ckpt"].read_bytes())
+    put("file_trace", drop_column(files["trace.csv"], "wall_time_s"))
+    put("file_samples", files["samples.csv"].read_bytes())
+    put("file_score_mse", files["mse.csv"].read_bytes())
+    put("file_report", drop_column(files["report.csv"], "runtime_s"))
+    for svg in sorted(files["plots"].glob("*.svg")):
+        put(f"file_{svg.stem}", svg.read_bytes())
 for n in (1, 2, 3, 127, 27000, 27001):
     put(f"normal{n}", Rng(10).child(n).standard_normal(n).tobytes())
     put(f"normal32_{n}", Rng(10).child(n).standard_normal(n, out=np.empty(n, np.float32))
