@@ -111,7 +111,7 @@ varch = wsnn.mlp((9, 64, 64, 9))
 vp = wsnn.init_params(varch, Rng(7))
 vt, _ = sampler.train_vanilla_sm(data, varch, vp, diffusion.TrainConfig(steps=40, seed=8))
 put("vanilla_weights", b"".join(a.tobytes() for a in vt.weights + vt.biases))
-z = sampler.langevin_sample(sampler.learned_score_time_free(varch, vp), 0.01, 80,
+z = sampler.langevin_sample(diffusion.network_score(varch, vp), 0.01, 80,
                             3000, 9, Rng(9))
 put("langevin", z.tobytes())
 filt = np.random.default_rng(20).normal(size=4)

@@ -1,5 +1,6 @@
 """Experiment runner: data generation, model fitting, sampling, and the
-bits-per-dimension comparison across methods, with CSV and SVG outputs.
+bits-per-dimension comparison across methods, with CSV and SVG outputs
+(the CSVs through `formats`; the SVG plots are rendered and written here).
 
 Cells of the benchmark grid (train size, method, repetition) are fully
 determined by the config seed; wall-clock runtimes are recorded per row but
@@ -8,13 +9,13 @@ excluded from the determinism guarantee.
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import densities, kde, sampler, wsnn
+from . import densities, formats, kde, sampler, wsnn
 from .diffusion import DiffusionSchedule, TrainConfig, network_score, score_mse, train
-from .errors import BadConfig, CorruptFile, DiffdenError, EmptyReport, read_text
+from .errors import BadConfig, DiffdenError, EmptyReport
 from .numerics import Rng
 
 
@@ -92,69 +93,6 @@ def make_density(config):
                                   Rng(config.seed).child(7))
 
 
-@dataclass
-class BpdRow:
-    case: int
-    k_or_m: int
-    method: str
-    n: int
-    repetition: int
-    bpd: float      # nan never appears; inf allowed with status flag
-    runtime_s: float
-    status: str = "ok"
-
-
-_CSV_HEADER = "case,k_or_m,method,n,repetition,bpd,runtime_s,status"
-
-
-def _csv_line(r, include_runtime=True):
-    runtime = [repr(r.runtime_s)] if include_runtime else []
-    return ",".join([str(r.case), str(r.k_or_m), r.method, str(r.n),
-                     str(r.repetition), repr(r.bpd), *runtime, r.status])
-
-
-@dataclass
-class BpdReport:
-    rows: list = field(default_factory=list)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
-    def csv_text(self, include_runtime=True):
-        lines = [_CSV_HEADER if include_runtime
-                 else _CSV_HEADER.replace(",runtime_s", "")]
-        lines += [_csv_line(r, include_runtime) for r in self.rows]
-        return "\n".join(lines) + "\n"
-
-    def deterministic_csv_bytes(self):
-        """CSV bytes with the wall-clock column removed; byte-stable per seed."""
-        return self.csv_text(include_runtime=False).encode()
-
-    @staticmethod
-    def from_csv(path):
-        report = BpdReport()
-        header, *lines = read_text(path).split("\n")
-        if header.strip() != _CSV_HEADER:
-            raise CorruptFile(f"{path} line 1: expected header {_CSV_HEADER}")
-        for lineno, line in enumerate(lines, 2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) != 8:
-                raise CorruptFile(f"{path} line {lineno}: {len(cells)} cells, "
-                                  f"the header has 8")
-            c, k, method, n, rep, bpd, rt, status = cells
-            try:
-                row = BpdRow(int(c), int(k), method, int(n), int(rep),
-                             float(bpd), float(rt), status)
-            except ValueError:
-                raise CorruptFile(
-                    f"{path} line {lineno}: non-numeric cell") from None
-            report.rows.append(row)
-        return report
-
-
 def _score_net_arch(dim, hidden_widths):
     return wsnn.mlp((dim + 1, *hidden_widths, dim))
 
@@ -189,7 +127,7 @@ def _vanilla_sm(config, density, data, cell_rng, cell_seed):
     params = wsnn.init_params(arch, cell_rng.child(2))
     params, _ = sampler.train_vanilla_sm(data, arch, params,
                                          config.train_config(cell_seed))
-    return sampler.langevin_sample(sampler.learned_score_time_free(arch, params),
+    return sampler.langevin_sample(network_score(arch, params),
                                    config.langevin_step, config.langevin_steps,
                                    config.n_eval, density.dim, cell_rng.child(1))
 
@@ -221,10 +159,9 @@ def run_case(config, flush_path=None):
     given.
     """
     density = make_density(config)
-    report = BpdReport()
+    report = formats.BpdReport()
     if flush_path:
-        with open(flush_path, "w") as fh:
-            fh.write(_CSV_HEADER + "\n")
+        formats.start_report_csv(flush_path)
     cell_index = 0
     for n in config.train_sizes:
         for rep in range(config.repetitions):
@@ -240,12 +177,11 @@ def run_case(config, flush_path=None):
                     status = "ok" if math.isfinite(bpd) else "infinite_bpd"
                 except DiffdenError as exc:
                     bpd, status = math.inf, type(exc).__name__
-                row = BpdRow(config.case, config.k_or_m, method, n, rep, bpd,
-                             time.perf_counter() - start, status)
+                row = formats.BpdRow(config.case, config.k_or_m, method, n, rep,
+                                     bpd, time.perf_counter() - start, status)
                 report.rows.append(row)
                 if flush_path:
-                    with open(flush_path, "a") as fh:
-                        fh.write(_csv_line(row) + "\n")
+                    formats.append_report_row(flush_path, row)
                 cell_index += 1
     return report
 
@@ -272,13 +208,6 @@ def score_mse_study(config, n_mc=4096):
             rows.append((n, rep, init.value, trained.value))
             cell_index += 1
     return rows
-
-
-def write_score_mse_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("n,repetition,score_mse_init,score_mse_trained\n")
-        for n, rep, init, trained in rows:
-            fh.write(f"{n},{rep},{init!r},{trained!r}\n")
 
 
 # --- SVG emission ------------------------------------------------------------
@@ -449,4 +378,4 @@ def config_from_values(values, base=None):
 
 
 def load_config(path, base=None):
-    return config_from_values(parse_config_text(read_text(path)), base)
+    return config_from_values(parse_config_text(formats.read_text(path)), base)

@@ -9,9 +9,9 @@ the error name on stderr.
 import argparse
 import sys
 
-from . import bench, densities, sampler, wsnn
-from .bench import BpdReport, ExperimentConfig, load_config, make_density
-from .diffusion import network_score, train, write_trace_csv
+from . import bench, densities, formats, sampler, wsnn
+from .bench import ExperimentConfig, load_config, make_density
+from .diffusion import network_score, train
 from .errors import DiffdenError
 from .numerics import Rng
 
@@ -35,35 +35,35 @@ def cmd_gen_data(args):
     cfg = _experiment_config(args)
     density = make_density(cfg)
     x = densities.sample(density, args.n, bench._cell_rng(cfg, args.n, 0, 0))
-    densities.write_csv(args.out, x)
+    formats.write_csv(args.out, x)
     if args.meta:
-        densities.write_meta(args.meta, density.meta())
+        formats.write_meta(args.meta, density.meta())
     print(f"wrote {x.shape[0]} x {x.shape[1]} samples to {args.out}")
     return 0
 
 
 def cmd_train(args):
     cfg = _experiment_config(args)
-    data = densities.read_csv(args.data)
+    data = formats.read_csv(args.data)
     arch = bench._score_net_arch(data.shape[1], cfg.hidden_widths)
     params = wsnn.init_params(arch, Rng(cfg.seed).child(2))
     params, trace = train(data, arch, params, cfg.schedule(),
                           cfg.train_config(cfg.seed))
-    wsnn.save_checkpoint(args.out, arch, params)
+    formats.save_checkpoint(args.out, arch, params)
     if args.trace:
-        write_trace_csv(args.trace, trace)
+        formats.write_trace_csv(args.trace, trace)
     print(f"trained {cfg.steps} steps; final mean loss {trace[-1].mean_loss:.6f}")
     return 0
 
 
 def cmd_sample(args):
     cfg = _experiment_config(args)
-    arch, params = wsnn.load_checkpoint(args.checkpoint)
+    arch, params = formats.load_checkpoint(args.checkpoint)
     score = network_score(arch, params)
     scfg = sampler.SamplerConfig(cfg.em_steps, args.n)
     x = sampler.reverse_sde_sample(score, cfg.schedule(), scfg,
                                    arch.output_dim, Rng(cfg.seed).child(3))
-    densities.write_csv(args.out, x)
+    formats.write_csv(args.out, x)
     print(f"wrote {args.n} samples to {args.out}")
     return 0
 
@@ -71,7 +71,7 @@ def cmd_sample(args):
 def cmd_evaluate(args):
     cfg = _experiment_config(args)
     density = make_density(cfg)
-    value = densities.bpd(density, densities.read_csv(args.samples))
+    value = densities.bpd(density, formats.read_csv(args.samples))
     print(f"bpd {value!r}")
     return 0
 
@@ -90,13 +90,13 @@ def cmd_run_case(args):
 def cmd_score_mse(args):
     cfg = _experiment_config(args)
     rows = bench.score_mse_study(cfg)
-    bench.write_score_mse_csv(args.out, rows)
+    formats.write_score_mse_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_plot(args):
-    report = BpdReport.from_csv(args.report)
+    report = formats.BpdReport.from_csv(args.report)
     for path in bench.emit_plots(report, args.out):
         print(f"wrote {path}")
     return 0

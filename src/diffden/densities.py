@@ -7,69 +7,23 @@ pixels (effective dimension 2), and a Gaussian mixture with frozen random
 means (not factorizable).  FactorDensity covers generic factorizable targets
 on [-1,1]^D for the quadrature machinery.
 
-Samples are plain (n, D) float64 arrays: `sample` returns one, and
-`read_csv`/`write_csv` read and write the dataset CSV.  A density's
-`meta()` is the generator metadata `write_meta` puts in the JSON sidecar.
+Samples are plain (n, D) float64 arrays: `sample` returns one.  A
+density's `meta()` is the generator metadata of the JSON sidecar; both
+files are read and written by `formats`.
 """
 
-import json
 import math
 
 import numpy as np
 
-from .errors import (BadConfig, CorruptFile, DimensionMismatch,
-                     DimensionTooLarge, EmptyDataset, InvalidSize,
-                     NoAnalyticScore, NonFiniteState, NotPositiveDefinite,
-                     OutOfSupport, PreconditionViolated,
-                     RejectionBudgetExceeded, read_text)
+from .errors import (BadConfig, DimensionMismatch, DimensionTooLarge,
+                     EmptyDataset, InvalidSize, NoAnalyticScore,
+                     NonFiniteState, NotPositiveDefinite, OutOfSupport,
+                     PreconditionViolated, RejectionBudgetExceeded)
 from .numerics import McEstimate
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
-
-
-def write_csv(path, x):
-    """Write the dataset CSV: an x1,..,xD header, then one row per sample in
-    round-trip repr form."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(x.shape[1])) + "\n")
-        for row in x:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_csv(path):
-    """The (n, D) float64 samples of a dataset CSV."""
-    header, *lines = read_text(path).split("\n")
-    if not header.startswith("x1"):
-        raise CorruptFile(
-            f"{path} line 1: dataset CSV must start with an x1,..,xD header")
-    width = len(header.split(","))
-    rows = []
-    for lineno, line in enumerate(lines, 2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise CorruptFile(
-                f"{path} line {lineno}: {len(cells)} cells, header has {width}")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            raise CorruptFile(
-                f"{path} line {lineno}: non-numeric cell") from None
-        if not all(map(math.isfinite, row)):
-            raise CorruptFile(f"{path} line {lineno}: non-finite cell")
-        rows.append(row)
-    if not rows:
-        raise EmptyDataset(f"no rows in {path}")
-    return np.array(rows)
-
-
-def write_meta(path, meta):
-    """Generator metadata (a density's `meta()`) as a JSON sidecar."""
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 class IsoGaussian:

@@ -110,31 +110,20 @@ def forward_sample(schedule, x0, t, rng):
     return xt[0] if single else xt
 
 
-def conditional_score(schedule, x0, x_t, t):
-    """Score of the Gaussian transition: -(x_t - mu_t x0) / sigma_t^2."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    mu, sigma = schedule.mu_sigma(t)
-    if np.any(np.asarray(sigma) == 0.0):
-        raise SingularTime("conditional score undefined at sigma_t = 0")
-    if x0.ndim == 1:
-        return -(x_t - mu * x0) / sigma ** 2
-    mu = np.broadcast_to(np.asarray(mu), (x0.shape[0],))[:, None]
-    sigma = np.broadcast_to(np.asarray(sigma), (x0.shape[0],))[:, None]
-    return -(x_t - mu * x0) / sigma ** 2
-
-
 def network_score(arch, params):
-    """Score callable (x, t) -> f(concat(x, t)) backed by a network.  It
+    """Score callable (x, t) backed by a network, whose shape says what to
+    do with t: a D + 1 -> D network computes f(concat(x, t)), and a D -> D
+    network (vanilla score matching) computes f(x) and ignores t.  It
     evaluates a float32 copy of params, cast once, here: every call writes
-    x and t side by side into the float32 input buffer of one workspace
-    the score owns for as long as it lives, runs the pass there and
-    returns its float32 output, a fresh array."""
-    if arch.output_dim != arch.input_dim - 1:
-        raise DimensionMismatch("score network must map D + 1 -> D")
+    x (and t beside it) into the float32 input buffer of one workspace the
+    score owns for as long as it lives, runs the pass there and returns
+    its float32 output, a fresh array."""
+    dim = arch.output_dim
+    if arch.input_dim not in (dim, dim + 1):
+        raise DimensionMismatch("score network must map D + 1 -> D or D -> D")
+    timed = arch.input_dim == dim + 1
     params32 = params.astype(np.float32)
     workspace = wsnn.Workspace(arch, np.float32)
-    dim = arch.output_dim
 
     def score(x, t):
         x = np.asarray(x)
@@ -143,7 +132,8 @@ def network_score(arch, params):
             raise DimensionMismatch(f"score input width {xb.shape[-1]} != D = {dim}")
         inp = workspace.inputs(xb.shape[0])
         inp[:, :dim] = xb
-        inp[:, dim] = t
+        if timed:
+            inp[:, dim] = t
         out = wsnn.forward(arch, params32, inp, workspace)
         return out[0] if x.ndim == 1 else out
 
@@ -304,14 +294,6 @@ class TraceRow:
     mean_loss: float
     score_mse: float  # nan when not probed
     wall_time_s: float
-
-
-def write_trace_csv(path, trace):
-    with open(path, "w") as fh:
-        fh.write("epoch,mean_loss,score_mse,wall_time_s\n")
-        for row in trace:
-            sm = "" if math.isnan(row.score_mse) else repr(row.score_mse)
-            fh.write(f"{row.epoch},{row.mean_loss!r},{sm},{row.wall_time_s!r}\n")
 
 
 def fit(x_data, arch, init_params, config, objective, probe=None):

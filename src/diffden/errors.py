@@ -1,7 +1,8 @@
 """Typed errors raised across the package.
 
 Every failure mode that callers are expected to handle gets its own class so
-that the CLI can report the error name and tests can assert on it.
+that the CLI can report the error name and tests can assert on it.  Only
+the file readers and writers in `formats` raise the corrupt-file error.
 """
 
 
@@ -72,12 +73,3 @@ class CorruptFile(DiffdenError, ValueError):
 class BadConfig(DiffdenError, ValueError):
     """A config line or an experiment setting is malformed or out of range."""
 
-
-def read_text(path):
-    """Whole text of a UTF-8 file, newlines translated as in text mode; a
-    file that does not decode is a CorruptFile naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise CorruptFile(f"{path}: not UTF-8 text (byte {exc.start})") from None

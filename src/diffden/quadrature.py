@@ -134,19 +134,3 @@ def pt_quadrature(p0, x, mu, sigma, config=TensorQuadratureConfig()):
         grad[k] = contract(vecs) / sigma
     return p_hat, grad
 
-
-def convergence_rows(m_values, estimates, oracle):
-    """Rows (m, p_hat, oracle, abs_err, rel_err) for a convergence study."""
-    rows = []
-    for m, est in zip(m_values, estimates):
-        abs_err = abs(est - oracle)
-        rel = abs_err / abs(oracle) if oracle != 0 else math.inf
-        rows.append((int(m), float(est), float(oracle), abs_err, rel))
-    return rows
-
-
-def write_convergence_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("m,p_hat,oracle,abs_err,rel_err\n")
-        for m, est, oracle, abs_err, rel in rows:
-            fh.write(f"{m},{est!r},{oracle!r},{abs_err!r},{rel!r}\n")

@@ -9,10 +9,12 @@ sampler uses the drift +grad log p (the sign that makes p stationary).
 Both samplers step in float32: the state, drift and noise are float32,
 the normals are float32 draws (`Rng.standard_normal` into a float32
 buffer), and the samples widen to float64 on return.
-Vanilla score matching trains a time-free network on
+Vanilla score matching trains a time-free D -> D network on
 tr(grad f(x)) + |f(x)|^2 / 2 with the divergence replaced by a central
 stencil; the exact divergence, read off the network's piecewise-linear
-structure, evaluates the loss.
+structure, evaluates the loss.  `diffusion.network_score` turns the
+trained network into the Langevin sampler's score, and the sample block
+file lives in `formats` with the other file formats.
 """
 
 import math
@@ -22,9 +24,8 @@ import numpy as np
 
 from . import wsnn
 from .diffusion import fit, score_at
-from .errors import (BadConfig, CorruptFile, DimensionMismatch,
-                     DimensionTooLarge, EmptyDataset, InvalidSize,
-                     NonFiniteState)
+from .errors import (BadConfig, DimensionMismatch, DimensionTooLarge,
+                     EmptyDataset, InvalidSize, NonFiniteState)
 
 _BLOWUP = 1e6
 _DIVERGENCE_STEP = 0.1  # stencil width of the trained divergence
@@ -32,28 +33,6 @@ _DIVERGENCE_STEP = 0.1  # stencil width of the trained divergence
 
 def analytic_score(density, schedule):
     return lambda x, t: density.score_t(x, t, schedule)
-
-
-def learned_score_time_free(arch, params):
-    """Score from a D -> D network that ignores the time argument.  Like
-    `diffusion.network_score`, it casts params to float32 once, here, and
-    every call writes x into the float32 input buffer of one workspace it
-    owns, runs the pass there and returns its float32 output."""
-    params32 = params.astype(np.float32)
-    workspace = wsnn.Workspace(arch, np.float32)
-    dim = arch.input_dim
-
-    def score(x, t):
-        x = np.asarray(x)
-        xb = x[None, :] if x.ndim == 1 else x
-        if xb.ndim != 2 or xb.shape[1] != dim:
-            raise DimensionMismatch(f"score input width {xb.shape[-1]} != D = {dim}")
-        inp = workspace.inputs(xb.shape[0])
-        inp[...] = xb
-        out = wsnn.forward(arch, params32, inp, workspace)
-        return out[0] if x.ndim == 1 else out
-
-    return score
 
 
 @dataclass(frozen=True)
@@ -222,23 +201,3 @@ def train_vanilla_sm(dataset, arch, init_params, config):
                lambda params, batch, rng: vanilla_sm_stencil_value_and_grads(
                    arch, params, batch, _DIVERGENCE_STEP, workspace))
 
-
-# --- sample containers -------------------------------------------------------
-
-
-def write_samples_binary(path, x):
-    """Binary block: int64 n, int64 D, then float64 samples row-major."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    with open(path, "wb") as fh:
-        np.array(x.shape, dtype=np.int64).tofile(fh)
-        np.ascontiguousarray(x).tofile(fh)
-
-
-def read_samples_binary(path):
-    with open(path, "rb") as fh:
-        n, dim = wsnn.read_exact(fh, np.int64, 2).tolist()
-        if n < 0 or dim < 0:
-            raise CorruptFile(f"{path}: negative sample block shape ({n}, {dim})")
-        x = wsnn.read_exact(fh, np.float64, n * dim).reshape(n, dim)
-        wsnn.expect_eof(fh)
-    return x

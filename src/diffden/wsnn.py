@@ -49,12 +49,11 @@ float32 workspace of its own.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptFile, DimensionMismatch, InvalidSize, PreconditionViolated
+from .errors import DimensionMismatch, InvalidSize, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -179,12 +178,6 @@ def init_params(arch, rng):
     params = WsnnParams(weights, biases)
     apply_masks(params, arch)
     return params
-
-
-def zero_params(arch):
-    return WsnnParams(
-        [np.zeros(arch.layer_shape(i)) for i in range(arch.depth)],
-        [np.zeros(arch.widths[i + 1]) for i in range(arch.depth)])
 
 
 def apply_masks(params, arch):
@@ -439,36 +432,6 @@ def conv_as_wsnn(input_side, filter_side):
                       tuple(q_perms), tuple(r_perms))
 
 
-def conv2d_valid(image, filt):
-    """Direct sliding-window valid convolution (oracle for conv_as_wsnn)."""
-    image = np.asarray(image, dtype=np.float64)
-    filt = np.asarray(filt, dtype=np.float64)
-    I, F = image.shape[0], filt.shape[0]
-    out = np.empty((I - F + 1, I - F + 1))
-    for r in range(out.shape[0]):
-        for c in range(out.shape[1]):
-            out[r, c] = np.sum(image[r:r + F, c:c + F] * filt)
-    return out
-
-
-def linear_network(weight, bias=None):
-    """Exact ReLU realisation of x -> W x + b via the split
-    W x + b = relu(W x + b) - relu(-W x - b).
-
-    Returns (arch, params) of a depth-2 network computing the affine map
-    everywhere (useful for injecting fixed linear scores into losses).
-    """
-    weight = np.atleast_2d(np.asarray(weight, dtype=np.float64))
-    dout, din = weight.shape
-    bias = np.zeros(dout) if bias is None else np.asarray(bias, dtype=np.float64)
-    arch = mlp((din, 2 * dout, dout))
-    w1 = np.vstack([weight, -weight])
-    b1 = np.concatenate([bias, -bias])
-    w2 = np.hstack([np.eye(dout), -np.eye(dout)])
-    params = WsnnParams([w1, w2], [b1, np.zeros(dout)])
-    return arch, params
-
-
 # --- complexity diagnostics -------------------------------------------------
 
 
@@ -489,91 +452,3 @@ def covering_log_bound(arch, box_half_width, delta):
     num = covering_bound_numerator(arch, box_half_width)
     return (arch.sparsity + 1) * (math.log(num) - math.log(delta))
 
-
-# --- checkpoint io ----------------------------------------------------------
-
-_MAGIC = b"DDWSNN1\n"
-
-
-def save_checkpoint(path, arch, params):
-    """Binary container: header (L, d, m, s, M, perm tables, masks) then
-    row-major W_i and b_i in layer order.  Field order is documented in the
-    README."""
-    _check_params(arch, params)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        np.array([arch.depth], dtype=np.int64).tofile(fh)
-        np.array(arch.widths, dtype=np.int64).tofile(fh)
-        np.array(arch.replicas, dtype=np.int64).tofile(fh)
-        np.array([arch.sparsity], dtype=np.int64).tofile(fh)
-        np.array([arch.weight_bound], dtype=np.float64).tofile(fh)
-        for i in range(arch.depth - 1):
-            for q in arch.q_perms[i]:
-                q.idx.astype(np.int64).tofile(fh)
-            for r in arch.r_perms[i]:
-                r.idx.astype(np.int64).tofile(fh)
-        has_masks = arch.weight_masks is not None
-        np.array([1 if has_masks else 0], dtype=np.int64).tofile(fh)
-        if has_masks:
-            # a None entry (dense layer) is stored as an all-ones mask
-            for i, m in enumerate(arch.weight_masks):
-                m = np.ones(arch.layer_shape(i)) if m is None else m
-                np.ascontiguousarray(m, dtype=np.uint8).tofile(fh)
-        for w, b in zip(params.weights, params.biases):
-            np.ascontiguousarray(w, dtype=np.float64).tofile(fh)
-            np.ascontiguousarray(b, dtype=np.float64).tofile(fh)
-
-
-def read_exact(fh, dtype, count):
-    """Read exactly `count` items of `dtype` from a binary file or raise
-    CorruptFile; the size is checked before anything is allocated."""
-    count = int(count)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if count < 0 or count * np.dtype(dtype).itemsize > left:
-        raise CorruptFile(f"{fh.name}: wanted {count} x {np.dtype(dtype).name}, "
-                          f"{left} bytes left")
-    return np.fromfile(fh, dtype, count)
-
-
-def expect_eof(fh):
-    if fh.read(1):
-        raise CorruptFile(f"{fh.name}: trailing bytes")
-
-
-def load_checkpoint(path):
-    """(arch, params) from a checkpoint; a file that is truncated, over-long
-    or describes an invalid network is a CorruptFile naming the path."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CorruptFile(f"{path}: not a network checkpoint file")
-        depth = int(read_exact(fh, np.int64, 1)[0])
-        if depth < 2:
-            raise CorruptFile(f"{path}: checkpoint depth {depth} < 2")
-        widths = tuple(read_exact(fh, np.int64, depth + 1).tolist())
-        if min(widths) < 1:  # before the tables: an empty table reads no bytes
-            raise CorruptFile(f"{path}: invalid network: widths {widths} below 1")
-        replicas = tuple(read_exact(fh, np.int64, depth - 1).tolist())
-        sparsity = int(read_exact(fh, np.int64, 1)[0])
-        bound = float(read_exact(fh, np.float64, 1)[0])
-        # per hidden layer its m_i Q tables, then its m_i R tables
-        tables = [[read_exact(fh, np.int64, widths[i + k]) for _ in range(replicas[i])]
-                  for i in range(depth - 1) for k in (0, 1)]
-        masks = None
-        if int(read_exact(fh, np.int64, 1)[0]):
-            masks = tuple(
-                read_exact(fh, np.uint8, widths[i + 1] * widths[i])
-                .reshape(widths[i + 1], widths[i]).astype(np.float64)
-                for i in range(depth))
-        try:
-            perms = [tuple(map(Permutation, layer)) for layer in tables]
-            arch = WsnnArchitecture(widths, replicas, tuple(perms[0::2]),
-                                    tuple(perms[1::2]), sparsity, bound, masks)
-        except InvalidSize as exc:
-            raise CorruptFile(f"{path}: invalid network: {exc}") from None
-        weights, biases = [], []
-        for i in range(depth):
-            dout, din = arch.layer_shape(i)
-            weights.append(read_exact(fh, np.float64, dout * din).reshape(dout, din))
-            biases.append(read_exact(fh, np.float64, dout))
-        expect_eof(fh)
-    return arch, WsnnParams(weights, biases)

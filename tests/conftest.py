@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from diffden import wsnn
-from diffden.diffusion import conditional_score, forward_sample
+from diffden.diffusion import forward_sample
+from diffden.errors import SingularTime
 from diffden.numerics import Rng
+from diffden.wsnn import WsnnParams, mlp
 
 
 @pytest.fixture
@@ -447,3 +449,60 @@ def reference_langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
         z += (step_size * score(z, 0.0)).astype(np.float32)
         z += root_2h * noise
     return z.astype(np.float64)
+
+
+# --- test-only helpers moved here from `src/` --------------------------------
+#
+# Oracles and fixtures that no pipeline path, CLI command or script runs:
+# `conditional_score` from `diffusion`; `zero_params`, `conv2d_valid` and
+# `linear_network` from `wsnn`.  Unchanged.
+
+
+def conditional_score(schedule, x0, x_t, t):
+    """Score of the Gaussian transition: -(x_t - mu_t x0) / sigma_t^2."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    mu, sigma = schedule.mu_sigma(t)
+    if np.any(np.asarray(sigma) == 0.0):
+        raise SingularTime("conditional score undefined at sigma_t = 0")
+    if x0.ndim == 1:
+        return -(x_t - mu * x0) / sigma ** 2
+    mu = np.broadcast_to(np.asarray(mu), (x0.shape[0],))[:, None]
+    sigma = np.broadcast_to(np.asarray(sigma), (x0.shape[0],))[:, None]
+    return -(x_t - mu * x0) / sigma ** 2
+
+
+def zero_params(arch):
+    return WsnnParams(
+        [np.zeros(arch.layer_shape(i)) for i in range(arch.depth)],
+        [np.zeros(arch.widths[i + 1]) for i in range(arch.depth)])
+
+
+def conv2d_valid(image, filt):
+    """Direct sliding-window valid convolution (oracle for conv_as_wsnn)."""
+    image = np.asarray(image, dtype=np.float64)
+    filt = np.asarray(filt, dtype=np.float64)
+    I, F = image.shape[0], filt.shape[0]
+    out = np.empty((I - F + 1, I - F + 1))
+    for r in range(out.shape[0]):
+        for c in range(out.shape[1]):
+            out[r, c] = np.sum(image[r:r + F, c:c + F] * filt)
+    return out
+
+
+def linear_network(weight, bias=None):
+    """Exact ReLU realisation of x -> W x + b via the split
+    W x + b = relu(W x + b) - relu(-W x - b).
+
+    Returns (arch, params) of a depth-2 network computing the affine map
+    everywhere (useful for injecting fixed linear scores into losses).
+    """
+    weight = np.atleast_2d(np.asarray(weight, dtype=np.float64))
+    dout, din = weight.shape
+    bias = np.zeros(dout) if bias is None else np.asarray(bias, dtype=np.float64)
+    arch = mlp((din, 2 * dout, dout))
+    w1 = np.vstack([weight, -weight])
+    b1 = np.concatenate([bias, -bias])
+    w2 = np.hstack([np.eye(dout), -np.eye(dout)])
+    params = WsnnParams([w1, w2], [b1, np.zeros(dout)])
+    return arch, params

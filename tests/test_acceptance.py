@@ -21,7 +21,7 @@ from diffden.quadrature import composite_quadrature, pt_quadrature
 from diffden.sampler import (SamplerConfig, analytic_score, langevin_sample,
                              reverse_sde_sample, vanilla_sm_pointwise)
 from diffden.wsnn import covering_bound_numerator, covering_log_bound
-from conftest import max_scaled_dev, reference_forward
+from conftest import conv2d_valid, linear_network, max_scaled_dev, reference_forward
 from test_quadrature import QCFG, grid_convolution_2d, riemann_1d
 from test_wsnn import random_arch, random_params
 
@@ -115,7 +115,7 @@ def test_criterion_2_wsnn_correctness():
     filt = gen.normal(size=4)
     image = gen.normal(size=(4, 4))
     got = (plan.materialize(filt) @ image.ravel()).reshape(3, 3)
-    want = wsnn.conv2d_valid(image, filt.reshape(2, 2))
+    want = conv2d_valid(image, filt.reshape(2, 2))
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -184,7 +184,7 @@ def test_criterion_6_covering_bound():
 def test_criterion_7_vanilla_sm_identity():
     n = 100_000
     x = Rng(70).standard_normal(n).reshape(n, 1)
-    nets = [wsnn.linear_network(np.array([[a]])) for a in (0.5, -1.5)]
+    nets = [linear_network(np.array([[a]])) for a in (0.5, -1.5)]
     losses = [vanilla_sm_pointwise(arch, params, x) for arch, params in nets]
     fs = [wsnn.forward(arch, params, x) for arch, params in nets]
     true_score = -x

@@ -4,14 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffden import cli, densities, kde, wsnn
-from diffden.bench import (METHODS, BpdReport, BpdRow, ExperimentConfig,
-                           config_from_values, emit_plots, load_config,
-                           make_density, parse_config_text, run_case,
-                           score_mse_study, write_score_mse_csv)
+from diffden import cli, densities, formats, kde, wsnn
+from diffden.bench import (METHODS, ExperimentConfig, config_from_values,
+                           emit_plots, load_config, make_density,
+                           parse_config_text, run_case, score_mse_study)
 from diffden.densities import iso_gaussian_bpd
 from diffden.diffusion import network_score, score_mse
 from diffden.errors import BadConfig, EmptyReport
+from diffden.formats import BpdReport, BpdRow, write_score_mse_csv
 from diffden.numerics import Rng
 
 
@@ -170,7 +170,7 @@ class TestStreamLayout:
                          "--n", "40", "--out", str(out)]) == 0
         density = make_density(ExperimentConfig(case=2, grid_side=3, seed=8))
         want = density.sample(40, Rng(8).child(2, 3, 40, 0, 0))
-        assert np.array_equal(densities.read_csv(out), want)
+        assert np.array_equal(formats.read_csv(out), want)
 
     def test_unknown_method(self, capsys):
         with pytest.raises(BadConfig):
@@ -404,7 +404,7 @@ class TestCli:
     def test_invalid_checkpoint_exit_code(self, tmp_path, capsys):
         arch = wsnn.mlp((3, 4, 2))
         path = tmp_path / "net.ckpt"
-        wsnn.save_checkpoint(path, arch, wsnn.init_params(arch, Rng(0)))
+        formats.save_checkpoint(path, arch, wsnn.init_params(arch, Rng(0)))
         data = path.read_bytes()
         # the replica count is at byte 40 and the first Q entry at byte 64
         for at in (40, 64):
@@ -417,7 +417,9 @@ class TestCli:
         header = "case,k_or_m,method,n,repetition,bpd,runtime_s,status\n"
         for text, line in (("hostname\n", 1),
                            (header + "1,3,kde-g,50,0,2.1,0.5,ok\n1,3,kde-g\n", 3),
-                           (header + "1,3,kde-g,fifty,0,2.1,0.5,ok\n", 2)):
+                           (header + "1,3,kde-g,fifty,0,2.1,0.5,ok\n", 2),
+                           (header + "1,3,kde-g,50,0,2.1,0.5,ok\n1,3,kde-u,50,0,nan,0.5,ok\n",
+                            3)):  # README: "Rows never contain NaN"
             path = tmp_path / "report.csv"
             path.write_text(text)
             assert cli.main(["plot", "--report", str(path),
@@ -475,9 +477,23 @@ class TestCli:
     def test_truncated_checkpoint_exit_code(self, tmp_path, capsys):
         ckpt = tmp_path / "net.ckpt"
         arch = wsnn.mlp((5, 8, 4))
-        wsnn.save_checkpoint(ckpt, arch, wsnn.init_params(arch, Rng(0)))
+        formats.save_checkpoint(ckpt, arch, wsnn.init_params(arch, Rng(0)))
         ckpt.write_bytes(ckpt.read_bytes()[:-16])
         rc = cli.main(["sample", "--checkpoint", str(ckpt), "--n", "8",
                        "--out", str(tmp_path / "samples.csv")])
         assert rc == 2
         assert "CorruptFile" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exit_code(self, tmp_path, capsys):
+        # the NaN checkpoint a diverged run (`train --lr 1e30`) writes: the
+        # fault is the file's, not the sampler's
+        arch = wsnn.mlp((5, 8, 4))
+        params = wsnn.init_params(arch, Rng(0))
+        params.weights[1][2, 3] = math.nan
+        ckpt = tmp_path / "net.ckpt"
+        formats.save_checkpoint(ckpt, arch, params)
+        out = tmp_path / "samples.csv"
+        assert cli.main(["sample", "--checkpoint", str(ckpt), "--n", "8",
+                         "--out", str(out)]) == 2
+        assert f"CorruptFile: {ckpt}: layer 2 " in capsys.readouterr().err
+        assert not out.exists()

@@ -6,13 +6,13 @@ import pytest
 
 from diffden.densities import (FactorDensity, GaussMixture, GridMrfGaussian,
                                IsoGaussian, bpd, cosine_bump, grid_mrf_bpd,
-                               iso_gaussian_bpd, read_csv, reference_bpd,
-                               sample, write_csv, write_meta)
+                               iso_gaussian_bpd, reference_bpd, sample)
 from diffden.diffusion import DiffusionSchedule, score_t_batch
 from diffden.errors import (BadConfig, CorruptFile, DimensionMismatch,
                             InvalidSize, NoAnalyticScore, NonFiniteState,
                             NotPositiveDefinite, OutOfSupport,
                             PreconditionViolated, RejectionBudgetExceeded)
+from diffden.formats import read_csv, write_csv, write_meta
 
 SCHED = DiffusionSchedule()
 

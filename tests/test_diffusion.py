@@ -3,23 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (ReferenceAdamState, dsm_loss, finite_diff_param_grads,
-                      kink_free_entries, max_scaled_dev, reference_canonical_order,
+from conftest import (ReferenceAdamState, conditional_score, dsm_loss,
+                      finite_diff_param_grads, kink_free_entries, linear_network,
+                      max_scaled_dev, reference_canonical_order,
                       reference_dense_pass, reference_dsm_objective,
                       reference_dsm_value_and_grads, reference_network_score,
                       relative_error, relu_pattern, replicated, time_input,
-                      warm_peak, with_masks)
-from diffden import diffusion, sampler, wsnn
+                      warm_peak, with_masks, zero_params)
+from diffden import diffusion, formats, sampler, wsnn
 from diffden.densities import IsoGaussian
 from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
-                               conditional_score, dsm_value_and_grads, fit,
-                               forward_sample, network_score, score_mse, train,
-                               write_trace_csv)
+                               dsm_value_and_grads, fit, forward_sample,
+                               network_score, score_mse, train)
 from diffden.errors import (BadConfig, DimensionMismatch, EmptyDataset,
                             NegativeTime, SingularTime)
+from diffden.formats import write_trace_csv
 from diffden.numerics import Rng
-from diffden.sampler import (learned_score_time_free, vanilla_sm_pointwise,
-                             vanilla_sm_stencil_value_and_grads)
+from diffden.sampler import vanilla_sm_pointwise, vanilla_sm_stencil_value_and_grads
 
 SCHED = DiffusionSchedule()
 
@@ -163,7 +163,7 @@ class TestDsmLoss:
         x0 = np.array([0.7, -0.3])
         # f(x, t) = -(x - mu x0) / sigma^2 realised exactly as a linear net
         w = np.hstack([-np.eye(2) / sigma ** 2, np.zeros((2, 1))])
-        arch, params = wsnn.linear_network(w, mu * x0 / sigma ** 2)
+        arch, params = linear_network(w, mu * x0 / sigma ** 2)
         xt = forward_sample(SCHED, x0, t, rng)
         assert dsm_loss(arch, params, SCHED, x0, xt, t) < 1e-24
 
@@ -172,7 +172,7 @@ class TestDsmLoss:
         x0 = rng.normal_matrix(6, 2)
         xt = forward_sample(SCHED, x0, t, rng)
         arch = wsnn.mlp((3, 4, 2))
-        loss = dsm_loss(arch, wsnn.zero_params(arch), SCHED, x0, xt, t)
+        loss = dsm_loss(arch, zero_params(arch), SCHED, x0, xt, t)
         want = float(np.mean(np.sum(conditional_score(SCHED, x0, xt, t) ** 2,
                                     axis=1)))
         assert abs(loss - want) < 1e-12
@@ -346,9 +346,9 @@ class TestTrain:
 
         def objective(params, batch, rs):
             seen.append(batch.copy())
-            return 0.0, wsnn.zero_params(arch)
+            return 0.0, zero_params(arch)
 
-        fit(x, arch, wsnn.zero_params(arch),
+        fit(x, arch, zero_params(arch),
             TrainConfig(batch_size=batch_size, steps=8, seed=5), objective)
         assert len(seen) == 8
         for step, got in enumerate(seen):
@@ -390,12 +390,12 @@ class TestTrain:
         data = IsoGaussian(2).sample(8, rng)
         arch = wsnn.mlp((2, 4, 2))  # wrong input width for D=2 (needs 3)
         with pytest.raises(DimensionMismatch):
-            train(data, arch, wsnn.zero_params(arch), SCHED, TrainConfig(steps=1))
+            train(data, arch, zero_params(arch), SCHED, TrainConfig(steps=1))
 
     def test_empty_dataset(self):
         arch = wsnn.mlp((2, 4, 1))
         with pytest.raises(EmptyDataset):
-            train(np.empty((0, 1)), arch, wsnn.zero_params(arch), SCHED,
+            train(np.empty((0, 1)), arch, zero_params(arch), SCHED,
                   TrainConfig(steps=1))
 
     def test_trace_csv(self, tmp_path, rng):
@@ -494,8 +494,7 @@ class TestFloat32Score:
         arch = wsnn.mlp((9, 64, 64, 9)) if time_free else self.ARCH
         params = wsnn.init_params(arch, Rng(33))
         kept = params.copy()
-        make = learned_score_time_free if time_free else network_score
-        score = make(arch, params)
+        score = network_score(arch, params)
         x = Rng(34).normal_matrix(200, 9)
         first = score(x, 0.5)
         assert first.dtype == np.float32 and score(x[0], 0.5).dtype == np.float32
@@ -508,13 +507,14 @@ class TestFloat32Score:
     def test_time_free_score_equals_float32_reference(self):
         arch = wsnn.mlp((9, 32, 32, 9))
         params = wsnn.init_params(arch, Rng(35))
-        score = learned_score_time_free(arch, params)
+        score = network_score(arch, params)
         for x in (Rng(36).normal_matrix(300, 9), Rng(37).normal_matrix(1, 9)[0]):
             want = reference_dense_pass(arch, params.astype(np.float32), x)[0]
             got = score(x, 0.0)
             assert got.shape == x.shape
             assert got.dtype == np.float32
             assert got.tobytes() == want.reshape(x.shape).tobytes()
+            assert score(x, 2.5).tobytes() == got.tobytes()  # t is ignored
 
 
 class TestMixedPrecisionTraining:
@@ -561,11 +561,11 @@ class TestMixedPrecisionTraining:
             assert a.dtype == np.float64
         assert adam.flat32.tobytes() == adam.flat.astype(np.float32).tobytes()
         path = tmp_path / "net.ckpt"
-        wsnn.save_checkpoint(path, arch, trained)
+        formats.save_checkpoint(path, arch, trained)
         body = b"".join(w.tobytes() + b.tobytes()
                         for w, b in zip(trained.weights, trained.biases))
         assert path.read_bytes().endswith(body)
-        _, loaded = wsnn.load_checkpoint(path)
+        _, loaded = formats.load_checkpoint(path)
         for a, b in zip(loaded.weights + loaded.biases, trained.weights + trained.biases):
             assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
 
@@ -704,8 +704,8 @@ class TestFusedDsm:
             return mu_sigma(self, t)
 
         monkeypatch.setattr(DiffusionSchedule, "mu_sigma", counted)
-        for name in ("conditional_score", "forward_sample"):
-            monkeypatch.setattr(diffusion, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(diffusion, "forward_sample",
+                            lambda *a: calls.append("forward_sample"))
         data = IsoGaussian(3).sample(64, rng)
         train(data, self.ARCH, wsnn.init_params(self.ARCH, rng.child(1)), SCHED,
               TrainConfig(batch_size=16, steps=5, seed=1))
@@ -731,6 +731,12 @@ class TestFusedDsm:
         for bad in (np.zeros((4, 4)), np.zeros((4, 2)), np.zeros(2)):
             with pytest.raises(DimensionMismatch):
                 score(bad, 0.5)
+
+    @pytest.mark.parametrize("widths", [(5, 8, 3), (3, 8, 4), (2, 8, 3)])
+    def test_network_score_needs_d_plus_one_or_d_inputs(self, widths):
+        arch = wsnn.mlp(widths)
+        with pytest.raises(DimensionMismatch, match="D \\+ 1 -> D or D -> D"):
+            network_score(arch, wsnn.init_params(arch, Rng(0)))
 
     def test_warm_network_score_allocates_less_than_output_and_input(self):
         """A warm call writes (x, t) into its workspace: it allocates the

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diffden.bench import BpdReport, BpdRow
-from diffden.densities import read_csv, write_csv
-from diffden.sampler import read_samples_binary, write_samples_binary
+from diffden.formats import (BpdReport, BpdRow, read_csv, read_samples_binary,
+                             write_csv, write_samples_binary)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)

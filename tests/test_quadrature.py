@@ -7,9 +7,8 @@ from diffden.densities import cosine_bump
 from diffden.errors import (BadPointCount, DimensionMismatch, DimensionTooLarge,
                             PreconditionViolated)
 from diffden.quadrature import (TensorQuadratureConfig, composite_quadrature,
-                                composite_rule, convergence_rows,
-                                legendre_rule, pt_quadrature, tail_width,
-                                write_convergence_csv)
+                                composite_rule, legendre_rule, pt_quadrature,
+                                tail_width)
 
 # config satisfying the small-sigma precondition sigma * tail_width <= 1/2
 # at sigma = 0.05 (the spec defaults tau_tail=2, tau_bd=1.5 do not; see notes)
@@ -211,16 +210,3 @@ class TestPtQuadrature:
         # guarantee; the call itself asserts this per node
         pt_quadrature(bump1, [0.33], 0.9, sigma, cfg)
 
-
-class TestConvergenceCsv:
-    def test_rows_and_file(self, tmp_path):
-        oracle = riemann_1d(np.exp, -1.0, 1.0)
-        ms = [4, 8, 16]
-        ests = [composite_quadrature(np.exp, -1.0, 1.0, m, 2) for m in ms]
-        rows = convergence_rows(ms, ests, oracle)
-        path = tmp_path / "conv.csv"
-        write_convergence_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "m,p_hat,oracle,abs_err,rel_err"
-        assert len(lines) == 4
-        assert float(lines[1].split(",")[1]) == ests[0]

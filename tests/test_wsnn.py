@@ -5,24 +5,24 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (finite_diff_param_grads, max_scaled_dev, perm_tables,
-                      random_perm, reference_backward, reference_dense_pass,
-                      reference_dsm_objective, reference_forward,
-                      reference_network_score, reference_value_and_grads,
-                      relative_error, replicated, warm_peak, with_masks,
-                      wsnn_layer_forward_np)
+from conftest import (conv2d_valid, finite_diff_param_grads, linear_network,
+                      max_scaled_dev, perm_tables, random_perm, reference_backward,
+                      reference_dense_pass, reference_dsm_objective,
+                      reference_forward, reference_network_score,
+                      reference_value_and_grads, relative_error, replicated,
+                      warm_peak, with_masks, wsnn_layer_forward_np, zero_params)
 from diffden import wsnn
 from diffden.diffusion import DiffusionSchedule, TrainConfig, fit, network_score, train
 from diffden.errors import (CorruptFile, DimensionMismatch, InvalidSize,
                             PreconditionViolated)
+from diffden.formats import load_checkpoint, save_checkpoint
 from diffden.numerics import Rng
-from diffden.sampler import SamplerConfig, learned_score_time_free, reverse_sde_sample
+from diffden.sampler import SamplerConfig, reverse_sde_sample
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
-                          Workspace, backward, conv2d_valid, conv_as_wsnn,
+                          Workspace, backward, conv_as_wsnn,
                           covering_bound_numerator, covering_log_bound,
-                          effective_layers, forward, init_params,
-                          linear_network, load_checkpoint, mlp,
-                          save_checkpoint, value_and_grads, zero_params)
+                          effective_layers, forward, init_params, mlp,
+                          value_and_grads)
 
 
 def random_arch(gen, max_width=32, max_depth=4, max_replicas=3):
@@ -328,7 +328,7 @@ class TestWorkspace:
         assert peak < rows * 64 * 8
 
     def test_warm_time_free_score_allocates_less_than_one_activation(self):
-        score = learned_score_time_free(self.ARCH, init_params(self.ARCH, Rng(3)))
+        score = network_score(self.ARCH, init_params(self.ARCH, Rng(3)))
         rows = 3000  # one Langevin step at n_eval = 3000
         x = Rng(4).normal_matrix(rows, 9)
         peak = warm_peak(lambda: score(x, 0.0))
@@ -350,7 +350,7 @@ class TestWorkspace:
 
     def test_kept_output_survives_next_call(self):
         params = init_params(self.ARCH, Rng(7))
-        score = learned_score_time_free(self.ARCH, params)
+        score = network_score(self.ARCH, params)
         x = Rng(8).normal_matrix(300, 9)
         first = score(x, 0.0)
         kept = first.copy()
@@ -536,6 +536,21 @@ class TestCheckpoint:
             with pytest.raises(CorruptFile,
                                match=re.escape(f"{path}: invalid network")):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_corrupt(self, tmp_path, bad):
+        """A weight or bias that is not finite (what a diverged training
+        run saves) is the file's fault, named with the path and the layer."""
+        arch = mlp((3, 4, 5, 2))
+        for layer in range(arch.depth):
+            for kind in ("weights", "biases"):
+                params = init_params(arch, Rng(1))
+                getattr(params, kind)[layer].flat[-1] = bad
+                path = tmp_path / f"net_{kind}{layer}.bin"
+                save_checkpoint(path, arch, params)
+                with pytest.raises(CorruptFile, match=re.escape(
+                        f"{path}: layer {layer + 1} has a non-finite weight or bias")):
+                    load_checkpoint(path)
 
     def test_zero_width_header_fails_fast(self, tmp_path):
         """A zero-width permutation table takes no bytes, so an 80-byte file

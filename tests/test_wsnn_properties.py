@@ -19,12 +19,12 @@ from conftest import (max_scaled_dev, reference_backward, reference_forward,
                       reference_replica_fold, reference_replica_sum,
                       reference_stencil_value_and_grads,
                       reference_vanilla_sm_pointwise)
+from diffden.formats import load_checkpoint, save_checkpoint
 from diffden.sampler import (vanilla_sm_pointwise,
                              vanilla_sm_stencil_value_and_grads)
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           apply_masks, backward, conv_as_wsnn, forward,
-                          load_checkpoint, replica_fold, replica_sum,
-                          save_checkpoint)
+                          replica_fold, replica_sum)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
