@@ -63,7 +63,7 @@ class ExperimentConfig:
             raise BadConfig("langevin_step must be > 0")
         if not self.hidden_widths or min(self.hidden_widths) < 1:
             raise BadConfig("need at least one hidden width, each >= 1")
-        self.schedule()  # DiffusionSchedule checks 0 < t_min < t_max < inf
+        self.schedule()  # DiffusionSchedule checks t_min < t_max and bounds t_max
         self.train_config(self.seed)  # TrainConfig checks steps, batch and lr
 
     @property

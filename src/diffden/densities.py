@@ -86,16 +86,12 @@ class GridMrfGaussian:
         self._logdet_prec = float(np.sum(np.log(self._eigvals)))
 
     def _build_precision(self):
-        k = self.side
-        lam = np.zeros((self.dim, self.dim))
+        # grid neighbours along a row (I kron P) and along a column (P kron I),
+        # P the adjacency of a path of `side` nodes
+        path = np.eye(self.side, k=1) + np.eye(self.side, k=-1)
+        eye = np.eye(self.side)
+        lam = np.where(np.kron(eye, path) + np.kron(path, eye) > 0, self.coupling, 0.0)
         np.fill_diagonal(lam, self.diag_value)
-        for r in range(k):
-            for c in range(k):
-                i = r * k + c
-                if c + 1 < k:
-                    lam[i, i + 1] = lam[i + 1, i] = self.coupling
-                if r + 1 < k:
-                    lam[i, i + k] = lam[i + k, i] = self.coupling
         return lam
 
     def sample(self, n, rng):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import wsnn
 from .errors import (BadConfig, DimensionMismatch, EmptyDataset, NegativeTime,
-                     SingularTime)
+                     NonFiniteState, SingularTime)
 from .numerics import McEstimate, Rng
 
 
@@ -38,14 +38,20 @@ def _adaptive_simpson(f, a, b, tol):
     return recurse(a, b, fa, fm, fb, whole, tol, 48)
 
 
+# bound on t_max and tau_upper * t_max: below it the float32 time input and the
+# reverse-SDE drift (~ the horizon squared) stay far inside float32's 3.4e38
+MAX_HORIZON = 1e6
+
+
 @dataclass(frozen=True)
 class DiffusionSchedule:
     """Forward-process clock: alpha_t, its bounds, and the time window.
 
     alpha may be a positive constant (closed-form mu_t) or a callable, in
     which case int_0^t alpha is evaluated by adaptive quadrature to 1e-10.
-    A constant alpha, the tau bounds and the times must be finite.  The
-    loss weight is identically 1 on [t_min, t_max].
+    A constant alpha, the tau bounds and the times must be finite, and
+    neither t_max nor tau_upper * t_max may exceed MAX_HORIZON.  The loss
+    weight is identically 1 on [t_min, t_max].
     """
 
     alpha: Union[float, Callable] = 1.0
@@ -69,9 +75,9 @@ class DiffusionSchedule:
         if not all(math.isfinite(tau) for tau in (self.tau_lower, self.tau_upper)):
             raise BadConfig(f"tau bounds must be finite, got {self.tau_lower}, "
                             f"{self.tau_upper}")
-        if not 0 < self.t_min < self.t_max < math.inf:
-            raise BadConfig(f"need 0 < t_min < t_max < inf, got {self.t_min}, "
-                            f"{self.t_max}")
+        if not 0 < self.t_min < self.t_max <= MAX_HORIZON / max(1.0, self.tau_upper):
+            raise BadConfig(f"need 0 < t_min < t_max <= {MAX_HORIZON:g} / max(1, tau_upper)"
+                            f", got {self.t_min}, {self.t_max}, {self.tau_upper}")
 
     def alpha_at(self, t):
         return self.alpha(t) if callable(self.alpha) else self.alpha
@@ -296,28 +302,40 @@ class TraceRow:
     wall_time_s: float
 
 
-def fit(x_data, arch, init_params, config, objective, probe=None):
-    """Adam descent of objective(params, batch, rng) -> (loss, grads) over
-    minibatches of the rows of x_data.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def fit(dataset, arch, init_params, config, objective, probe=None):
+    """Adam descent of objective(params, batch, rng, workspace) -> (loss,
+    grads) over minibatches of the rows of dataset, a nonempty (n, D)
+    array for a network of output width D, coerced once here.
 
     Step k draws its minibatch (with replacement, or all rows when the batch
     covers them) from the substream rng = Rng(config.seed).child(1, k),
     sorts it lexicographically and hands the same rng to the objective for
     any further draws.  The objective gets the float32 copy of the
-    parameters (`AdamState.params32`), so its passes run in float32, while
-    Adam updates the float64 master, reapplies the masks and refreshes the
-    copy after every step.  The dataset is sorted once per fit, and a
-    minibatch is ordered by the sorted place of its rows, equal rows kept
-    in draw order: the bytes a stable sort of the minibatch itself gives.
-    Losses are averaged over trace epochs of
-    config.epoch_len steps (n // batch_size by default), and
-    probe(params, rng), when given the float64 master, is recorded as the
-    epoch's score_mse with rng = Rng(config.seed).child(2, k).
+    parameters (`AdamState.params32`) and the one workspace of their dtype
+    that fit builds, so its passes run in float32, while Adam updates the
+    float64 master, reapplies the masks and refreshes the copy after every
+    step.  The dataset is sorted once per fit, and a minibatch is ordered
+    by the sorted place of its rows, equal rows kept in draw order: the
+    bytes a stable sort of the minibatch itself gives.  Losses are averaged
+    over trace epochs of config.epoch_len steps (n // batch_size by
+    default), and probe(params, rng), when given the float64 master, is
+    recorded as the epoch's score_mse with rng = Rng(config.seed).child(2, k).
+
+    A non-finite step loss raises NonFiniteState naming the step, and so
+    do trained weights whose float32 copy is not finite; float overflow on
+    the way there is left to these checks instead of warning.
 
     Returns (trained float64 params, list of TraceRow).
     """
-    n = x_data.shape[0]
+    x_data = np.atleast_2d(np.asarray(dataset))
+    n, dim = x_data.shape
+    if n < 1:
+        raise EmptyDataset("training requires a nonempty dataset")
+    if arch.output_dim != dim:
+        raise DimensionMismatch(f"output width {arch.output_dim} != data dimension {dim}")
     adam = AdamState(init_params, arch)
+    workspace = wsnn.Workspace(arch, adam.flat32.dtype)
     root = Rng(config.seed)
     epoch_len = config.epoch_len or max(1, n // config.batch_size)
     order, cls = _row_classes(x_data)
@@ -333,7 +351,9 @@ def fit(x_data, arch, init_params, config, objective, probe=None):
             batch = x_data[idx[np.argsort(cls[idx], kind="stable")]]
         else:
             batch = full
-        loss, grads = objective(adam.params32, batch, rs)
+        loss, grads = objective(adam.params32, batch, rs, workspace)
+        if not math.isfinite(loss):
+            raise NonFiniteState(f"training diverged at step {step}: loss {loss}")
         adam.step(grads, config.learning_rate)
         bucket.append(loss)
         if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
@@ -341,37 +361,27 @@ def fit(x_data, arch, init_params, config, objective, probe=None):
             trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), sm,
                                   time.perf_counter() - t0))
             bucket = []
+    if not np.isfinite(adam.flat32).all():
+        raise NonFiniteState(f"training diverged at step {step}: weights not finite")
     return adam.params, trace
 
 
 def train(dataset, arch, init_params, schedule, config, score_probe=None):
-    """Stochastic denoising score matching with Adam.
+    """Stochastic denoising score matching with Adam, through `fit`.
 
-    Per step: draw a minibatch, draw t ~ Uniform[t_min, t_max] and the
-    forward noise independently per element, and descend the mean denoising
-    loss, each step one float32 pass in a float32 workspace the loop owns
-    (see `fit`).  All randomness derives from config.seed, so runs are
-    repeatable.  score_probe, when given as (density, n_mc), records a
-    score-MSE estimate once per trace epoch.
+    Per step the objective draws t ~ Uniform[t_min, t_max] per row and the
+    forward noise per element from the step's rng and descends the mean
+    denoising loss by one pass in fit's workspace (`dsm_value_and_grads`,
+    which checks the input width D + 1).  All randomness derives from
+    config.seed, so runs are repeatable.  score_probe, when given as
+    (density, n_mc), records a score-MSE estimate once per trace epoch.
 
     Returns (trained float64 params, list of TraceRow).
     """
-    x_data = np.atleast_2d(np.asarray(dataset))
-    n, dim = x_data.shape
-    if n < 1:
-        raise EmptyDataset("train requires a nonempty dataset")
-    if dim + 1 != arch.input_dim:
-        raise DimensionMismatch(
-            f"dataset dim {dim} needs input width {dim + 1}, arch has {arch.input_dim}")
-    if arch.output_dim != dim:
-        raise DimensionMismatch("network output width must equal the data dimension")
 
-    workspace = wsnn.Workspace(arch, np.float32)
-    noise = np.empty((min(n, config.batch_size), dim))
-
-    def objective(params, batch, rng):
+    def objective(params, batch, rng, workspace):
         t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
-        z = rng.standard_normal(noise.size, out=noise)
+        z = rng.standard_normal(batch.size).reshape(batch.shape)
         return dsm_value_and_grads(arch, params, schedule, batch, t, z, workspace)
 
     probe = None
@@ -382,7 +392,7 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
             return score_mse(network_score(arch, params), density, schedule,
                              n_mc, rng).value
 
-    return fit(x_data, arch, init_params, config, objective, probe)
+    return fit(dataset, arch, init_params, config, objective, probe)
 
 
 def score_mse(score, density, schedule, n_mc, rng):

@@ -25,7 +25,7 @@ import numpy as np
 from . import wsnn
 from .diffusion import fit, score_at
 from .errors import (BadConfig, DimensionMismatch, DimensionTooLarge,
-                     EmptyDataset, InvalidSize, NonFiniteState)
+                     InvalidSize, NonFiniteState)
 
 _BLOWUP = 1e6
 _DIVERGENCE_STEP = 0.1  # stencil width of the trained divergence
@@ -186,18 +186,11 @@ def train_vanilla_sm(dataset, arch, init_params, config):
 
     Training descends the stencil-smoothed divergence (width
     _DIVERGENCE_STEP); the pointwise-exact divergence gradient ignores ReLU
-    kink motion and empirically ratchets the loss upward.  As in
-    `diffusion.train`, every step is one float32 pass in a float32
-    workspace the loop owns, and Adam keeps the float64 master (see `fit`).
+    kink motion and empirically ratchets the loss upward.  The objective
+    is `vanilla_sm_stencil_value_and_grads` in the workspace `fit` hands
+    it, which checks the input width D; `fit` checks the dataset and the
+    output width, and keeps the float64 master.
     """
-    x_data = np.atleast_2d(np.asarray(dataset))
-    n, dim = x_data.shape
-    if n < 1:
-        raise EmptyDataset("train requires a nonempty dataset")
-    if arch.input_dim != dim or arch.output_dim != dim:
-        raise DimensionMismatch("vanilla network must map D -> D")
-    workspace = wsnn.Workspace(arch, np.float32)
-    return fit(x_data, arch, init_params, config,
-               lambda params, batch, rng: vanilla_sm_stencil_value_and_grads(
+    return fit(dataset, arch, init_params, config,
+               lambda params, batch, rng, workspace: vanilla_sm_stencil_value_and_grads(
                    arch, params, batch, _DIVERGENCE_STEP, workspace))
-

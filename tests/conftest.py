@@ -341,7 +341,7 @@ def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
 def reference_dsm_objective(arch, schedule):
     """The `fit` objective `diffusion.train` builds, in the replaced form."""
 
-    def objective(params, batch, rng):
+    def objective(params, batch, rng, workspace):
         t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
         x_t = forward_sample(schedule, batch, t, rng)
         return reference_dsm_value_and_grads(arch, params, schedule, batch, x_t, t)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffden import cli, densities, formats, kde, wsnn
+from diffden import cli, densities, formats, kde, sampler, wsnn
 from diffden.bench import (METHODS, ExperimentConfig, config_from_values,
                            emit_plots, load_config, make_density,
                            parse_config_text, run_case, score_mse_study)
@@ -119,6 +119,18 @@ class TestRunCase:
                 (b.case, b.k_or_m, b.method, b.n, b.repetition)
             assert a.bpd == b.bpd and a.runtime_s == b.runtime_s
             assert a.status == b.status
+
+    def test_diverged_training_is_a_non_finite_row(self, monkeypatch):
+        """At lr = 1e30 both learned cells stop in training, before their
+        sampler runs, and keep the NonFiniteState status."""
+        sampled = []
+        for name in ("reverse_sde_sample", "langevin_sample"):
+            monkeypatch.setattr(sampler, name, lambda *args: sampled.append(args))
+        report = run_case(tiny_config(methods=("diffusion", "vanilla-sm"),
+                                      repetitions=1, learning_rate=1e30))
+        assert [r.status for r in report.rows] == ["NonFiniteState"] * 2
+        assert all(r.bpd == math.inf for r in report.rows)
+        assert not sampled
 
     def test_no_nan_rows(self):
         report = run_case(tiny_config(methods=("kde-g", "kde-u")))
@@ -390,6 +402,82 @@ class TestCli:
                      ["--lr", "nan"], ["--lr", "inf"]):
             assert cli.main([*train, *argv]) == 2
             assert "BadConfig" in capsys.readouterr().err
+
+    def test_diverged_training_exit_code(self, tmp_path, capsys):
+        data, ckpt = tmp_path / "data.csv", tmp_path / "net.ckpt"
+        data.write_text("x1\n0.5\n1.5\n-0.25\n")
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                         "--steps", "20", "--lr", "1e30"]) == 2
+        err = capsys.readouterr().err
+        assert "NonFiniteState: training diverged at step 1: loss " in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("t_max", ["1e39", "1e308"])
+    def test_t_max_beyond_horizon_exit_code(self, capsys, t_max):
+        assert cli.main(["run-case", "--T-max", t_max]) == 2
+        assert "BadConfig: need 0 < t_min < t_max <= 1e+06" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "sample", "evaluate",
+                                         "run-case", "score-mse", "plot"])
+    def test_no_flag_value_ends_in_a_traceback(self, tmp_path, command):
+        """Every subcommand, at toy sizes, with each flag set in turn to a
+        negative, zero, huge-but-finite or non-finite value, an empty list or
+        a file of the wrong width or without rows, returns 0 or exits 2
+        (argparse's usage error); tier-1 turns numpy warnings into errors,
+        so an overflow warning fails this too.  Sizes are never huge: a
+        MemoryError is not a typed error."""
+        toy = tmp_path / "toy.cfg"
+        toy.write_text("K = 2\nn_list = 8\nrepetitions = 1\nsteps = 3\nbatch = 4\n"
+                       "n_eval = 5\nem_steps = 3\narch.widths = 4\n"
+                       "langevin_steps = 3\nmethods = " + ",".join(METHODS) + "\n")
+        files = {name: str(tmp_path / name) for name in
+                 ("data.csv", "net.ckpt", "report.csv", "wide.csv", "empty.csv")}
+        (tmp_path / "wide.csv").write_text("x1,x2,x3\n0.5,1,2\n")
+        (tmp_path / "empty.csv").write_text("x1,x2,x3,x4\n")
+        common = ["--config", str(toy)]
+        out = ["--out", str(tmp_path / "out")]
+        for argv in (["gen-data", "--n", "8", "--out", files["data.csv"]],
+                     ["train", "--data", files["data.csv"], "--out", files["net.ckpt"]],
+                     ["run-case", "--out", files["report.csv"]]):
+            assert cli.main([argv[0], *common, *argv[1:]]) == 0
+        sizes = ["-1", "0", "nan", ""]
+        floats = ["-1", "0", "1e30", "1e308", "nan", "inf", "-inf", ""]
+        lists = ["-1", "0", "1,-1", "nan", "", ","]
+        flags = {"--case": ["-1", "0", str(10 ** 30), "nan", ""], "--K": sizes,
+                 "--M": sizes, "--n-list": lists, "--n-eval": sizes,
+                 "--methods": ["", ",", "nope"], "--seed": ["-1", str(10 ** 30), ""],
+                 "--repetitions": sizes, "--steps": sizes,
+                 "--batch": ["-1", "0", str(10 ** 30), ""], "--lr": floats,
+                 "--T-min": floats, "--T-max": floats, "--em-steps": sizes,
+                 "--widths": lists}
+        base = {"gen-data": ["--n", "8", *out],
+                "train": ["--data", files["data.csv"], *out],
+                "sample": ["--checkpoint", files["net.ckpt"], "--n", "5", *out],
+                "evaluate": ["--samples", files["data.csv"]],
+                "run-case": out, "score-mse": out}
+        calls = [[command, *common, *base[command], flag, value]
+                 for flag, values in flags.items() for value in values
+                 if command in base]
+        by_file = {"gen-data": [["--n", n, *out] for n in ("-1", "0")],
+                   "train": [["--data", files[f], *out]
+                             for f in ("wide.csv", "empty.csv", "net.ckpt")],
+                   "sample": [["--checkpoint", files[f], "--n", "5", *out]
+                              for f in ("data.csv", "empty.csv")]
+                   + [["--checkpoint", files["net.ckpt"], "--n", n, *out]
+                      for n in ("-1", "0")],
+                   "evaluate": [["--samples", files[f]]
+                                for f in ("wide.csv", "empty.csv", "net.ckpt")],
+                   "plot": [["--report", files[f], *out]
+                            for f in ("report.csv", "wide.csv", "empty.csv")]}
+        calls += [[command, *(common if command != "plot" else []), *argv]
+                  for argv in by_file.get(command, [])]
+        assert calls
+        for argv in calls:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            assert rc in (0, 2), argv
 
     def test_missing_input_file_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")

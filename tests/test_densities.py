@@ -62,6 +62,24 @@ class TestGridMrf:
         # corner pixel 0 couples only to pixels 1 and 3 on a 3x3 grid
         assert lam[0, 1] == -0.2 and lam[0, 3] == -0.2 and lam[0, 4] == 0.0
 
+    @pytest.mark.parametrize("coupling", [0.2, -0.2, -0.6, 0.0, -0.0])
+    @pytest.mark.parametrize("side", range(1, 8))
+    def test_precision_equals_neighbour_loop(self, side, coupling):
+        """The closed-form precision has the bytes of a loop that sets the
+        coupling pixel by pixel between right and lower neighbours, the sign
+        of a -0.0 coupling included."""
+        want = np.zeros((side * side, side * side))
+        np.fill_diagonal(want, 3.0)
+        for r in range(side):
+            for c in range(side):
+                i = r * side + c
+                if c + 1 < side:
+                    want[i, i + 1] = want[i + 1, i] = coupling
+                if r + 1 < side:
+                    want[i, i + side] = want[i + side, i] = coupling
+        got = GridMrfGaussian(side, 3.0, coupling).precision
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_sample_covariance_matches_inverse(self, mrf, rng):
         data = sample(mrf, 100_000, rng)
         cov = np.cov(data.T)

@@ -16,7 +16,7 @@ from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                dsm_value_and_grads, fit, forward_sample,
                                network_score, score_mse, train)
 from diffden.errors import (BadConfig, DimensionMismatch, EmptyDataset,
-                            NegativeTime, SingularTime)
+                            NegativeTime, NonFiniteState, SingularTime)
 from diffden.formats import write_trace_csv
 from diffden.numerics import Rng
 from diffden.sampler import vanilla_sm_pointwise, vanilla_sm_stencil_value_and_grads
@@ -89,6 +89,22 @@ class TestSchedule:
         sampling, and alpha = inf gave mu_sigma(0) = (nan, nan)."""
         with pytest.raises(BadConfig):
             DiffusionSchedule(**kwargs)
+
+    def test_horizon_bound(self):
+        """t_max and tau_upper * t_max up to MAX_HORIZON are accepted, and
+        one ulp beyond it is BadConfig, for the time itself and for a
+        callable alpha whose upper bound scales it."""
+        bound = diffusion.MAX_HORIZON
+        assert DiffusionSchedule(t_max=bound).t_max == bound
+        DiffusionSchedule(alpha=lambda t: 1.0, tau_lower=0.5, tau_upper=2.0,
+                          t_max=bound / 2.0)
+        for kwargs in (dict(t_max=math.nextafter(bound, math.inf)),
+                       dict(t_max=1e39), dict(t_max=1e308),
+                       dict(alpha=4.0, t_max=bound / 2.0),
+                       dict(alpha=lambda t: 1.0, tau_lower=0.5, tau_upper=2.0,
+                            t_max=math.nextafter(bound / 2.0, math.inf))):
+            with pytest.raises(BadConfig, match=r"t_max <= 1e\+06 / max\(1, tau_upper\)"):
+                DiffusionSchedule(**kwargs)
 
     def test_vectorized_times(self):
         t = np.array([0.0, math.log(2.0), 1.0])
@@ -344,7 +360,7 @@ class TestTrain:
         arch = wsnn.mlp((3, 4, 3))
         seen = []
 
-        def objective(params, batch, rs):
+        def objective(params, batch, rs, workspace):
             seen.append(batch.copy())
             return 0.0, zero_params(arch)
 
@@ -434,6 +450,66 @@ class TestTrain:
         _, trace = train(data, arch, params, SCHED,
                          TrainConfig(batch_size=16, steps=8, seed=2, epoch_len=None))
         assert [r.epoch for r in trace] == [1, 2]
+
+
+class TestFit:
+    """The boundary `fit` owns, seen through stub objectives."""
+
+    ARCH = wsnn.mlp((3, 4, 2))
+
+    def _fit(self, data, objective):
+        return fit(data, self.ARCH, zero_params(self.ARCH),
+                   TrainConfig(batch_size=4, steps=4, seed=1), objective)
+
+    def test_empty_dataset_raises_before_any_step(self):
+        calls = []
+
+        def objective(params, batch, rng, workspace):
+            calls.append(1)
+            return 0.0, zero_params(self.ARCH)
+
+        with pytest.raises(EmptyDataset):
+            self._fit(np.empty((0, 2)), objective)
+        assert not calls
+
+    def test_output_width_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="output width 2 != data dimension 3"):
+            self._fit(np.zeros((8, 3)), lambda *args: (0.0, zero_params(self.ARCH)))
+
+    def test_one_float32_workspace_for_every_step(self):
+        seen = []
+
+        def objective(params, batch, rng, workspace):
+            seen.append(workspace)
+            assert params.weights[0].dtype == np.float32
+            return 0.0, zero_params(self.ARCH)
+
+        self._fit(np.zeros((8, 2)), objective)
+        assert len(seen) == 4 and all(ws is seen[0] for ws in seen)
+        assert isinstance(seen[0], wsnn.Workspace)
+        assert seen[0].dtype == np.float32
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_raises_naming_the_step(self, bad):
+        def objective(params, batch, rng, workspace):
+            return (bad if rng.path == (1, 2) else 1.0), zero_params(self.ARCH)
+
+        with pytest.raises(NonFiniteState,
+                           match=f"training diverged at step 2: loss {bad}$"):
+            self._fit(np.zeros((8, 2)), objective)
+
+    def test_non_finite_weights_are_never_returned(self):
+        """A last step with a finite loss but an infinite gradient leaves a
+        NaN master (inf / inf in Adam's ratio); the check after the loop
+        refuses it, without a numpy warning escaping."""
+        grads = zero_params(self.ARCH)
+        grads.biases[-1][:] = math.inf
+
+        def objective(params, batch, rng, workspace):
+            return 1.0, grads if rng.path == (1, 3) else zero_params(self.ARCH)
+
+        with pytest.raises(NonFiniteState, match="at step 3: weights not finite$"):
+            self._fit(np.zeros((8, 2)), objective)
 
 
 class TestScoreMse:
