@@ -395,21 +395,35 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
     return fit(dataset, arch, init_params, config, objective, probe)
 
 
+# rows per score_mse block: the per-block (rows, D) intermediates stay this size
+_MC_BLOCK = 512
+
+
 def score_mse(score, density, schedule, n_mc, rng):
     """Monte Carlo estimate of the time-integrated squared score error
 
         int_Tmin^Tmax E |score(X_t, t) - grad log p_t(X_t)|^2 dt
 
-    for a density with an analytic noised score.  Returns an McEstimate."""
+    for a density with an analytic noised score.  The times (stream 0) and
+    the X_0 sample (stream 1) are drawn whole; X_t, both scores and the
+    per-point error are then formed _MC_BLOCK rows at a time, the last
+    block also taking the remainder (so no block is smaller unless n_mc is,
+    and no score takes BLAS's small-matrix paths that a whole pass would
+    not), and the blocks read their forward noise in turn from the one
+    stream 2, so they see the normals one whole draw gives.  Returns an
+    McEstimate."""
     t = rng.child(0).uniform(n_mc, schedule.t_min, schedule.t_max)
-    x_t = forward_sample(schedule, density.sample(n_mc, rng.child(1)), t,
-                         rng.child(2))
-
-    # the analytic score first: while it runs, no network workspace holds
-    # its activations and input buffer yet
-    f_true = score_t_batch(density, x_t, t, schedule)
-    err = score_at(score, x_t, t) - f_true
-    vals = (schedule.t_max - schedule.t_min) * np.sum(np.square(err, out=err), axis=1)
+    x0 = density.sample(n_mc, rng.child(1))
+    noise = rng.child(2)
+    vals = np.empty(n_mc)
+    n_blocks = max(1, n_mc // _MC_BLOCK)
+    for k in range(n_blocks):
+        rows = slice(k * _MC_BLOCK, (k + 1) * _MC_BLOCK if k + 1 < n_blocks else n_mc)
+        x_t = forward_sample(schedule, x0[rows], t[rows], noise)
+        f_true = score_t_batch(density, x_t, t[rows], schedule)
+        err = score_at(score, x_t, t[rows]) - f_true
+        np.sum(np.square(err, out=err), axis=1, out=vals[rows])
+    vals *= schedule.t_max - schedule.t_min
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
     return McEstimate(float(np.mean(vals)), se, n_mc)
 

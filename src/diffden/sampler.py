@@ -59,6 +59,7 @@ def _guard(abs_x, where, step, t=None):
                              f"max |state| = {big:.6g}")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def reverse_sde_sample(score, schedule, config, dim, rng):
     """Euler-Maruyama reverse-SDE samples, shape (n_samples, dim), on the
     uniform forward-time grid T_max = t_0 > ... > t_n = T_min.
@@ -68,7 +69,9 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
     state and every step's noise are float32 normals drawn into them; the
     score's output, of either float dtype, is read, never written, and is
     rounded to float32 as it is scaled into the drift.  The samples widen
-    to float64 once, on return."""
+    to float64 once, on return.  Float overflow in the score or the drift
+    is left to the guard, which raises NonFiniteState after the step,
+    instead of warning."""
     n = config.n_samples
     y = rng.standard_normal(n * dim, out=np.empty((n, dim), np.float32))
     drift = np.empty_like(y)
@@ -90,10 +93,12 @@ def reverse_sde_sample(score, schedule, config, dim, rng):
     return y.astype(np.float64)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
     """Unadjusted Langevin chain Z += h * score(Z) + sqrt(2h) * noise, with
-    the state, the drift and the noise in float32 buffers the loop owns, as
-    in `reverse_sde_sample`; the samples widen to float64 on return."""
+    the state, the drift and the noise in float32 buffers the loop owns, and
+    float overflow left to the guard, as in `reverse_sde_sample`; the
+    samples widen to float64 on return."""
     if not 0 < step_size < math.inf:
         raise BadConfig(f"Langevin step_size must be > 0 and finite, got {step_size}")
     if n_steps < 1:

@@ -15,6 +15,12 @@ from diffden.formats import BpdReport, BpdRow, write_score_mse_csv
 from diffden.numerics import Rng
 
 
+# every method at toy sizes: one run-case call takes milliseconds
+TOY_CONFIG = ("K = 2\nn_list = 8\nrepetitions = 1\nsteps = 3\nbatch = 4\n"
+              "n_eval = 5\nem_steps = 3\narch.widths = 4\n"
+              "langevin_steps = 3\nmethods = " + ",".join(METHODS) + "\n")
+
+
 def tiny_config(**kw):
     base = dict(case=1, grid_side=3, train_sizes=(100,), n_eval=256,
                 methods=("kde-g",), seed=0, repetitions=2, steps=40,
@@ -427,9 +433,7 @@ class TestCli:
         so an overflow warning fails this too.  Sizes are never huge: a
         MemoryError is not a typed error."""
         toy = tmp_path / "toy.cfg"
-        toy.write_text("K = 2\nn_list = 8\nrepetitions = 1\nsteps = 3\nbatch = 4\n"
-                       "n_eval = 5\nem_steps = 3\narch.widths = 4\n"
-                       "langevin_steps = 3\nmethods = " + ",".join(METHODS) + "\n")
+        toy.write_text(TOY_CONFIG)
         files = {name: str(tmp_path / name) for name in
                  ("data.csv", "net.ckpt", "report.csv", "wide.csv", "empty.csv")}
         (tmp_path / "wide.csv").write_text("x1,x2,x3\n0.5,1,2\n")
@@ -478,6 +482,40 @@ class TestCli:
             except SystemExit as exc:
                 rc = exc.code
             assert rc in (0, 2), argv
+
+    @pytest.mark.parametrize("key", ["langevin_step", "langevin_steps", "mrf_diag",
+                                     "mrf_coupling"])
+    def test_no_config_file_value_ends_in_a_traceback(self, tmp_path, key):
+        """The keys only a config file sets, each in turn negative, zero,
+        huge-but-finite or non-finite in the toy config: every run-case call,
+        on the MRF case and on the mixture case, returns 0 or exits 2."""
+        cfg = tmp_path / "cfg"
+        for value in ("-1", "0", "1e30", "1e308", "nan", "inf"):
+            cfg.write_text(TOY_CONFIG + f"{key} = {value}\n")
+            for case in ("2", "3"):
+                argv = ["run-case", "--config", str(cfg), "--case", case]
+                assert cli.main(argv) in (0, 2), (key, value, case)
+
+    def test_overflowing_langevin_step_is_a_cell_status(self, tmp_path):
+        cfg, out = tmp_path / "cfg", tmp_path / "report.csv"
+        cfg.write_text(TOY_CONFIG + "langevin_step = 1e308\n")
+        assert cli.main(["run-case", "--config", str(cfg), "--case", "3",
+                         "--methods", "vanilla-sm", "--out", str(out)]) == 0
+        [row] = BpdReport.from_csv(out).rows
+        assert (row.method, row.bpd, row.status) == ("vanilla-sm", math.inf,
+                                                     "NonFiniteState")
+
+    def test_huge_checkpoint_sample_exit_code(self, tmp_path, capsys):
+        """One Adam step at lr 1e30 leaves finite weights near 1e30, which
+        overflow the float32 pass of the sampler's score."""
+        data, ckpt = tmp_path / "data.csv", tmp_path / "net.ckpt"
+        data.write_text("x1,x2\n0.5,1\n1.5,-1\n-0.25,0.3\n")
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                         "--steps", "1", "--lr", "1e30"]) == 0
+        capsys.readouterr()
+        assert cli.main(["sample", "--checkpoint", str(ckpt), "--n", "5",
+                         "--out", str(tmp_path / "samples.csv")]) == 2
+        assert "NonFiniteState: state left" in capsys.readouterr().err
 
     def test_missing_input_file_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")

@@ -8,10 +8,10 @@ from conftest import (ReferenceAdamState, conditional_score, dsm_loss,
                       max_scaled_dev, reference_canonical_order,
                       reference_dense_pass, reference_dsm_objective,
                       reference_dsm_value_and_grads, reference_network_score,
-                      relative_error, relu_pattern, replicated, time_input,
+                      reference_score_mse, relative_error, relu_pattern, replicated, time_input,
                       warm_peak, with_masks, zero_params)
 from diffden import diffusion, formats, sampler, wsnn
-from diffden.densities import IsoGaussian
+from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
 from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
                                dsm_value_and_grads, fit, forward_sample,
                                network_score, score_mse, train)
@@ -540,6 +540,51 @@ class TestScoreMse:
                     lambda x, t: x[:1]):
             with pytest.raises(DimensionMismatch):
                 score_mse(bad, d, SCHED, 64, rng)
+
+    @staticmethod
+    def _density(family):
+        """One density of each analytic family, at D = 25 as in the MRF study."""
+        if family == "iso":
+            return IsoGaussian(25)
+        if family == "mrf":
+            return GridMrfGaussian(5)
+        return GaussMixture(25, 3, Rng(5))
+
+    @staticmethod
+    def _network(dim):
+        arch = wsnn.mlp((dim + 1, 64, 64, dim))
+        return network_score(arch, wsnn.init_params(arch, Rng(3)))
+
+    @pytest.mark.parametrize("n_mc", [1, 2, 511, 512, 513, 1543])
+    @pytest.mark.parametrize("family", ["iso", "mrf", "mixture"])
+    def test_streamed_equals_whole_array_reference(self, rng, family, n_mc):
+        """The blocks read the times, the X_0 sample and the forward noise of
+        one whole draw, so the estimate is the whole-array one: equal bytes
+        where the scores are row by row the same whatever the batch, and
+        within 1e-12 for the MRF, whose score is a (rows, 25) x (25, 25)
+        product that BLAS rounds differently at other row counts."""
+        d = self._density(family)
+        for score in (self._network(d.dim),
+                      lambda x, t: 0.9 * d.score_t(x, t, SCHED)):
+            got = score_mse(score, d, SCHED, n_mc, rng)
+            want = reference_score_mse(score, d, SCHED, n_mc, rng)
+            assert got.n == want.n == n_mc
+            if family == "mrf":
+                assert math.isclose(got.value, want.value, rel_tol=1e-12, abs_tol=0)
+                assert math.isclose(got.stderr, want.stderr, rel_tol=1e-12, abs_tol=0)
+            else:
+                assert (got.value, got.stderr) == (want.value, want.stderr)
+
+    @pytest.mark.parametrize("family", ["iso", "mrf", "mixture"])
+    def test_peak_memory_is_the_x0_draw_and_one_block(self, rng, family):
+        """At 16384 points of D = 25 the traced peak stays within 2.5 copies
+        of an (n_mc, D) float64 array: the X_0 draw and its sampler's own
+        temporaries, plus one 512-row block (the whole-array estimator
+        peaks at 4.1-9.4 copies)."""
+        n_mc, d = 16_384, self._density(family)
+        score = self._network(d.dim)
+        peak = warm_peak(lambda: score_mse(score, d, SCHED, n_mc, rng))
+        assert peak <= 2.5 * n_mc * d.dim * 8
 
     def test_network_score_shape(self, rng):
         arch = wsnn.mlp((3, 6, 2))
