@@ -47,7 +47,7 @@ STATISTICAL = (
     "tests/test_kde.py::TestSampling::test_single_datum_gaussian_moments",
     "tests/test_sampler.py::TestLangevin::test_bimodal_mixture_mass_split",
     "tests/test_sampler.py::TestVanillaSmLoss::test_exact_divergence_matches_fd",
-    "tests/test_sampler.py::TestVanillaSmLoss::test_stencil_gradients_match_finite_differences",
+    "tests/test_sampler.py::TestVanillaSmLoss::test_sliced_gradients_match_finite_differences",
     "tests/test_sampler.py::TestTrainVanillaSm::test_learns_gaussian_score",
 )
 

@@ -10,11 +10,12 @@ Both samplers step in float32: the state, drift and noise are float32,
 the normals are float32 draws (`Rng.standard_normal` into a float32
 buffer), and the samples widen to float64 on return.
 Vanilla score matching trains a time-free D -> D network on
-tr(grad f(x)) + |f(x)|^2 / 2 with the divergence replaced by a central
-stencil; the exact divergence, read off the network's piecewise-linear
-structure, evaluates the loss.  `diffusion.network_score` turns the
-trained network into the Langevin sampler's score, and the sample block
-file lives in `formats` with the other file formats.
+tr(grad f(x)) + |f(x)|^2 / 2 with the divergence replaced by central
+differences along random +-1 directions (sliced score matching); the
+exact divergence, read off the network's piecewise-linear structure,
+evaluates the loss.  `diffusion.network_score` turns the trained network
+into the Langevin sampler's score, and the sample block file lives in
+`formats` with the other file formats.
 """
 
 import math
@@ -28,7 +29,8 @@ from .errors import (BadConfig, DimensionMismatch, DimensionTooLarge,
                      InvalidSize, NonFiniteState)
 
 _BLOWUP = 1e6
-_DIVERGENCE_STEP = 0.1  # stencil width of the trained divergence
+_DIVERGENCE_STEP = 0.1  # difference width of the trained divergence
+_DIRECTIONS = 3  # Rademacher directions per row of the trained divergence
 
 
 def analytic_score(density, schedule):
@@ -148,39 +150,34 @@ def vanilla_sm_pointwise(arch, params, x):
     return _divergence_exact(mats, acts) + 0.5 * np.sum(f * f, axis=1)
 
 
-def vanilla_sm_stencil_value_and_grads(arch, params, x, delta, workspace=None):
-    """Loss/gradients with the divergence replaced by the central stencil
-    sum_i (f_i(x + delta e_i) - f_i(x - delta e_i)) / (2 delta).
-
-    Unlike the exact divergence, this objective is continuous in the
-    parameters (kink crossings are smeared over the stencil width), which is
-    what makes gradient descent on a ReLU network stable here.  The 2D + 1
-    blocks [x; x + delta e_i; x - delta e_i] go through the network as one
-    stacked batch: one forward and one backward pass per call, run in the
-    dtype of params in `workspace` (which must be of it).  The blocks are
-    formed in float64 and rounded once into its input buffer.
-    """
+def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None):
+    """Loss/gradients with the divergence replaced by its sliced central
+    difference (1/k) sum_j v_j . (f(x + delta v_j) - f(x - delta v_j)) / (2 delta)
+    over the directions v, a (k, B, D) array of +-1 entries: Hutchinson's
+    trace estimator, as in finite-difference sliced score matching.  Unlike
+    the exact divergence it is continuous in the parameters, which is what
+    makes gradient descent on a ReLU network stable here.  The 2k + 1 blocks
+    [x; x + delta v_j; x - delta v_j], whatever D is, are formed in float64,
+    rounded once into the input buffer of `workspace` (of params' dtype) and
+    go through the network as one stacked pass."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, dim = x.shape
     if dim != arch.input_dim:
         raise DimensionMismatch(f"input width {dim} != d_1 = {arch.input_dim}")
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[1:] != (b, dim) or len(v) < 1:
+        raise DimensionMismatch(f"directions of shape {v.shape} are not (k, {b}, {dim})")
+    k, scale = len(v), 1.0 / (2.0 * delta * len(v))
     ws = wsnn._workspace(arch, workspace, wsnn._check_params(arch, params))
-    stacked = ws.inputs((2 * dim + 1) * b)
-    blocks = stacked.reshape(2 * dim + 1, b, dim)
-    shifts = delta * np.eye(dim)[:, None, :]
-    blocks[0] = x
-    np.add(x, shifts, out=blocks[1:dim + 1])
-    np.subtract(x, shifts, out=blocks[dim + 1:])
-    i = np.arange(dim)
+    stacked = ws.inputs((2 * k + 1) * b)
+    blocks = stacked.reshape(2 * k + 1, b, dim)
+    blocks[0], blocks[1:k + 1], blocks[k + 1:] = x, x + delta * v, x - delta * v
 
     def head(out):
-        out = out.reshape(2 * dim + 1, b, dim)
+        out = out.reshape(2 * k + 1, b, dim)
         f = out[0]
-        div = ((out[1 + i, :, i] - out[1 + dim + i, :, i]) / (2.0 * delta)).sum(axis=0)
-        g = np.zeros_like(out)
-        g[0] = f / b
-        g[1 + i, :, i] = 1.0 / (2.0 * delta * b)
-        g[1 + dim + i, :, i] = -1.0 / (2.0 * delta * b)
+        div = np.einsum("jbd,jbd->b", v, out[1:k + 1] - out[k + 1:]) * scale
+        g = np.concatenate([f[None] / b, v * (scale / b), v * (-scale / b)], dtype=out.dtype)
         return float(np.mean(div + 0.5 * np.sum(f * f, axis=1))), g.reshape(-1, dim)
 
     return wsnn.value_and_grads(arch, params, stacked, head, ws)
@@ -189,13 +186,16 @@ def vanilla_sm_stencil_value_and_grads(arch, params, x, delta, workspace=None):
 def train_vanilla_sm(dataset, arch, init_params, config):
     """Adam minimisation of the vanilla score-matching objective.
 
-    Training descends the stencil-smoothed divergence (width
-    _DIVERGENCE_STEP); the pointwise-exact divergence gradient ignores ReLU
-    kink motion and empirically ratchets the loss upward.  The objective
-    is `vanilla_sm_stencil_value_and_grads` in the workspace `fit` hands
-    it, which checks the input width D; `fit` checks the dataset and the
-    output width, and keeps the float64 master.
+    Training descends the sliced divergence of width _DIVERGENCE_STEP on
+    _DIRECTIONS Rademacher directions per row, drawn from the step's rng
+    after the minibatch (the exact divergence's gradient ignores ReLU kink
+    motion and empirically ratchets the loss upward); `fit` checks the data
+    and the output width and keeps the float64 master.
     """
-    return fit(dataset, arch, init_params, config,
-               lambda params, batch, rng, workspace: vanilla_sm_stencil_value_and_grads(
-                   arch, params, batch, _DIVERGENCE_STEP, workspace))
+
+    def objective(params, batch, rng, workspace):
+        v = 2 * rng.integers(0, 2, (_DIRECTIONS, *batch.shape)) - 1
+        return vanilla_sm_sliced_value_and_grads(arch, params, batch, v,
+                                                 _DIVERGENCE_STEP, workspace)
+
+    return fit(dataset, arch, init_params, config, objective)

@@ -220,36 +220,37 @@ def max_scaled_dev(got, want):
                  / max(1.0, float(np.max(np.abs(want)))))
 
 
-# --- vanilla-SM stencil reference ---------------------------------------------
+# --- vanilla-SM sliced reference ----------------------------------------------
 #
-# One forward and one backward call per shifted copy x +- delta e_i, summed
-# dimension by dimension: the per-dimension loop the stacked
-# `sampler.vanilla_sm_stencil_value_and_grads` replaced.
+# One forward and one backward call per shifted copy x +- delta v_j, summed
+# direction by direction: the per-direction loop that the one stacked pass
+# of `sampler.vanilla_sm_sliced_value_and_grads` must equal.
 
 
-def reference_stencil_value_and_grads(arch, params, x, delta):
+def reference_sliced_value_and_grads(arch, params, x, v, delta):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    b, dim = x.shape
+    b, k = x.shape[0], len(v)
     f = np.atleast_2d(wsnn.forward(arch, params, x))
     grads, _ = wsnn.backward(arch, params, x, f / b)
     div = np.zeros(b)
-    pick = 1.0 / (2.0 * delta * b)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = delta
-        sel = np.zeros((b, dim))
-        sel[:, i] = pick
-        fp = np.atleast_2d(wsnn.forward(arch, params, x + e))
-        fm = np.atleast_2d(wsnn.forward(arch, params, x - e))
-        div += (fp[:, i] - fm[:, i]) / (2.0 * delta)
-        g_plus, _ = wsnn.backward(arch, params, x + e, sel)
-        g_minus, _ = wsnn.backward(arch, params, x - e, -sel)
+    for vj in np.asarray(v, dtype=np.float64):
+        fp = np.atleast_2d(wsnn.forward(arch, params, x + delta * vj))
+        fm = np.atleast_2d(wsnn.forward(arch, params, x - delta * vj))
+        div += np.sum(vj * (fp - fm), axis=1) / (2.0 * delta * k)
+        sel = vj / (2.0 * delta * k * b)
+        g_plus, _ = wsnn.backward(arch, params, x + delta * vj, sel)
+        g_minus, _ = wsnn.backward(arch, params, x - delta * vj, -sel)
         for acc, a1, a2 in zip(grads.weights + grads.biases,
                                g_plus.weights + g_plus.biases,
                                g_minus.weights + g_minus.biases):
             acc += a1 + a2
     loss = float(np.mean(div + 0.5 * np.sum(f * f, axis=1)))
     return loss, grads
+
+
+def rademacher(rng, k, b, dim):
+    """(k, b, dim) directions of +-1, drawn as training draws them."""
+    return 2 * rng.integers(0, 2, (k, b, dim)) - 1
 
 
 # --- exact vanilla-SM reference -----------------------------------------------

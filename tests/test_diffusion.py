@@ -7,7 +7,7 @@ from conftest import (ReferenceAdamState, conditional_score, dsm_loss,
                       finite_diff_param_grads, kink_free_entries, linear_network,
                       max_scaled_dev, reference_canonical_order,
                       reference_dense_pass, reference_dsm_objective,
-                      reference_dsm_value_and_grads, reference_network_score,
+                      rademacher, reference_dsm_value_and_grads, reference_network_score,
                       reference_score_mse, relative_error, relu_pattern, replicated, time_input,
                       warm_peak, with_masks, zero_params)
 from diffden import diffusion, formats, sampler, wsnn
@@ -19,7 +19,7 @@ from diffden.errors import (BadConfig, DimensionMismatch, EmptyDataset,
                             NegativeTime, NonFiniteState, SingularTime)
 from diffden.formats import write_trace_csv
 from diffden.numerics import Rng
-from diffden.sampler import vanilla_sm_pointwise, vanilla_sm_stencil_value_and_grads
+from diffden.sampler import vanilla_sm_pointwise, vanilla_sm_sliced_value_and_grads
 
 SCHED = DiffusionSchedule()
 
@@ -205,30 +205,37 @@ class TestDsmLoss:
         assert abs(dsm_loss(arch, params, SCHED, x0, xt, t) - want) < 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
+        """Every kink-free gradient entry above 1e-6 matches its central
+        difference.  A draw of a 3-5-2 network on 3 rows can leave few such
+        entries, so draws go on (fresh data from the stream, fresh weights
+        from rng.child(2 + draw)) until 12 entries have been checked."""
         t = 0.9
-        x0 = rng.normal_matrix(3, 2)
-        z = rng.normal_matrix(3, 2)
         mu, sigma = SCHED.mu_sigma(t)
-        xt = mu * x0 + sigma * z
         arch = wsnn.mlp((3, 5, 2))
-        params = wsnn.init_params(arch, rng.child(2))
-
-        def loss(p):
-            return dsm_loss(arch, p, SCHED, x0, xt, t)
-
-        got_loss, grads = dsm_value_and_grads(arch, params, SCHED, x0,
-                                              np.full(3, t), z)
-        assert abs(got_loss - loss(params)) < 1e-12
-        fd_w, fd_b = finite_diff_param_grads(loss, params)
-        # entries whose difference stencil straddles a ReLU kink are skipped
-        inside = kink_free_entries(
-            lambda p: relu_pattern(arch, p, time_input(xt, t)), params)
         checked = 0
-        for got, want, ok in zip(grads.weights + grads.biases, fd_w + fd_b, inside):
-            big = (np.abs(want) > 1e-6) & ok
-            if big.any():
-                assert relative_error(got[big], want[big]) < 1e-5
-            checked += np.count_nonzero(big)
+        for draw in range(10):
+            x0 = rng.normal_matrix(3, 2)
+            z = rng.normal_matrix(3, 2)
+            xt = mu * x0 + sigma * z
+            params = wsnn.init_params(arch, rng.child(2 + draw))
+
+            def loss(p):
+                return dsm_loss(arch, p, SCHED, x0, xt, t)
+
+            got_loss, grads = dsm_value_and_grads(arch, params, SCHED, x0,
+                                                  np.full(3, t), z)
+            assert abs(got_loss - loss(params)) < 1e-12
+            fd_w, fd_b = finite_diff_param_grads(loss, params)
+            # entries whose difference stencil straddles a ReLU kink are skipped
+            inside = kink_free_entries(
+                lambda p: relu_pattern(arch, p, time_input(xt, t)), params)
+            for got, want, ok in zip(grads.weights + grads.biases, fd_w + fd_b, inside):
+                big = (np.abs(want) > 1e-6) & ok
+                if big.any():
+                    assert relative_error(got[big], want[big]) < 1e-5
+                checked += np.count_nonzero(big)
+            if checked >= 12:
+                break
         assert checked >= 12
 
 
@@ -258,8 +265,9 @@ class TestOnePass:
         dsm_value_and_grads(arch, params, SCHED, x0, t, z)
         assert len(calls) == 1
         arch = wsnn.mlp((3, 16, 16, 3))
-        vanilla_sm_stencil_value_and_grads(
-            arch, wsnn.init_params(arch, rng.child(2)), rng.normal_matrix(32, 3), 0.1)
+        vanilla_sm_sliced_value_and_grads(arch, wsnn.init_params(arch, rng.child(2)),
+                                          rng.normal_matrix(32, 3),
+                                          rademacher(rng, 3, 32, 3), 0.1)
         assert len(calls) == 2
 
     def test_exact_vanilla_sm_loss_runs_one_forward_pass(self, rng, monkeypatch):
@@ -656,7 +664,7 @@ class TestMixedPrecisionTraining:
         monkeypatch.setattr(diffusion, "AdamState", Recorded)
         module = diffusion if method == "dsm" else sampler
         name = ("dsm_value_and_grads" if method == "dsm"
-                else "vanilla_sm_stencil_value_and_grads")
+                else "vanilla_sm_sliced_value_and_grads")
         real = getattr(module, name)
 
         def recorded(arch, params, *args):
@@ -737,17 +745,19 @@ class TestMixedPrecisionTraining:
         assert abs(loss - want_loss) < 1e-6 * abs(want_loss)
         assert max_scaled_dev(_flat(got), _flat(want)) < 1e-5
 
-    def test_stencil_step_deviation_from_float64_is_bounded(self):
-        """One stencil step on vanilla-sm's 9-64-64-9 network at 19 x 128
-        rows: loss within 1e-6, gradients within 1e-4 (3e-6 to 1.6e-5
-        measured over 8 draws: the +-delta blocks enter with weights
-        +-1 / (2 delta b) and nearly cancel, which magnifies the rounding)."""
+    def test_sliced_step_deviation_from_float64_is_bounded(self):
+        """One sliced step (3 directions) on vanilla-sm's 9-64-64-9 network
+        at 7 x 128 rows: loss within 1e-6, gradients within 1e-4 (0.7e-6
+        to 1.4e-6 measured over 8 draws: the +-delta blocks enter with
+        weights +-v / (2 delta k b) and nearly cancel, which magnifies the
+        rounding)."""
         arch = wsnn.mlp((9, 64, 64, 9))
         params = wsnn.init_params(arch, Rng(50))
         x = Rng(51).normal_matrix(128, 9)
-        want_loss, want = vanilla_sm_stencil_value_and_grads(arch, params, x, 0.1)
-        loss, got = vanilla_sm_stencil_value_and_grads(
-            arch, params.astype(np.float32), x, 0.1, wsnn.Workspace(arch, np.float32))
+        v = rademacher(Rng(52), 3, 128, 9)
+        want_loss, want = vanilla_sm_sliced_value_and_grads(arch, params, x, v, 0.1)
+        loss, got = vanilla_sm_sliced_value_and_grads(
+            arch, params.astype(np.float32), x, v, 0.1, wsnn.Workspace(arch, np.float32))
         assert got.weights[0].dtype == np.float32
         assert abs(loss - want_loss) < 1e-6 * abs(want_loss)
         assert max_scaled_dev(_flat(got), _flat(want)) < 1e-4

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -5,20 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import (finite_diff_param_grads, kink_free_entries, linear_network,
-                      normal32, reference_langevin_sample,
+                      normal32, rademacher, reference_langevin_sample,
                       reference_reverse_sde_sample, relative_error, relu_pattern,
                       warm_peak, zero_params)
-from diffden import wsnn
+from diffden import sampler, wsnn
 from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
 from diffden.diffusion import DiffusionSchedule, TrainConfig, network_score
 from diffden.errors import (BadConfig, CorruptFile, DimensionMismatch,
                             DimensionTooLarge, InvalidSize, NonFiniteState)
 from diffden.numerics import Rng
 from diffden.formats import read_samples_binary, write_samples_binary
-from diffden.sampler import (SamplerConfig, _guard, analytic_score,
-                             langevin_sample, reverse_sde_sample,
+from diffden.sampler import (_DIRECTIONS, _DIVERGENCE_STEP, SamplerConfig, _guard,
+                             analytic_score, langevin_sample, reverse_sde_sample,
                              train_vanilla_sm, vanilla_sm_pointwise,
-                             vanilla_sm_stencil_value_and_grads)
+                             vanilla_sm_sliced_value_and_grads)
 
 SCHED = DiffusionSchedule()
 
@@ -38,15 +39,26 @@ def nan_from_call(k):
     return fn
 
 
-def stencil_loss(arch, params, x, delta):
+def sliced_loss(arch, params, x, v, delta):
     """Mean vanilla score-matching loss with the divergence taken by central
-    differences of width delta: the oracle for the exact divergence and the
-    objective that the stencil gradients descend."""
-    div = sum((wsnn.forward(arch, params, x + delta * e)[:, i]
-               - wsnn.forward(arch, params, x - delta * e)[:, i]) / (2 * delta)
-              for i, e in enumerate(np.eye(x.shape[1])))
+    differences of width delta along the (k, B, D) directions v: the
+    objective that the sliced gradients descend, and over all 2^D sign
+    vectors the oracle for the exact divergence."""
+    div = sum(np.sum(vj * (wsnn.forward(arch, params, x + delta * vj)
+                           - wsnn.forward(arch, params, x - delta * vj)), axis=1)
+              for vj in v) / (2 * delta * len(v))
     f = wsnn.forward(arch, params, x)
     return float(np.mean(div + 0.5 * np.sum(f * f, axis=1)))
+
+
+def sign_vectors(dim):
+    """All 2^dim vectors of +-1 entries, one per row."""
+    return np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+
+
+def all_signs(b, dim):
+    """Every sign vector as a direction for each of b rows: (2^dim, b, dim)."""
+    return np.repeat(sign_vectors(dim)[:, None, :], b, axis=1)
 
 
 class TestReverseSde:
@@ -210,15 +222,16 @@ class TestVanillaSmLoss:
         params = wsnn.init_params(arch, rng)
         x = rng.normal_matrix(5, 2)
         h = 1e-4
-        # rows whose stencil x +- h e_i keeps the ReLU pattern of x: the
-        # network is linear over it, so the difference has no kink error
+        # rows whose differences x +- h s, over every sign vector s, keep
+        # the ReLU pattern of x: the network is linear over them, so the
+        # mean of s . (f(x + h s) - f(x - h s)) / (2h) is its exact trace
         at = relu_pattern(arch, params, x)
         inside = np.ones(5, dtype=bool)
-        for e in np.eye(2):
-            for shifted in (x + h * e, x - h * e):
+        for s in sign_vectors(2):
+            for shifted in (x + h * s, x - h * s):
                 inside &= np.all(relu_pattern(arch, params, shifted) == at, axis=1)
         assert np.count_nonzero(inside) >= 3
-        fd = stencil_loss(arch, params, x[inside], h)
+        fd = sliced_loss(arch, params, x[inside], all_signs(np.count_nonzero(inside), 2), h)
         assert abs(np.mean(vanilla_sm_pointwise(arch, params, x[inside])) - fd) < 1e-4
 
     def test_requires_square_dims(self):
@@ -231,21 +244,40 @@ class TestVanillaSmLoss:
         with pytest.raises(DimensionTooLarge):
             np.mean(vanilla_sm_pointwise(arch, zero_params(arch), np.ones((1, 65))))
 
-    def test_stencil_gradients_match_finite_differences(self, rng):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_sliced_divergence_is_exact_on_a_linear_network(self, rng, dim):
+        """For f(x) = Ax + b each direction v gives v^T A v up to rounding,
+        whatever delta is, and the mean over all 2^D sign vectors is tr A."""
+        a, bias = rng.normal_matrix(dim, dim), rng.standard_normal(dim)
+        arch, params = linear_network(a, bias)
+        x = rng.normal_matrix(6, dim)
+        half_f2 = 0.5 * np.sum((x @ a.T + bias) ** 2, axis=1)
+        v = rademacher(rng, 1, 6, dim)
+        for delta in (0.1, 0.7):
+            loss, _ = vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta)
+            want = np.mean(np.einsum("bi,ij,bj->b", v[0], a, v[0]) + half_f2)
+            assert abs(loss - want) < 1e-12 * max(1.0, abs(want))
+            loss, _ = vanilla_sm_sliced_value_and_grads(arch, params, x,
+                                                        all_signs(6, dim), delta)
+            want = np.trace(a) + np.mean(half_f2)
+            assert abs(loss - want) < 1e-12 * max(1.0, abs(want))
+
+    def test_sliced_gradients_match_finite_differences(self, rng):
         arch = wsnn.mlp((2, 6, 2))
         params = wsnn.init_params(arch, rng.child(3))
         x = rng.normal_matrix(4, 2)
+        v = rademacher(rng, 3, 4, 2)
         delta = 0.1
 
         def loss_fn(p):
-            return stencil_loss(arch, p, x, delta)
+            return sliced_loss(arch, p, x, v, delta)
 
-        loss, grads = vanilla_sm_stencil_value_and_grads(arch, params, x, delta)
+        loss, grads = vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta)
         assert abs(loss - loss_fn(params)) < 1e-12
         fd_w, fd_b = finite_diff_param_grads(loss_fn, params)
         # entries whose difference stencil straddles a ReLU kink at one of
         # the points the loss evaluates are skipped
-        points = np.concatenate([x] + [x + s * delta * e for e in np.eye(2)
+        points = np.concatenate([x] + [x + s * delta * vj for vj in v
                                        for s in (1.0, -1.0)])
         inside = kink_free_entries(lambda p: relu_pattern(arch, p, points), params)
         checked = 0
@@ -266,17 +298,26 @@ class TestVanillaSmLoss:
         arch = wsnn.WsnnArchitecture(widths, (2,), q, r)
         params = wsnn.init_params(arch, rng.child(5))
         x = rng.normal_matrix(3, 3)
+        v = rademacher(rng, 3, 3, 3)
         delta = 0.1
-        _, grads = vanilla_sm_stencil_value_and_grads(arch, params, x, delta)
+        _, grads = vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta)
 
         def loss_fn(p):
-            return stencil_loss(arch, p, x, delta)
+            return sliced_loss(arch, p, x, v, delta)
 
         fd_w, fd_b = finite_diff_param_grads(loss_fn, params)
         for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
             big = np.abs(want) > 1e-5
             if big.any():
                 assert relative_error(got[big], want[big]) < 1e-4
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 4, 2), (3, 5, 2), (3, 4, 3),
+                                       (1, 3, 4, 2)])
+    def test_directions_of_wrong_shape_rejected(self, shape):
+        arch = wsnn.mlp((2, 6, 2))
+        with pytest.raises(DimensionMismatch, match="directions of shape"):
+            vanilla_sm_sliced_value_and_grads(arch, zero_params(arch), np.ones((4, 2)),
+                                              np.ones(shape), 0.1)
 
 
 class TestTrainVanillaSm:
@@ -292,18 +333,45 @@ class TestTrainVanillaSm:
     def test_learns_gaussian_score(self, rng):
         """Vanilla score matching minimises the Fisher divergence
         E_p |f(x) - grad log p(x)|^2 up to a constant; trained on 16384
-        draws of N(0, 1), it falls below 0.09 = 0.3^2 on fresh draws.  (On
-        1024 draws the objective is overfit: |f + x| < 0.3 at -1, 0 and 1
-        then fails for about half the seeds, with the worst error at 0.)"""
+        draws of N(0, 1), it falls below 0.09 = 0.3^2 on fresh draws, and
+        the last epoch's mean loss is below the objective at the initial
+        parameters.  (On 1024 draws the objective is overfit: |f + x| < 0.3
+        at -1, 0 and 1 then fails for about half the seeds, with the worst
+        error at 0.  The first epoch's mean is no reference: it already
+        sits at the loss floor, within Monte Carlo noise of the last.)"""
         data = IsoGaussian(1).sample(16384, rng)
         arch = wsnn.mlp((1, 16, 16, 1))
         params = wsnn.init_params(arch, rng.child(2))
+        # the training objective at the initial parameters, on all the data
+        initial, _ = vanilla_sm_sliced_value_and_grads(
+            arch, params, data, rademacher(rng.child(4), _DIRECTIONS, 16384, 1),
+            _DIVERGENCE_STEP)
         cfg = TrainConfig(batch_size=128, steps=1500, seed=4, epoch_len=250)
         trained, trace = train_vanilla_sm(data, arch, params, cfg)
         x = rng.child(5).normal_matrix(16384, 1)
         assert float(np.mean((wsnn.forward(arch, trained, x) + x) ** 2)) < 0.09
-        first, last = trace[0].mean_loss, trace[-1].mean_loss
-        assert last < first
+        assert trace[-1].mean_loss < initial
+
+    def test_directions_follow_the_minibatch_in_the_step_stream(self, monkeypatch):
+        """Step k's directions are the _DIRECTIONS x B x D signs that
+        Rng(seed).child(1, k) gives after the minibatch draw."""
+        seen = []
+        real = sampler.vanilla_sm_sliced_value_and_grads
+
+        def recorded(arch, params, x, v, *args):
+            seen.append(v)
+            return real(arch, params, x, v, *args)
+
+        monkeypatch.setattr(sampler, "vanilla_sm_sliced_value_and_grads", recorded)
+        arch = wsnn.mlp((2, 8, 2))
+        cfg = TrainConfig(batch_size=16, steps=3, seed=7)
+        train_vanilla_sm(Rng(8).normal_matrix(64, 2), arch,
+                         wsnn.init_params(arch, Rng(9)), cfg)
+        for k, v in enumerate(seen):
+            step = Rng(7).child(1, k)
+            step.integers(0, 64, 16)
+            assert np.array_equal(v, rademacher(step, _DIRECTIONS, 16, 2))
+        assert len(seen) == 3
 
     def test_langevin_from_learned_score_runs(self, rng):
         data = IsoGaussian(1).sample(256, rng)

@@ -320,7 +320,7 @@ class TestWorkspace:
 
     def test_warm_value_and_grads_allocates_less_than_one_activation(self):
         params = init_params(self.ARCH, Rng(1))
-        rows = 19 * 128  # one stacked vanilla-SM stencil batch at D = 9
+        rows = 7 * 128  # one stacked sliced vanilla-SM batch, 3 directions
         x = Rng(2).normal_matrix(rows, 9)
         ws = Workspace(self.ARCH)
         peak = warm_peak(
@@ -337,7 +337,7 @@ class TestWorkspace:
     def test_alternating_row_counts_match_fresh_workspace(self):
         params = init_params(self.ARCH, Rng(5))
         ws = Workspace(self.ARCH)
-        for rows in (128, 2432, 128):
+        for rows in (128, 896, 128):
             x = Rng(6).child(rows).normal_matrix(rows, 9)
             got = value_and_grads(self.ARCH, params, x, self._head, ws)
             want = value_and_grads(self.ARCH, params, x, self._head, Workspace(self.ARCH))

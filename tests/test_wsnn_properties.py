@@ -1,8 +1,8 @@
 """Property tests: the dense layer path against the replica-sum reference,
 the index gathers of the replica sum and its fold against their loops, the
-stacked vanilla-SM stencil against its per-dimension loop, the one-pass
-exact vanilla-SM loss against its two-pass reference, and the checkpoint
-round-trip.
+stacked sliced vanilla-SM objective against its per-direction loop, the
+one-pass exact vanilla-SM loss against its two-pass reference, and the
+checkpoint round-trip.
 
 Architectures are drawn with random widths, replica counts, permutations
 and weight masks, plus first layers taken from `conv_as_wsnn` plans.
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import (max_scaled_dev, reference_backward, reference_forward,
                       reference_replica_fold, reference_replica_sum,
-                      reference_stencil_value_and_grads,
+                      reference_sliced_value_and_grads,
                       reference_vanilla_sm_pointwise)
 from diffden.formats import load_checkpoint, save_checkpoint
 from diffden.sampler import (vanilla_sm_pointwise,
-                             vanilla_sm_stencil_value_and_grads)
+                             vanilla_sm_sliced_value_and_grads)
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           apply_masks, backward, conv_as_wsnn, forward,
                           replica_fold, replica_sum)
@@ -136,11 +136,13 @@ def test_index_gathers_equal_replica_loops(case, seed):
 
 
 @SETTINGS
-@given(architectures(square=True), st.sampled_from((0.1, 0.5)))
-def test_stacked_stencil_matches_per_dimension_loop(case, delta):
+@given(architectures(square=True), st.sampled_from((0.1, 0.5)), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_stacked_sliced_matches_per_direction_loop(case, delta, k, seed):
     arch, params, x, _ = case
-    loss, grads = vanilla_sm_stencil_value_and_grads(arch, params, x, delta)
-    want_loss, want = reference_stencil_value_and_grads(arch, params, x, delta)
+    v = 2 * np.random.default_rng(seed).integers(0, 2, (k, *x.shape)) - 1
+    loss, grads = vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta)
+    want_loss, want = reference_sliced_value_and_grads(arch, params, x, v, delta)
     assert max_scaled_dev(loss, want_loss) <= 1e-12
     for got, ref in zip(grads.weights + grads.biases, want.weights + want.biases):
         assert max_scaled_dev(got, ref) <= 1e-12
