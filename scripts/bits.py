@@ -13,7 +13,9 @@ replicas per hidden layer, on a plain MLP with a 0/1 mask on every layer
 and signed zeros, and with one full batch; one evaluation of the float32
 `network_score` at 3000 rows on the initial weights, so that it moves
 with the score's arithmetic only; reverse-SDE sampling on the trained
-network; vanilla-SM training; Langevin sampling; the dense
+network; vanilla-SM training; a DSM and a sliced vanilla-SM training
+run of two whole training blocks and a tail (`*_block_tail`); Langevin
+sampling; the dense
 matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
 negative entries are -0.0; the dataset CSV and metadata JSON that
 `diffden gen-data --meta` writes on cases 1-3; every other file the CLI
@@ -111,6 +113,13 @@ varch = wsnn.mlp((9, 64, 64, 9))
 vp = wsnn.init_params(varch, Rng(7))
 vt, _ = sampler.train_vanilla_sm(data, varch, vp, diffusion.TrainConfig(steps=40, seed=8))
 put("vanilla_weights", b"".join(a.tobytes() for a in vt.weights + vt.biases))
+# 2K + 3 steps, K the steps of one training block (8 denoising steps at batch
+# 128; 4 sliced steps at batch 32, 7 x 32 input rows a step): two whole
+# blocks, then a tail of 3
+put_training("dsm_block_tail", *diffusion.train(
+    data, arch, p0, sched, diffusion.TrainConfig(batch_size=128, steps=19, seed=28)))
+put_training("sliced_block_tail", *sampler.train_vanilla_sm(
+    data, varch, vp, diffusion.TrainConfig(batch_size=32, steps=11, seed=29)))
 z = sampler.langevin_sample(diffusion.network_score(varch, vp), 0.01, 80,
                             3000, 9, Rng(9))
 put("langevin", z.tobytes())

@@ -10,13 +10,13 @@ with t drawn uniformly on [T_min, T_max] (unit loss weight).
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from . import wsnn
-from .errors import (BadConfig, DimensionMismatch, EmptyDataset, NegativeTime,
-                     NonFiniteState, SingularTime)
+from .errors import (BadConfig, DimensionMismatch, EmptyDataset, InvalidSize,
+                     NegativeTime, NonFiniteState, SingularTime)
 from .numerics import McEstimate, Rng
 
 
@@ -41,6 +41,14 @@ def _adaptive_simpson(f, a, b, tol):
 # bound on t_max and tau_upper * t_max: below it the float32 time input and the
 # reverse-SDE drift (~ the horizon squared) stay far inside float32's 3.4e38
 MAX_HORIZON = 1e6
+
+# network input rows a training block forms at once: `fit` runs
+# K = max(1, _BLOCK_ROWS // rows per step) steps a block (8 denoising steps
+# at batch 128, one sliced vanilla-SM step of 7 x 128 rows), so a block's
+# draws and inputs stay the size of one 1024-row pass
+_BLOCK_ROWS = 1024
+# rows per score_mse block: the per-block (rows, D) intermediates stay this size
+_MC_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -162,30 +170,47 @@ def dsm_value_and_grads(arch, params, schedule, x0, t, z, workspace=None):
     """(loss, parameter gradients) of the batch-mean denoising loss
     |f(x_t, t) + (x_t - mu_t x0) / sigma_t^2|^2 at x_t = mu_t x0 + sigma_t z,
     for a (B, D) batch x0, its (B, D) noise z and one time per row (or one
-    shared time).  mu_t and sigma_t are computed once; x_t and the target
-    are formed in float64, x_t and t are rounded once into the network
-    input of `workspace`, and the residual is formed in place in the
-    network output.  The pass runs in the dtype of params, and `workspace`
-    must be of it.  z is only read."""
+    shared time): the one-step block of `_dsm_block`, whose input is of
+    the dtype of params, and `_dsm_step` on it.  The pass runs in that
+    dtype, and `workspace` must be of it.  z is only read."""
     x0 = np.asarray(x0, dtype=np.float64)
     b, dim = x0.shape
     if np.shape(z) != (b, dim) or dim + 1 != arch.input_dim:
         raise DimensionMismatch(f"batch {x0.shape} and noise {np.shape(z)} do not "
                                 f"fit a network of input width {arch.input_dim}")
     ws = wsnn._workspace(arch, workspace, wsnn._check_params(arch, params))
-    mu, sigma = schedule.mu_sigma(t)
-    mu, sigma = np.reshape(mu, (-1, 1)), np.reshape(sigma, (-1, 1))
+    t = np.asarray(t, dtype=np.float64)
+    inp, target = _dsm_block(schedule, x0[None], t[None] if t.ndim else t,
+                             np.asarray(z)[None], ws.dtype)
+    return _dsm_step(arch, params, inp[0], target[0], ws)
+
+
+def _dsm_block(schedule, x0, t, z, dtype):
+    """(network inputs, targets) of K denoising steps at once, for (K, B, D)
+    batches x0 and noise z (either may broadcast) and (K, B) times t (or
+    one shared time): one mu_sigma call and one sigma_t = 0 check, then
+    x_t = mu_t x0 + sigma_t z and the target (x_t - mu_t x0) / sigma_t^2,
+    minus the conditional score, in float64, and x_t and t rounded once
+    into the (K, B, D + 1) input of dtype."""
+    mu, sigma = (np.expand_dims(a, -1) for a in schedule.mu_sigma(t))
     if np.any(sigma == 0.0):
         raise SingularTime("conditional score undefined at sigma_t = 0")
-    inp = ws.inputs(b)
     x_t = sigma * z
     mu_x0 = mu * x0
     x_t += mu_x0
-    inp[:, :dim] = x_t
-    inp[:, dim] = t
-    # minus the conditional score: (x_t - mu_t x0) / sigma_t^2
+    dim = x_t.shape[-1]
+    inp = np.empty(x_t.shape[:-1] + (dim + 1,), dtype)
+    inp[..., :dim] = x_t
+    inp[..., dim] = t
     target = np.subtract(x_t, mu_x0, out=mu_x0)
     target /= sigma ** 2
+    return inp, target
+
+
+def _dsm_step(arch, params, inp, target, workspace):
+    """(loss, grads) of one denoising step from its (B, D + 1) network input
+    and (B, D) target; the residual is formed in place in the output."""
+    b = target.shape[0]
 
     def head(out):
         resid = np.add(out, target, out=out)
@@ -195,7 +220,7 @@ def dsm_value_and_grads(arch, params, schedule, x0, t, z, workspace=None):
         resid /= b
         return loss, resid
 
-    return wsnn.value_and_grads(arch, params, inp, head, ws)
+    return wsnn.value_and_grads(arch, params, inp, head, workspace)
 
 
 @dataclass
@@ -302,25 +327,42 @@ class TraceRow:
     wall_time_s: float
 
 
+class Objective(NamedTuple):
+    """A training objective, as `fit` runs it a block of K steps at a time.
+
+    `rows` is the number of network input rows a step passes per batch row.
+    block(batches, rng, dtype) takes the block's (K, B, D) minibatches,
+    draws from rng what its K steps need, forms their network inputs of
+    dtype at once and returns step(params, k, workspace) -> (loss, grads),
+    the pass of the block's step k."""
+
+    rows: int
+    block: Callable
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(dataset, arch, init_params, config, objective, probe=None):
-    """Adam descent of objective(params, batch, rng, workspace) -> (loss,
-    grads) over minibatches of the rows of dataset, a nonempty (n, D)
-    array for a network of output width D, coerced once here.
+    """Adam descent of an `Objective` over minibatches of the rows of
+    dataset, a nonempty (n, D) array for a network of output width D,
+    coerced once here.
 
-    Step k draws its minibatch (with replacement, or all rows when the batch
-    covers them) from the substream rng = Rng(config.seed).child(1, k),
-    sorts it lexicographically and hands the same rng to the objective for
-    any further draws.  The objective gets the float32 copy of the
-    parameters (`AdamState.params32`) and the one workspace of their dtype
-    that fit builds, so its passes run in float32, while Adam updates the
-    float64 master, reapplies the masks and refreshes the copy after every
-    step.  The dataset is sorted once per fit, and a minibatch is ordered
-    by the sorted place of its rows, equal rows kept in draw order: the
-    bytes a stable sort of the minibatch itself gives.  Losses are averaged
-    over trace epochs of config.epoch_len steps (n // batch_size by
-    default), and probe(params, rng), when given the float64 master, is
-    recorded as the epoch's score_mse with rng = Rng(config.seed).child(2, k).
+    All training draws come from one stream per fit, Rng(config.seed).child(1),
+    a block of K = max(1, _BLOCK_ROWS // (objective.rows * B)) steps at a
+    time (B = min(batch_size, n); the last block takes the remaining
+    steps): first the block's (K, B) minibatch indices, drawn with
+    replacement (none when the batch covers every row: each step then
+    gets all rows), then whatever objective.block draws.  The dataset is
+    sorted once per fit, and each minibatch is ordered by the sorted place
+    of its rows, equal rows kept in draw order (one stable argsort over
+    the block): the bytes a stable sort of the minibatch itself gives.
+    Each step runs its pass on the float32 copy of the parameters
+    (`AdamState.params32`) in the one workspace of their dtype that fit
+    builds, and Adam updates the float64 master, reapplies the masks and
+    refreshes the copy after every step.  Losses are averaged over trace
+    epochs of config.epoch_len steps (n // batch_size by default), and
+    probe(params, rng), when given the float64 master, is recorded as the
+    epoch's score_mse with rng = Rng(config.seed).child(2, k), k the
+    epoch's last step.
 
     A non-finite step loss raises NonFiniteState naming the step, and so
     do trained weights whose float32 copy is not finite; float overflow on
@@ -337,30 +379,37 @@ def fit(dataset, arch, init_params, config, objective, probe=None):
     adam = AdamState(init_params, arch)
     workspace = wsnn.Workspace(arch, adam.flat32.dtype)
     root = Rng(config.seed)
+    stream = root.child(1)
     epoch_len = config.epoch_len or max(1, n // config.batch_size)
     order, cls = _row_classes(x_data)
-    full = x_data[order] if config.batch_size >= n else None
+    b = min(config.batch_size, n)
+    block_steps = max(1, _BLOCK_ROWS // (objective.rows * b))
+    full = x_data[order] if b == n else None
 
     trace = []
     bucket = []
     t0 = time.perf_counter()
-    for step in range(config.steps):
-        rs = root.child(1, step)
+    for first in range(0, config.steps, block_steps):
+        k_steps = min(block_steps, config.steps - first)
         if full is None:
-            idx = rs.integers(0, n, config.batch_size)
-            batch = x_data[idx[np.argsort(cls[idx], kind="stable")]]
+            idx = stream.integers(0, n, (k_steps, b))
+            idx = np.take_along_axis(idx, np.argsort(cls[idx], axis=1, kind="stable"), 1)
+            batches = x_data[idx]
         else:
-            batch = full
-        loss, grads = objective(adam.params32, batch, rs, workspace)
-        if not math.isfinite(loss):
-            raise NonFiniteState(f"training diverged at step {step}: loss {loss}")
-        adam.step(grads, config.learning_rate)
-        bucket.append(loss)
-        if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
-            sm = math.nan if probe is None else probe(adam.params, root.child(2, step))
-            trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), sm,
-                                  time.perf_counter() - t0))
-            bucket = []
+            batches = np.broadcast_to(full, (k_steps, n, dim))
+        step_of = objective.block(batches, stream, workspace.dtype)
+        for k in range(k_steps):
+            step = first + k
+            loss, grads = step_of(adam.params32, k, workspace)
+            if not math.isfinite(loss):
+                raise NonFiniteState(f"training diverged at step {step}: loss {loss}")
+            adam.step(grads, config.learning_rate)
+            bucket.append(loss)
+            if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
+                sm = math.nan if probe is None else probe(adam.params, root.child(2, step))
+                trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), sm,
+                                      time.perf_counter() - t0))
+                bucket = []
     if not np.isfinite(adam.flat32).all():
         raise NonFiniteState(f"training diverged at step {step}: weights not finite")
     return adam.params, trace
@@ -369,20 +418,30 @@ def fit(dataset, arch, init_params, config, objective, probe=None):
 def train(dataset, arch, init_params, schedule, config, score_probe=None):
     """Stochastic denoising score matching with Adam, through `fit`.
 
-    Per step the objective draws t ~ Uniform[t_min, t_max] per row and the
-    forward noise per element from the step's rng and descends the mean
-    denoising loss by one pass in fit's workspace (`dsm_value_and_grads`,
-    which checks the input width D + 1).  All randomness derives from
-    config.seed, so runs are repeatable.  score_probe, when given as
-    (density, n_mc), records a score-MSE estimate once per trace epoch.
+    The network must map D + 1 -> D, checked once.  Per block of K steps
+    the objective draws from fit's stream the (K, B) times
+    t ~ Uniform[t_min, t_max], one per row, then the (K, B, D) forward
+    noise as float32 normals (`Rng.standard_normal` into a float32 block
+    buffer); `_dsm_block` forms every step's x_t, target and float32
+    network input at once, and each step is one pass in fit's workspace
+    (`_dsm_step`, the step `dsm_value_and_grads` runs).  All randomness
+    derives from config.seed, so runs are repeatable.  score_probe, when
+    given as (density, n_mc), records a score-MSE estimate once per trace
+    epoch.
 
     Returns (trained float64 params, list of TraceRow).
     """
+    if arch.input_dim != arch.output_dim + 1:
+        raise DimensionMismatch(f"a denoising network maps D + 1 -> D, not "
+                                f"{arch.input_dim} -> {arch.output_dim}")
 
-    def objective(params, batch, rng, workspace):
-        t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
-        z = rng.standard_normal(batch.size).reshape(batch.shape)
-        return dsm_value_and_grads(arch, params, schedule, batch, t, z, workspace)
+    def block(batches, rng, dtype):
+        k_steps, b, _ = batches.shape
+        t = rng.uniform(k_steps * b, schedule.t_min, schedule.t_max).reshape(k_steps, b)
+        z = rng.standard_normal(batches.size, out=np.empty(batches.shape, np.float32))
+        inp, target = _dsm_block(schedule, batches, t, z, dtype)
+        return lambda params, k, workspace: _dsm_step(arch, params, inp[k], target[k],
+                                                      workspace)
 
     probe = None
     if score_probe is not None:
@@ -392,11 +451,7 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
             return score_mse(network_score(arch, params), density, schedule,
                              n_mc, rng).value
 
-    return fit(dataset, arch, init_params, config, objective, probe)
-
-
-# rows per score_mse block: the per-block (rows, D) intermediates stay this size
-_MC_BLOCK = 512
+    return fit(dataset, arch, init_params, config, Objective(1, block), probe)
 
 
 def score_mse(score, density, schedule, n_mc, rng):
@@ -411,7 +466,9 @@ def score_mse(score, density, schedule, n_mc, rng):
     and no score takes BLAS's small-matrix paths that a whole pass would
     not), and the blocks read their forward noise in turn from the one
     stream 2, so they see the normals one whole draw gives.  Returns an
-    McEstimate."""
+    McEstimate; n_mc below 1 raises InvalidSize."""
+    if n_mc < 1:
+        raise InvalidSize(f"n_mc must be >= 1, got {n_mc}")
     t = rng.child(0).uniform(n_mc, schedule.t_min, schedule.t_max)
     x0 = density.sample(n_mc, rng.child(1))
     noise = rng.child(2)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, EmptyDataset, NonFiniteState
+from .errors import BadConfig, EmptyDataset, InvalidSize, NonFiniteState
 
 _KERNELS = ("gaussian", "uniform")
 
@@ -54,7 +54,10 @@ def fit(dataset, kernel="gaussian", bandwidth=None):
 
 
 def sample(model, n_samples, rng):
-    """Pick a datum uniformly, add kernel noise (h z or Uniform[-h, h]^D)."""
+    """Pick a datum uniformly, add kernel noise (h z or Uniform[-h, h]^D);
+    n_samples below 1 raises InvalidSize."""
+    if n_samples < 1:
+        raise InvalidSize(f"n_samples must be >= 1, got {n_samples}")
     idx = rng.integers(0, model.n, n_samples)
     base = model.train[idx]
     if model.kernel == "gaussian":

@@ -9,12 +9,13 @@ method.  Float64 normals (no buffer, or a float64 one) are numpy's
 ziggurat method (`Generator.standard_normal`), which rejects a small share
 of its candidates, so the number of bits a call consumes depends on the
 draws: a stream is reproducible call for call, but no code may assume a
-fixed consumption per normal.  Float32 normals, which only the samplers
-draw, are a vectorised Box-Muller transform of float32 uniforms from the
-same stream: ceil(n/2) pairs (u1, u2) give r = sqrt(-2 log(1 - u1)) and
-theta = 2 pi u2, and the first half of the buffer gets r cos theta, the
-second half r sin theta (an odd n drops the last sine).  1 - u1 >= 2^-24,
-so there is no log(0), and |z| stops at 5.77.
+fixed consumption per normal.  Float32 normals, which the samplers and
+the DSM training noise draw, are a vectorised Box-Muller transform of
+float32 uniforms from the same stream: ceil(n/2) pairs (u1, u2) give
+r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, and the first half of the
+buffer gets r cos theta, the second half r sin theta (an odd n drops the
+last sine).  1 - u1 >= 2^-24, so there is no log(0), and |z| stops at
+5.77.
 """
 
 import math

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wsnn
-from .diffusion import fit, score_at
+from .diffusion import Objective, fit, score_at
 from .errors import (BadConfig, DimensionMismatch, DimensionTooLarge,
                      InvalidSize, NonFiniteState)
 
@@ -100,11 +100,14 @@ def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
     """Unadjusted Langevin chain Z += h * score(Z) + sqrt(2h) * noise, with
     the state, the drift and the noise in float32 buffers the loop owns, and
     float overflow left to the guard, as in `reverse_sde_sample`; the
-    samples widen to float64 on return."""
+    samples widen to float64 on return.  n_steps or n_samples below 1
+    raises InvalidSize."""
     if not 0 < step_size < math.inf:
         raise BadConfig(f"Langevin step_size must be > 0 and finite, got {step_size}")
     if n_steps < 1:
         raise InvalidSize("n_steps must be >= 1")
+    if n_samples < 1:
+        raise InvalidSize(f"n_samples must be >= 1, got {n_samples}")
     step_size = float(step_size)
     z = rng.standard_normal(n_samples * dim, out=np.empty((n_samples, dim), np.float32))
     drift = np.empty_like(z)
@@ -156,10 +159,9 @@ def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None)
     over the directions v, a (k, B, D) array of +-1 entries: Hutchinson's
     trace estimator, as in finite-difference sliced score matching.  Unlike
     the exact divergence it is continuous in the parameters, which is what
-    makes gradient descent on a ReLU network stable here.  The 2k + 1 blocks
-    [x; x + delta v_j; x - delta v_j], whatever D is, are formed in float64,
-    rounded once into the input buffer of `workspace` (of params' dtype) and
-    go through the network as one stacked pass."""
+    makes gradient descent on a ReLU network stable here.  The step is the
+    one-step block of `_sliced_block`, in the dtype of params, and
+    `_sliced_step` on it."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, dim = x.shape
     if dim != arch.input_dim:
@@ -167,11 +169,31 @@ def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None)
     v = np.asarray(v, dtype=np.float64)
     if v.shape[1:] != (b, dim) or len(v) < 1:
         raise DimensionMismatch(f"directions of shape {v.shape} are not (k, {b}, {dim})")
-    k, scale = len(v), 1.0 / (2.0 * delta * len(v))
     ws = wsnn._workspace(arch, workspace, wsnn._check_params(arch, params))
-    stacked = ws.inputs((2 * k + 1) * b)
-    blocks = stacked.reshape(2 * k + 1, b, dim)
-    blocks[0], blocks[1:k + 1], blocks[k + 1:] = x, x + delta * v, x - delta * v
+    stacked = _sliced_block(x[None], v[None], delta, ws.dtype)
+    return _sliced_step(arch, params, stacked[0], v, delta, ws)
+
+
+def _sliced_block(x, v, delta, dtype):
+    """The stacked inputs of K sliced steps at once, for (K, B, D) batches x
+    (which may broadcast) and (K, k, B, D) float64 directions v: each
+    step's 2k + 1 blocks [x; x + delta v_j; x - delta v_j], whatever D is,
+    formed in float64 and rounded once into a (K, (2k + 1) B, D) array of
+    dtype, so that each step is one stacked pass."""
+    n_steps, k, b, dim = v.shape
+    stacked = np.empty((n_steps, 2 * k + 1, b, dim), dtype)
+    shift = delta * v
+    stacked[:, 0] = x
+    stacked[:, 1:k + 1] = x[:, None] + shift
+    stacked[:, k + 1:] = x[:, None] - shift
+    return stacked.reshape(n_steps, -1, dim)
+
+
+def _sliced_step(arch, params, stacked, v, delta, workspace):
+    """(loss, grads) of one sliced step from its ((2k + 1) B, D) stacked
+    input and its (k, B, D) float64 directions."""
+    k, b, dim = v.shape
+    scale = 1.0 / (2.0 * delta * k)
 
     def head(out):
         out = out.reshape(2 * k + 1, b, dim)
@@ -180,22 +202,35 @@ def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None)
         g = np.concatenate([f[None] / b, v * (scale / b), v * (-scale / b)], dtype=out.dtype)
         return float(np.mean(div + 0.5 * np.sum(f * f, axis=1))), g.reshape(-1, dim)
 
-    return wsnn.value_and_grads(arch, params, stacked, head, ws)
+    return wsnn.value_and_grads(arch, params, stacked, head, workspace)
 
 
 def train_vanilla_sm(dataset, arch, init_params, config):
-    """Adam minimisation of the vanilla score-matching objective.
+    """Adam minimisation of the vanilla score-matching objective, through
+    `fit`.
 
-    Training descends the sliced divergence of width _DIVERGENCE_STEP on
-    _DIRECTIONS Rademacher directions per row, drawn from the step's rng
-    after the minibatch (the exact divergence's gradient ignores ReLU kink
-    motion and empirically ratchets the loss upward); `fit` checks the data
-    and the output width and keeps the float64 master.
+    The network must map D -> D, checked once.  Training descends the
+    sliced divergence of width _DIVERGENCE_STEP on _DIRECTIONS Rademacher
+    directions per row (the exact divergence's gradient ignores ReLU kink
+    motion and empirically ratchets the loss upward): per block of K steps
+    the objective draws the (K, _DIRECTIONS, B, D) signs from fit's stream
+    after the minibatches, `_sliced_block` forms every step's stacked
+    input at once, and each step is one pass in fit's workspace
+    (`_sliced_step`, the step `vanilla_sm_sliced_value_and_grads` runs).
+    A step passes (2 _DIRECTIONS + 1) B rows, so at batch 128 a block is
+    one step.  `fit` checks the data and the output width and keeps the
+    float64 master.
     """
+    if arch.input_dim != arch.output_dim:
+        raise DimensionMismatch(f"vanilla score matching maps D -> D, not "
+                                f"{arch.input_dim} -> {arch.output_dim}")
 
-    def objective(params, batch, rng, workspace):
-        v = 2 * rng.integers(0, 2, (_DIRECTIONS, *batch.shape)) - 1
-        return vanilla_sm_sliced_value_and_grads(arch, params, batch, v,
-                                                 _DIVERGENCE_STEP, workspace)
+    def block(batches, rng, dtype):
+        k_steps, b, dim = batches.shape
+        v = 2.0 * rng.integers(0, 2, (k_steps, _DIRECTIONS, b, dim)) - 1.0
+        stacked = _sliced_block(batches, v, _DIVERGENCE_STEP, dtype)
+        return lambda params, k, workspace: _sliced_step(
+            arch, params, stacked[k], v[k], _DIVERGENCE_STEP, workspace)
 
-    return fit(dataset, arch, init_params, config, objective)
+    return fit(dataset, arch, init_params, config,
+               Objective(2 * _DIRECTIONS + 1, block))

@@ -27,9 +27,8 @@ A `Workspace` holds the per-layer arrays a pass writes into: the hidden
 activations, and for reverse mode each hidden layer's delta and bool ReLU
 mask.  It also holds one (rows, d_1) input buffer, which the pass only
 reads: a caller that builds its input from parts (a score network's x_t
-and t, the denoising step's noised batch) writes them there side by side
-and hands the buffer to the pass, instead of concatenating a fresh input
-per call.  A loop that evaluates the network step after step (training,
+and t) writes them there side by side and hands the buffer to the pass,
+instead of concatenating a fresh input per call.  A loop that evaluates the network step after step (training,
 sampling) owns one workspace and hands it to every `forward` or
 `value_and_grads` call, so no step allocates or page-faults them afresh;
 the arrays are reallocated only when the row count changes, and the

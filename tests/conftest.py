@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diffden import wsnn
-from diffden.diffusion import forward_sample, score_at, score_t_batch
+from diffden import diffusion, sampler, wsnn
+from diffden.diffusion import Objective, forward_sample, score_at, score_t_batch
 from diffden.errors import SingularTime
 from diffden.numerics import McEstimate, Rng
 from diffden.wsnn import WsnnParams, mlp
@@ -249,7 +249,8 @@ def reference_sliced_value_and_grads(arch, params, x, v, delta):
 
 
 def rademacher(rng, k, b, dim):
-    """(k, b, dim) directions of +-1, drawn as training draws them."""
+    """(k, b, dim) directions of +-1, drawn as a one-step training block
+    draws them."""
     return 2 * rng.integers(0, 2, (k, b, dim)) - 1
 
 
@@ -278,13 +279,78 @@ def reference_vanilla_sm_pointwise(arch, params, x):
 
 # --- training-loop references -------------------------------------------------
 #
-# What `diffusion.fit` did per step before it sorted the dataset once and ran
-# Adam over one flat buffer: sort each minibatch lexicographically, and
-# update each parameter array with its own moment pair.
+# What `diffusion.fit` did per step before it sorted the dataset once, ran
+# Adam over one flat buffer and formed its steps' inputs a block at a time:
+# sort each minibatch lexicographically, run each step's objective on its
+# own, and update each parameter array with its own moment pair.
 
 
 def reference_canonical_order(batch):
     return batch[np.lexsort(batch.T[::-1])]
+
+
+def reference_fit(dataset, arch, init_params, config, rows, draw, step):
+    """The training loop of `diffusion.fit` read one step at a time: per
+    block of K = max(1, _BLOCK_ROWS // (rows * B)) steps (the last block
+    takes what is left), the fit stream Rng(config.seed).child(1) gives the
+    (K, B) minibatch indices (none for a full batch) and then the arrays
+    draw(stream, K, (B, D)) returns, each with the block's K steps on its
+    first axis.  Step j of a block sorts its own minibatch and runs
+    step(params32, batch, [its slice of each drawn array], workspace) ->
+    (loss, grads) on AdamState's float32 copy in one float32 workspace.
+    Returns (trained float64 params, the per-step losses)."""
+    x = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
+    n, dim = x.shape
+    b = min(config.batch_size, n)
+    block_steps = max(1, diffusion._BLOCK_ROWS // (rows * b))
+    stream = Rng(config.seed).child(1)
+    adam = diffusion.AdamState(init_params, arch)
+    workspace = wsnn.Workspace(arch, np.float32)
+    losses = []
+    for first in range(0, config.steps, block_steps):
+        k_steps = min(block_steps, config.steps - first)
+        idx = stream.integers(0, n, (k_steps, b)) if b < n else [slice(None)] * k_steps
+        drawn = draw(stream, k_steps, (b, dim))
+        for j in range(k_steps):
+            loss, grads = step(adam.params32, reference_canonical_order(x[idx[j]]),
+                               [a[j] for a in drawn], workspace)
+            adam.step(grads, config.learning_rate)
+            losses.append(loss)
+    return adam.params, losses
+
+
+def reference_train(dataset, arch, init_params, schedule, config):
+    """`diffusion.train` as `reference_fit`: each block draws its (K, B)
+    times, then its (K, B, D) float32 noise, and each step is one
+    `dsm_value_and_grads` call."""
+
+    def draw(stream, k_steps, shape):
+        t = stream.uniform(k_steps * shape[0], schedule.t_min, schedule.t_max)
+        z = stream.standard_normal(k_steps * shape[0] * shape[1],
+                                   out=np.empty((k_steps, *shape), np.float32))
+        return t.reshape(k_steps, shape[0]), z
+
+    def step(params, batch, drawn, workspace):
+        return diffusion.dsm_value_and_grads(arch, params, schedule, batch, *drawn,
+                                             workspace)
+
+    return reference_fit(dataset, arch, init_params, config, 1, draw, step)
+
+
+def reference_train_vanilla_sm(dataset, arch, init_params, config):
+    """`sampler.train_vanilla_sm` as `reference_fit`: each block draws its
+    (K, _DIRECTIONS, B, D) signs, and each step is one
+    `vanilla_sm_sliced_value_and_grads` call."""
+    k = sampler._DIRECTIONS
+
+    def draw(stream, k_steps, shape):
+        return [2 * stream.integers(0, 2, (k_steps, k, *shape)) - 1]
+
+    def step(params, batch, drawn, workspace):
+        return sampler.vanilla_sm_sliced_value_and_grads(
+            arch, params, batch, drawn[0], sampler._DIVERGENCE_STEP, workspace)
+
+    return reference_fit(dataset, arch, init_params, config, 2 * k + 1, draw, step)
 
 
 class ReferenceAdamState:
@@ -345,14 +411,25 @@ def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
 
 
 def reference_dsm_objective(arch, schedule):
-    """The `fit` objective `diffusion.train` builds, in the replaced form."""
+    """The `fit` objective `diffusion.train` builds, in the replaced form:
+    the block's times and float32 noise drawn as `train` draws them, then
+    per step x_t = mu_t x0 + sigma_t z as `forward_sample` forms it and the
+    unfused step on it."""
 
-    def objective(params, batch, rng, workspace):
-        t = rng.uniform(batch.shape[0], schedule.t_min, schedule.t_max)
-        x_t = forward_sample(schedule, batch, t, rng)
-        return reference_dsm_value_and_grads(arch, params, schedule, batch, x_t, t)
+    def block(batches, rng, dtype):
+        k_steps, b, _ = batches.shape
+        t = rng.uniform(k_steps * b, schedule.t_min, schedule.t_max).reshape(k_steps, b)
+        z = rng.standard_normal(batches.size, out=np.empty(batches.shape, np.float32))
 
-    return objective
+        def step(params, k, workspace):
+            mu, sigma = schedule.mu_sigma(t[k])
+            x_t = mu[:, None] * batches[k] + sigma[:, None] * z[k]
+            return reference_dsm_value_and_grads(arch, params, schedule, batches[k],
+                                                 x_t, t[k])
+
+        return step
+
+    return Objective(1, block)
 
 
 def reference_network_score(arch, params):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from conftest import (ReferenceAdamState, conditional_score, dsm_loss,
                       finite_diff_param_grads, kink_free_entries, linear_network,
                       max_scaled_dev, reference_canonical_order,
-                      reference_dense_pass, reference_dsm_objective,
+                      reference_dense_pass, reference_dsm_objective, reference_train,
+                      reference_train_vanilla_sm,
                       rademacher, reference_dsm_value_and_grads, reference_network_score,
                       reference_score_mse, relative_error, relu_pattern, replicated, time_input,
                       warm_peak, with_masks, zero_params)
 from diffden import diffusion, formats, sampler, wsnn
 from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
-from diffden.diffusion import (AdamState, DiffusionSchedule, TrainConfig,
+from diffden.diffusion import (AdamState, DiffusionSchedule, Objective, TrainConfig,
                                dsm_value_and_grads, fit, forward_sample,
                                network_score, score_mse, train)
 from diffden.errors import (BadConfig, DimensionMismatch, EmptyDataset,
@@ -359,27 +361,35 @@ class TestTrain:
     def test_batches_equal_sorted_minibatch(self, batch_size):
         """Every batch the objective sees has the bytes of the minibatch
         sorted on its own, on a dataset of 40 rows with duplicates and rows
-        equal up to the sign of a zero; 40 and 64 are full batches."""
+        equal up to the sign of a zero; 40 and 64 are full batches.  The
+        fit runs 2K + 3 steps, K a block's steps, and with an objective
+        that draws nothing each block's (K, B) indices follow the last
+        block's in the fit stream Rng(seed).child(1)."""
         gen = np.random.default_rng(21)
         base = gen.normal(size=(6, 3))
         base[:3, 0] = 0.0
         x = base[gen.integers(0, 6, 40)]
         x[::2, 0] *= -1.0
         arch = wsnn.mlp((3, 4, 3))
+        b = min(batch_size, 40)
+        block_steps = diffusion._BLOCK_ROWS // b
         seen = []
 
-        def objective(params, batch, rs, workspace):
-            seen.append(batch.copy())
-            return 0.0, zero_params(arch)
+        def block(batches, rng, dtype):
+            seen.append(batches.copy())
+            return lambda params, k, workspace: (0.0, zero_params(arch))
 
         fit(x, arch, zero_params(arch),
-            TrainConfig(batch_size=batch_size, steps=8, seed=5), objective)
-        assert len(seen) == 8
-        for step, got in enumerate(seen):
-            rs = Rng(5).child(1, step)
-            want = reference_canonical_order(
-                x if batch_size >= 40 else x[rs.integers(0, 40, batch_size)])
-            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+            TrainConfig(batch_size=batch_size, steps=2 * block_steps + 3, seed=5),
+            Objective(1, block))
+        assert [len(batches) for batches in seen] == [block_steps, block_steps, 3]
+        stream = Rng(5).child(1)
+        for batches in seen:
+            idx = (stream.integers(0, 40, (len(batches), b)) if b < 40
+                   else [slice(None)] * len(batches))
+            for got, rows in zip(batches, idx):
+                want = reference_canonical_order(x[rows])
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
     def test_flat_adam_matches_per_array_reference(self, rng):
         arch = wsnn.mlp((4, 6, 5, 3))
@@ -465,19 +475,27 @@ class TestFit:
 
     ARCH = wsnn.mlp((3, 4, 2))
 
-    def _fit(self, data, objective):
+    def _fit(self, data, step, steps=4):
         return fit(data, self.ARCH, zero_params(self.ARCH),
-                   TrainConfig(batch_size=4, steps=4, seed=1), objective)
+                   TrainConfig(batch_size=4, steps=steps, seed=1), self._objective(step))
+
+    @staticmethod
+    def _objective(step):
+        """An Objective whose steps are step(params, i, workspace), i
+        counting the fit's steps from 0 across its blocks."""
+        count = itertools.count()
+        return Objective(1, lambda batches, rng, dtype:
+                         lambda params, k, workspace: step(params, next(count), workspace))
 
     def test_empty_dataset_raises_before_any_step(self):
         calls = []
 
-        def objective(params, batch, rng, workspace):
+        def step(params, i, workspace):
             calls.append(1)
             return 0.0, zero_params(self.ARCH)
 
         with pytest.raises(EmptyDataset):
-            self._fit(np.empty((0, 2)), objective)
+            self._fit(np.empty((0, 2)), step)
         assert not calls
 
     def test_output_width_mismatch(self):
@@ -487,24 +505,39 @@ class TestFit:
     def test_one_float32_workspace_for_every_step(self):
         seen = []
 
-        def objective(params, batch, rng, workspace):
+        def step(params, i, workspace):
             seen.append(workspace)
             assert params.weights[0].dtype == np.float32
             return 0.0, zero_params(self.ARCH)
 
-        self._fit(np.zeros((8, 2)), objective)
+        self._fit(np.zeros((8, 2)), step)
         assert len(seen) == 4 and all(ws is seen[0] for ws in seen)
         assert isinstance(seen[0], wsnn.Workspace)
         assert seen[0].dtype == np.float32
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_loss_raises_naming_the_step(self, bad):
-        def objective(params, batch, rng, workspace):
-            return (bad if rng.path == (1, 2) else 1.0), zero_params(self.ARCH)
+        def step(params, i, workspace):
+            return (bad if i == 2 else 1.0), zero_params(self.ARCH)
 
         with pytest.raises(NonFiniteState,
                            match=f"training diverged at step 2: loss {bad}$"):
-            self._fit(np.zeros((8, 2)), objective)
+            self._fit(np.zeros((8, 2)), step)
+
+    def test_non_finite_loss_in_a_later_block_names_its_step(self):
+        """A NaN loss at step K + 2, in the second block of K steps, is
+        named by its step in the fit, not in its block."""
+        block_steps = diffusion._BLOCK_ROWS // 4
+        seen = []
+
+        def step(params, i, workspace):
+            seen.append(i)
+            return (math.nan if i == block_steps + 2 else 1.0), zero_params(self.ARCH)
+
+        with pytest.raises(NonFiniteState, match=f"training diverged at step "
+                                                 f"{block_steps + 2}: loss nan$"):
+            self._fit(np.zeros((8, 2)), step, steps=2 * block_steps + 3)
+        assert seen == list(range(block_steps + 3))
 
     def test_non_finite_weights_are_never_returned(self):
         """A last step with a finite loss but an infinite gradient leaves a
@@ -513,11 +546,11 @@ class TestFit:
         grads = zero_params(self.ARCH)
         grads.biases[-1][:] = math.inf
 
-        def objective(params, batch, rng, workspace):
-            return 1.0, grads if rng.path == (1, 3) else zero_params(self.ARCH)
+        def step(params, i, workspace):
+            return 1.0, grads if i == 3 else zero_params(self.ARCH)
 
         with pytest.raises(NonFiniteState, match="at step 3: weights not finite$"):
-            self._fit(np.zeros((8, 2)), objective)
+            self._fit(np.zeros((8, 2)), step)
 
 
 class TestScoreMse:
@@ -663,8 +696,8 @@ class TestMixedPrecisionTraining:
 
         monkeypatch.setattr(diffusion, "AdamState", Recorded)
         module = diffusion if method == "dsm" else sampler
-        name = ("dsm_value_and_grads" if method == "dsm"
-                else "vanilla_sm_sliced_value_and_grads")
+        # the per-step pass of each trainer's training blocks
+        name = "_dsm_step" if method == "dsm" else "_sliced_step"
         real = getattr(module, name)
 
         def recorded(arch, params, *args):
@@ -707,13 +740,13 @@ class TestMixedPrecisionTraining:
         arch = with_masks(gen, wsnn.mlp(widths) if m == 1 else replicated(gen, widths, m))
         p0 = wsnn.init_params(arch, Rng(64))
         copies = []
-        real = diffusion.dsm_value_and_grads
+        real = diffusion._dsm_step
 
         def recorded(arch, params, *args):
             copies.append(params)
             return real(arch, params, *args)
 
-        monkeypatch.setattr(diffusion, "dsm_value_and_grads", recorded)
+        monkeypatch.setattr(diffusion, "_dsm_step", recorded)
         trained, _ = train(Rng(65).normal_matrix(200, 9), arch, p0, SCHED,
                            TrainConfig(batch_size=32, steps=30, seed=66))
         copy = copies[-1]  # views of the copy: the last refresh is in them
@@ -791,6 +824,43 @@ class TestVincentIdentity:
         assert abs(diff.mean()) < 3 * se
 
 
+class TestTrainingBlocks:
+    """`train` and `train_vanilla_sm` form their steps' inputs a block of K
+    steps at a time from one fit stream; read one step at a time from the
+    same stream (`reference_fit`), they give the same bytes, for a run
+    shorter than a block, one step short of a block, one block and two
+    blocks and a tail of 3, with minibatches and with a full batch."""
+
+    STEPS = {"1": lambda k: 1, "K-1": lambda k: k - 1, "K": lambda k: k,
+             "2K+3": lambda k: 2 * k + 3}
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("n, batch_size", [(300, 32), (40, 64)])
+    @pytest.mark.parametrize("method", ["dsm", "vanilla"])
+    def test_blocks_equal_step_by_step_reference(self, rng, method, n, batch_size,
+                                                 steps):
+        data = IsoGaussian(3).sample(n, rng)
+        b = min(n, batch_size)
+        if method == "dsm":
+            arch, rows = wsnn.mlp((4, 16, 16, 3)), 1
+        else:
+            arch, rows = wsnn.mlp((3, 16, 16, 3)), 2 * sampler._DIRECTIONS + 1
+        p0 = wsnn.init_params(arch, rng.child(1))
+        block_steps = diffusion._BLOCK_ROWS // (rows * b)
+        assert block_steps >= 3
+        cfg = TrainConfig(batch_size=batch_size, steps=self.STEPS[steps](block_steps),
+                          seed=5, epoch_len=1)
+        if method == "dsm":
+            got, trace = train(data, arch, p0, SCHED, cfg)
+            want, losses = reference_train(data, arch, p0, SCHED, cfg)
+        else:
+            got, trace = sampler.train_vanilla_sm(data, arch, p0, cfg)
+            want, losses = reference_train_vanilla_sm(data, arch, p0, cfg)
+        for x, y in zip(got.weights + got.biases, want.weights + want.biases):
+            assert x.tobytes() == y.tobytes()
+        assert [r.mean_loss for r in trace] == losses
+
+
 class TestFusedDsm:
     """The fused denoising step, the workspace-input network score and the
     Adam scratch buffers give the bytes of the code they replaced."""
@@ -826,7 +896,9 @@ class TestFusedDsm:
             assert a.tobytes() == b.tobytes()
         assert [r.mean_loss for r in trace] == [r.mean_loss for r in want_trace]
 
-    def test_one_mu_sigma_call_per_step(self, rng, monkeypatch):
+    def test_one_mu_sigma_call_per_block(self, rng, monkeypatch):
+        """2K + 3 steps at batch 16 are three blocks, K steps, K steps and
+        3, and each forms its inputs with one mu_sigma call."""
         calls = []
         mu_sigma = DiffusionSchedule.mu_sigma
 
@@ -839,8 +911,9 @@ class TestFusedDsm:
                             lambda *a: calls.append("forward_sample"))
         data = IsoGaussian(3).sample(64, rng)
         train(data, self.ARCH, wsnn.init_params(self.ARCH, rng.child(1)), SCHED,
-              TrainConfig(batch_size=16, steps=5, seed=1))
-        assert calls == ["mu_sigma"] * 5
+              TrainConfig(batch_size=16, steps=2 * (diffusion._BLOCK_ROWS // 16) + 3,
+                          seed=1))
+        assert calls == ["mu_sigma"] * 3
 
     def test_network_score_equals_reference(self, rng):
         params = wsnn.init_params(self.ARCH, rng.child(1))

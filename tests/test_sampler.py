@@ -9,7 +9,7 @@ from conftest import (finite_diff_param_grads, kink_free_entries, linear_network
                       normal32, rademacher, reference_langevin_sample,
                       reference_reverse_sde_sample, relative_error, relu_pattern,
                       warm_peak, zero_params)
-from diffden import sampler, wsnn
+from diffden import diffusion, kde, sampler, wsnn
 from diffden.densities import GaussMixture, GridMrfGaussian, IsoGaussian
 from diffden.diffusion import DiffusionSchedule, TrainConfig, network_score
 from diffden.errors import (BadConfig, CorruptFile, DimensionMismatch,
@@ -352,26 +352,32 @@ class TestTrainVanillaSm:
         assert float(np.mean((wsnn.forward(arch, trained, x) + x) ** 2)) < 0.09
         assert trace[-1].mean_loss < initial
 
-    def test_directions_follow_the_minibatch_in_the_step_stream(self, monkeypatch):
-        """Step k's directions are the _DIRECTIONS x B x D signs that
-        Rng(seed).child(1, k) gives after the minibatch draw."""
+    def test_directions_follow_the_minibatches_in_the_fit_stream(self, monkeypatch):
+        """Over 2K + 3 steps (K = 9 at batch 16, 7 x 16 input rows a step),
+        each block's directions are the K x _DIRECTIONS x B x D signs that
+        the fit stream Rng(seed).child(1) gives after the block's (K, B)
+        minibatch indices, step k of the block getting the k-th."""
         seen = []
-        real = sampler.vanilla_sm_sliced_value_and_grads
+        real = sampler._sliced_step
 
-        def recorded(arch, params, x, v, *args):
+        def recorded(arch, params, stacked, v, *args):
             seen.append(v)
-            return real(arch, params, x, v, *args)
+            return real(arch, params, stacked, v, *args)
 
-        monkeypatch.setattr(sampler, "vanilla_sm_sliced_value_and_grads", recorded)
+        monkeypatch.setattr(sampler, "_sliced_step", recorded)
         arch = wsnn.mlp((2, 8, 2))
-        cfg = TrainConfig(batch_size=16, steps=3, seed=7)
+        block_steps = diffusion._BLOCK_ROWS // ((2 * _DIRECTIONS + 1) * 16)
+        cfg = TrainConfig(batch_size=16, steps=2 * block_steps + 3, seed=7)
         train_vanilla_sm(Rng(8).normal_matrix(64, 2), arch,
                          wsnn.init_params(arch, Rng(9)), cfg)
-        for k, v in enumerate(seen):
-            step = Rng(7).child(1, k)
-            step.integers(0, 64, 16)
-            assert np.array_equal(v, rademacher(step, _DIRECTIONS, 16, 2))
-        assert len(seen) == 3
+        assert len(seen) == cfg.steps
+        stream = Rng(7).child(1)
+        for first in range(0, cfg.steps, block_steps):
+            k_steps = min(block_steps, cfg.steps - first)
+            stream.integers(0, 64, (k_steps, 16))
+            want = 2 * stream.integers(0, 2, (k_steps, _DIRECTIONS, 16, 2)) - 1
+            for k in range(k_steps):
+                assert np.array_equal(seen[first + k], want[k])
 
     def test_langevin_from_learned_score_runs(self, rng):
         data = IsoGaussian(1).sample(256, rng)
@@ -490,3 +496,20 @@ class TestLoopBuffers:
 
     def test_guard_passes_the_bound_itself(self):
         _guard(np.abs(np.array([[1e6, -1e6]])), "test", 0)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("draw", ["kde-g", "kde-u", "langevin", "score_mse"])
+def test_draw_count_below_one_is_invalid_size(draw, count):
+    """A sample or Monte Carlo size below 1 raises InvalidSize naming it, as
+    `densities.sample` and `reference_bpd` do: not an empty array, a
+    numpy ValueError or the normal draw's own complaint."""
+    calls = {
+        "kde-g": lambda: kde.sample(kde.fit(np.eye(2), "gaussian"), count, Rng(1)),
+        "kde-u": lambda: kde.sample(kde.fit(np.eye(2), "uniform"), count, Rng(1)),
+        "langevin": lambda: langevin_sample(lambda x, t: -x, 0.01, 3, count, 2, Rng(1)),
+        "score_mse": lambda: diffusion.score_mse(lambda x, t: -x, IsoGaussian(2),
+                                                 DiffusionSchedule(), count, Rng(1)),
+    }
+    with pytest.raises(InvalidSize, match=rf"must be >= 1, got {count}$"):
+        calls[draw]()
