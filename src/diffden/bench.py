@@ -188,7 +188,8 @@ def run_case(config, flush_path=None):
 
 def score_mse_study(config, n_mc=4096):
     """Rows (n, repetition, score_mse_init, score_mse_trained) for the
-    diffusion method on a case with an analytic score."""
+    diffusion method on a case with an analytic score: after training, one
+    score_mse call estimates both networks on the same points."""
     density = make_density(config)
     schedule = config.schedule()
     rows = []
@@ -199,12 +200,11 @@ def score_mse_study(config, n_mc=4096):
             cell_rng = _cell_rng(config, n, rep, 99)
             arch = _score_net_arch(density.dim, config.hidden_widths)
             params0 = wsnn.init_params(arch, cell_rng.child(2))
-            init = score_mse(network_score(arch, params0), density, schedule,
-                             n_mc, cell_rng.child(3))
             tc = config.train_config(config.seed * 1000003 + cell_index)
             params, _ = train(data, arch, params0, schedule, tc)
-            trained = score_mse(network_score(arch, params), density, schedule,
-                                n_mc, cell_rng.child(3))
+            init, trained = score_mse(
+                (network_score(arch, params0), network_score(arch, params)),
+                density, schedule, n_mc, cell_rng.child(3))
             rows.append((n, rep, init.value, trained.value))
             cell_index += 1
     return rows

@@ -214,8 +214,9 @@ def _dsm_step(arch, params, inp, target, workspace):
 
     def head(out):
         resid = np.add(out, target, out=out)
-        # the bytes of np.mean(np.sum(resid ** 2, axis=1)), without its overhead
-        loss = float(np.add.reduce(np.square(resid).sum(axis=1)) / b)
+        flat = resid.ravel()
+        # the mean squared row norm as one BLAS dot of the flat residual
+        loss = float(np.dot(flat, flat) / b)
         resid *= 2.0
         resid /= b
         return loss, resid
@@ -243,12 +244,16 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam over one flat float64 buffer, with a float32 copy for the passes.
+    """Adam over one flat float64 master buffer, with a float32 copy for the
+    passes and float32 moments.
 
-    The trained parameters and both moment accumulators are flat float64
-    arrays; `params` is a copy of the initial parameters, masked by arch,
-    whose arrays are views into the parameter buffer, so a step is one
-    elementwise update of the whole buffer.  `params32` views a float32
+    The trained parameters are a flat float64 array; `params` is a copy of
+    the initial parameters, masked by arch, whose arrays are views into
+    that buffer, so a step is one elementwise update of the whole buffer.
+    Both moment accumulators, the gradient buffer and the update arithmetic
+    are float32, the dtype of the passes' gradients, so nothing widens per
+    step until the float32 update is subtracted from the float64 master
+    (mixed-precision training's usual layout).  `params32` views a float32
     buffer holding the parameters rounded once: one cast refreshes it after
     every step and its mask reapplication, so a masked entry is the same
     signed zero in both."""
@@ -260,11 +265,12 @@ class AdamState:
         self.flat32 = np.empty(self.flat.shape, np.float32)
         self.params = _views(self.flat, params)
         self.params32 = _views(self.flat32, params)
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+        self.m = np.zeros_like(self.flat32)
+        self.v = np.zeros_like(self.flat32)
         self.t = 0
-        self._grad = np.empty_like(self.flat)
-        self._scratch = np.empty_like(self.flat)
+        self._grad = np.empty_like(self.flat32)
+        self._scratch = np.empty_like(self.flat32)
+        self._wide = np.empty_like(self.flat)
         self._project()
 
     def _project(self):
@@ -274,8 +280,11 @@ class AdamState:
     def step(self, grads, lr):
         """One update, m += (1 - b1) g, v += (1 - b2) g g and
         flat -= lr (m / c1) / (sqrt(v / c2) + eps) after the decays, run
-        elementwise in that order over two scratch buffers; then the masks
-        and the float32 copy.  grads of either dtype widen into g."""
+        elementwise in that order in float32 over two scratch buffers, the
+        update widened into a float64 buffer (a cast copy, where a mixed
+        dtype subtraction would allocate numpy's cast buffer); then the
+        masks and the float32 copy.  grads of either dtype are cast into
+        the float32 g."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         g, s = self._grad, self._scratch
@@ -294,7 +303,8 @@ class AdamState:
         np.sqrt(g, out=g)
         g += eps
         s /= g
-        self.flat -= s
+        np.copyto(self._wide, s)
+        self.flat -= self._wide
         self._project()
 
 
@@ -308,8 +318,13 @@ def _views(flat, like):
 
 def _row_classes(x_data):
     """(order, cls): the lexicographic row order of x_data, and for each row
-    the index of its class of equal rows in that order."""
-    order = np.lexsort(x_data.T[::-1])
+    the index of its class of equal rows in that order.  When the first
+    column, sorted, is strictly increasing (no ties, no +-0.0 pair, no NaN),
+    its stable argsort is that order; otherwise the rows are lexsorted."""
+    order = np.argsort(x_data[:, 0], kind="stable")
+    first = x_data[order, 0]
+    if not np.all(first[1:] > first[:-1]):
+        order = np.lexsort(x_data.T[::-1])
     new = np.zeros(order.size, dtype=np.int64)
     for col in x_data.T:
         c = col[order]
@@ -454,35 +469,45 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
     return fit(dataset, arch, init_params, config, Objective(1, block), probe)
 
 
-def score_mse(score, density, schedule, n_mc, rng):
+def score_mse(scores, density, schedule, n_mc, rng):
     """Monte Carlo estimate of the time-integrated squared score error
 
         int_Tmin^Tmax E |score(X_t, t) - grad log p_t(X_t)|^2 dt
 
-    for a density with an analytic noised score.  The times (stream 0) and
-    the X_0 sample (stream 1) are drawn whole; X_t, both scores and the
-    per-point error are then formed _MC_BLOCK rows at a time, the last
-    block also taking the remainder (so no block is smaller unless n_mc is,
-    and no score takes BLAS's small-matrix paths that a whole pass would
-    not), and the blocks read their forward noise in turn from the one
-    stream 2, so they see the normals one whole draw gives.  Returns an
-    McEstimate; n_mc below 1 raises InvalidSize."""
+    for a density with an analytic noised score.  scores is one score or a
+    tuple of scores, all estimated on the same points: one score gives an
+    McEstimate, a tuple gives a tuple of them, each with the bytes a call
+    on that score alone gives.  The times (stream 0) and the X_0 sample
+    (stream 1) are drawn whole; X_t and the analytic score are then formed
+    once per block of _MC_BLOCK rows, and each score's per-point error is
+    taken from them.  The last block also takes the remainder (so no block
+    is smaller unless n_mc is, and no score takes BLAS's small-matrix paths
+    that a whole pass would not), and the blocks read their forward noise
+    in turn from the one stream 2, so they see the normals one whole draw
+    gives.  n_mc below 1 raises InvalidSize."""
     if n_mc < 1:
         raise InvalidSize(f"n_mc must be >= 1, got {n_mc}")
+    many = isinstance(scores, tuple)
+    scores = scores if many else (scores,)
     t = rng.child(0).uniform(n_mc, schedule.t_min, schedule.t_max)
     x0 = density.sample(n_mc, rng.child(1))
     noise = rng.child(2)
-    vals = np.empty(n_mc)
+    vals = np.empty((len(scores), n_mc))
     n_blocks = max(1, n_mc // _MC_BLOCK)
     for k in range(n_blocks):
         rows = slice(k * _MC_BLOCK, (k + 1) * _MC_BLOCK if k + 1 < n_blocks else n_mc)
         x_t = forward_sample(schedule, x0[rows], t[rows], noise)
         f_true = score_t_batch(density, x_t, t[rows], schedule)
-        err = score_at(score, x_t, t[rows]) - f_true
-        np.sum(np.square(err, out=err), axis=1, out=vals[rows])
+        for score, v in zip(scores, vals):
+            err = score_at(score, x_t, t[rows]) - f_true
+            np.sum(np.square(err, out=err), axis=1, out=v[rows])
     vals *= schedule.t_max - schedule.t_min
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
-    return McEstimate(float(np.mean(vals)), se, n_mc)
+    estimates = tuple(
+        McEstimate(float(np.mean(v)),
+                   float(np.std(v, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf,
+                   n_mc)
+        for v in vals)
+    return estimates if many else estimates[0]
 
 
 def score_t_batch(density, x, t, schedule):

@@ -22,16 +22,20 @@ only each layer's post-ReLU activations, and reverse mode takes its ReLU
 masks from them (relu(z) > 0 exactly where z > 0) instead of running the
 forward pass again.  It returns the value and the parameter gradients,
 stopping at the first layer's: only `backward` forms the input gradient.
+Each bias gradient, a column sum of the layer's delta, is taken as one
+product with a ones vector, ones @ delta, which BLAS runs far faster at
+these shapes than numpy's row-by-row `sum(axis=0)`.
 
 A `Workspace` holds the per-layer arrays a pass writes into: the hidden
 activations, and for reverse mode each hidden layer's delta and bool ReLU
-mask.  It also holds one (rows, d_1) input buffer, which the pass only
-reads: a caller that builds its input from parts (a score network's x_t
-and t) writes them there side by side and hands the buffer to the pass,
-instead of concatenating a fresh input per call.  A loop that evaluates the network step after step (training,
-sampling) owns one workspace and hands it to every `forward` or
-`value_and_grads` call, so no step allocates or page-faults them afresh;
-the arrays are reallocated only when the row count changes, and the
+mask, and the (rows,) ones vector of the bias gradients.  It also holds
+one (rows, d_1) input buffer, which the pass only reads: a caller that
+builds its input from parts (a score network's x_t and t) writes them
+there side by side and hands the buffer to the pass, instead of
+concatenating a fresh input per call.  A loop that evaluates the network
+step after step (training, sampling) owns one workspace and hands it to
+every `forward` or `value_and_grads` call, so no step allocates or
+page-faults them afresh; the arrays are reallocated only when the row count changes, and the
 input and backward-only ones only on first use.  A call without a
 workspace makes a throwaway one that dies with the call, so a one-off
 evaluation keeps nothing alive.  The workspace never holds a result: the
@@ -248,13 +252,13 @@ class Workspace:
         self.widths = arch.widths[1:-1]
         self.dtype = np.dtype(dtype)
         self.rows = None
-        self.input = self.acts = self.deltas = self.masks = None
+        self.input = self.acts = self.deltas = self.masks = self.ones = None
 
     def _fit(self, rows):
         if rows != self.rows:
             self.rows = rows
             self.acts = [np.empty((rows, w), self.dtype) for w in self.widths]
-            self.input = self.deltas = self.masks = None
+            self.input = self.deltas = self.masks = self.ones = None
 
     def inputs(self, rows):
         """The (rows, d_1) network input buffer, for a caller that assembles
@@ -271,12 +275,15 @@ class Workspace:
         return self.acts
 
     def reverse(self, rows):
-        """(delta, ReLU mask) buffers for reverse mode over `rows` rows."""
+        """(deltas, ReLU masks, ones) for reverse mode over `rows` rows:
+        the per-layer buffers and the (rows,) ones vector whose product
+        with a delta is its bias gradient."""
         self._fit(rows)
         if self.deltas is None:
             self.deltas = [np.empty((rows, w), self.dtype) for w in self.widths]
             self.masks = [np.empty((rows, w), dtype=bool) for w in self.widths]
-        return self.deltas, self.masks
+            self.ones = np.ones(rows, self.dtype)
+        return self.deltas, self.masks, self.ones
 
 
 def _workspace(arch, workspace, dtype):
@@ -324,8 +331,10 @@ def value_and_grads(arch, params, x, head, workspace=None):
     value and its gradient with respect to the output.  Returns (value,
     WsnnParams of parameter gradients), fresh arrays; the per-layer arrays
     go to `workspace`, where reverse mode stops, leaving the first layer's
-    delta.  Shared-weight gradients accumulate over all replicas of a
-    layer; the ReLU derivative at exactly 0 is taken as 0.
+    delta.  Each bias gradient is the product ones @ delta with the
+    workspace's ones vector (ones @ grad_output at the output layer).
+    Shared-weight gradients accumulate over all replicas of a layer; the
+    ReLU derivative at exactly 0 is taken as 0.
     """
     dtype = _check_params(arch, params)
     a, _ = _as_batch(x, arch.input_dim, dtype)
@@ -335,14 +344,14 @@ def value_and_grads(arch, params, x, head, workspace=None):
     if g.shape != out.shape:
         raise DimensionMismatch("grad_output batch size does not match input")
 
-    deltas, masks = ws.reverse(a.shape[0])
+    deltas, masks, ones = ws.reverse(a.shape[0])
     dws, dbs = [None] * arch.depth, [None] * arch.depth
     dws[-1] = g.T @ acts[-1]
-    dbs[-1] = g.sum(axis=0)
+    dbs[-1] = ones @ g
     delta = np.matmul(g, mats[-1], out=deltas[-1])
     for i in range(arch.depth - 2, -1, -1):
         delta *= np.greater(acts[i + 1], 0.0, out=masks[i])
-        dws[i], dbs[i] = delta.T @ acts[i], delta.sum(axis=0)
+        dws[i], dbs[i] = delta.T @ acts[i], ones @ delta
         if not arch.plain[i]:
             dws[i], dbs[i] = replica_fold(dws[i], dbs[i], arch.q_perms[i], arch.r_perms[i])
         if i:

@@ -354,9 +354,12 @@ def reference_train_vanilla_sm(dataset, arch, init_params, config):
 
 
 class ReferenceAdamState:
+    """Per-array Adam with float32 moments and update arithmetic, each
+    float32 update subtracted from the float64 parameters."""
+
     def __init__(self, params):
-        self.m = [np.zeros_like(a) for a in params.weights + params.biases]
-        self.v = [np.zeros_like(a) for a in params.weights + params.biases]
+        self.m = [np.zeros(a.shape, np.float32) for a in params.weights + params.biases]
+        self.v = [np.zeros(a.shape, np.float32) for a in params.weights + params.biases]
         self.t = 0
 
     def step(self, params, grads, lr):
@@ -366,6 +369,7 @@ class ReferenceAdamState:
         c2 = 1.0 - b2 ** self.t
         for a, g, m, v in zip(params.weights + params.biases,
                               grads.weights + grads.biases, self.m, self.v):
+            g = g.astype(np.float32)
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -404,7 +408,8 @@ def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
 
     def head(out):
         resid = (out - target).astype(out.dtype)
-        return float(np.mean(np.sum(resid ** 2, axis=1))), 2.0 * resid / x_t.shape[0]
+        flat = resid.ravel()
+        return float(np.dot(flat, flat) / x_t.shape[0]), 2.0 * resid / x_t.shape[0]
 
     loss, grads, _ = reference_value_and_grads(arch, params, time_input(x_t, t), head)
     return loss, grads
@@ -485,16 +490,18 @@ def reference_dense_pass(arch, params, x):
 
 
 def reference_value_and_grads(arch, params, x, head):
-    """(value, parameter gradients, input gradient)."""
+    """(value, parameter gradients, input gradient); each bias gradient is
+    the column sum of its delta taken as a product with a ones vector."""
     out, mats, acts = reference_dense_pass(arch, params, x)
     value, g = head(out)
+    ones = np.ones(out.shape[0], out.dtype)
     dws, dbs = [None] * arch.depth, [None] * arch.depth
     dws[-1] = g.T @ acts[-1]
-    dbs[-1] = g.sum(axis=0)
+    dbs[-1] = ones @ g
     delta = g @ mats[-1]
     for i in range(arch.depth - 2, -1, -1):
         delta *= acts[i + 1] > 0.0
-        dws[i], dbs[i] = wsnn.replica_fold(delta.T @ acts[i], delta.sum(axis=0),
+        dws[i], dbs[i] = wsnn.replica_fold(delta.T @ acts[i], ones @ delta,
                                            arch.q_perms[i], arch.r_perms[i])
         delta = delta @ mats[i]
     return value, wsnn.apply_masks(wsnn.WsnnParams(dws, dbs), arch), delta

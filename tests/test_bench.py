@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffden import cli, densities, formats, kde, sampler, wsnn
+from diffden import bench, cli, densities, diffusion, formats, kde, sampler, wsnn
 from diffden.bench import (METHODS, ExperimentConfig, config_from_values,
                            emit_plots, load_config, make_density,
                            parse_config_text, run_case, score_mse_study)
@@ -172,15 +172,39 @@ class TestStreamLayout:
             assert row.bpd == densities.bpd(density, samples)
 
     def test_score_mse_slot_is_99(self):
+        """Both estimates are those of separate calls on the cell's stream
+        3, as the study made them before it estimated both networks in one
+        call: the initial one before training, the trained one after."""
         cfg = tiny_config(grid_side=2, train_sizes=(32,), repetitions=1,
                           steps=5, hidden_widths=(8,), seed=6)
-        ((_, _, init, _),) = score_mse_study(cfg, n_mc=64)
+        ((_, _, init, trained),) = score_mse_study(cfg, n_mc=600)
         arch = wsnn.mlp((5, 8, 4))
         cell = Rng(6).child(1, 2, 32, 0, 99)
+        density, schedule = make_density(cfg), cfg.schedule()
         params = wsnn.init_params(arch, cell.child(2))
-        want = score_mse(network_score(arch, params), make_density(cfg),
-                         cfg.schedule(), 64, cell.child(3))
+        want = score_mse(network_score(arch, params), density, schedule, 600,
+                         cell.child(3))
         assert init == want.value
+        data = density.sample(32, Rng(6).child(1, 2, 32, 0, 0))
+        params, _ = diffusion.train(data, arch, params, schedule,
+                                    cfg.train_config(6 * 1000003))
+        want = score_mse(network_score(arch, params), density, schedule, 600,
+                         cell.child(3))
+        assert trained == want.value
+
+    def test_score_mse_study_estimates_both_networks_in_one_call(self, monkeypatch):
+        calls = []
+        real = bench.score_mse
+
+        def counted(scores, *args):
+            calls.append(len(scores))
+            return real(scores, *args)
+
+        monkeypatch.setattr(bench, "score_mse", counted)
+        cfg = tiny_config(grid_side=2, train_sizes=(32, 40), repetitions=2,
+                          steps=5, hidden_widths=(8,))
+        assert len(score_mse_study(cfg, n_mc=64)) == 4
+        assert calls == [2] * 4
 
     def test_gen_data_stream(self, tmp_path):
         out = tmp_path / "data.csv"

@@ -345,17 +345,32 @@ class TestTrain:
             assert np.array_equal(a, b)
 
     def test_dataset_sorted_once_per_fit(self, rng, monkeypatch):
+        """A fit sorts its dataset once, whichever sort it keeps: continuous
+        data by the stable argsort of its first column alone, data whose
+        first column ties by a lexsort after that argsort.  The per-block
+        minibatch argsorts are over (K, B) class ids, not the dataset."""
         data, arch, params = self._toy(rng)
         calls = []
-        lexsort = np.lexsort
+        lexsort, argsort = np.lexsort, np.argsort
 
-        def counted(keys):
-            calls.append(1)
+        def counted_lexsort(keys):
+            calls.append("lexsort")
             return lexsort(keys)
 
-        monkeypatch.setattr(np, "lexsort", counted)
-        train(data, arch, params, SCHED, TrainConfig(batch_size=16, steps=10, seed=1))
-        assert len(calls) == 1
+        def counted_argsort(a, *args, **kwargs):
+            if np.ndim(a) == 1:
+                calls.append("argsort")
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counted_lexsort)
+        monkeypatch.setattr(np, "argsort", counted_argsort)
+        cfg = TrainConfig(batch_size=16, steps=2 * (diffusion._BLOCK_ROWS // 16) + 3,
+                          seed=1)
+        train(data, arch, params, SCHED, cfg)
+        assert calls == ["argsort"]
+        calls.clear()
+        train(np.round(data, 1), arch, params, SCHED, cfg)
+        assert calls == ["argsort", "lexsort"]
 
     @pytest.mark.parametrize("batch_size", [16, 40, 64])
     def test_batches_equal_sorted_minibatch(self, batch_size):
@@ -390,6 +405,33 @@ class TestTrain:
             for got, rows in zip(batches, idx):
                 want = reference_canonical_order(x[rows])
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["continuous", "first-column ties", "signed zeros",
+                                      "one column", "one row", "nan"])
+    def test_row_classes_equal_lexsort(self, case):
+        """The first-column argsort, where it is kept, gives the lexsort's
+        order and class ids; ties, a +-0.0 pair or a NaN in the first column
+        fall back to the lexsort itself."""
+        x = np.random.default_rng(23).normal(size=(200, 4))
+        if case == "first-column ties":
+            x[:, 0] = np.round(x[:, 0])
+            x[::3, 1:] = x[1::3, 1:][:len(x[::3])]
+        elif case == "signed zeros":
+            x[:2, 0] = (0.0, -0.0)
+        elif case == "one column":
+            x = np.concatenate([x[:, :1], x[:50, :1]])
+        elif case == "one row":
+            x = x[:1]
+        elif case == "nan":
+            x[5, 0] = np.nan
+        order, cls = diffusion._row_classes(x)
+        want = np.lexsort(x.T[::-1])
+        assert np.array_equal(order, want)
+        rows = x[want]
+        new = np.concatenate([[0], np.any(rows[1:] != rows[:-1], axis=1)])
+        want_cls = np.empty_like(want)
+        want_cls[want] = np.cumsum(new)
+        assert np.array_equal(cls, want_cls)
 
     def test_flat_adam_matches_per_array_reference(self, rng):
         arch = wsnn.mlp((4, 6, 5, 3))
@@ -616,6 +658,35 @@ class TestScoreMse:
             else:
                 assert (got.value, got.stderr) == (want.value, want.stderr)
 
+    @pytest.mark.parametrize("n_mc", [1, 511, 512, 1025, 4096])
+    @pytest.mark.parametrize("family", ["iso", "mrf", "mixture"])
+    def test_tuple_of_scores_equals_separate_calls(self, rng, family, n_mc):
+        """Scores handed over together are estimated on the points of one
+        pass, each with the bytes (value and stderr) a call on it alone
+        gives; a tuple of one gives a tuple of one."""
+        d = self._density(family)
+        scores = (self._network(d.dim), lambda x, t: 0.9 * d.score_t(x, t, SCHED),
+                  self._network(d.dim))
+        got = score_mse(scores, d, SCHED, n_mc, rng)
+        assert isinstance(got, tuple) and len(got) == len(scores)
+        for est, score in zip(got, scores):
+            want = score_mse(score, d, SCHED, n_mc, rng)
+            assert (est.value, est.stderr, est.n) == (want.value, want.stderr, want.n)
+        assert score_mse(scores[:1], d, SCHED, n_mc, rng) == got[:1]
+
+    def test_tuple_forms_the_analytic_score_once_per_block(self, rng, monkeypatch):
+        calls = []
+        real = diffusion.score_t_batch
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(diffusion, "score_t_batch", counted)
+        d = IsoGaussian(3)
+        score_mse((lambda x, t: -x, lambda x, t: 0.5 * x), d, SCHED, 1100, rng)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("family", ["iso", "mrf", "mixture"])
     def test_peak_memory_is_the_x0_draw_and_one_block(self, rng, family):
         """At 16384 points of D = 25 the traced peak stays within 2.5 copies
@@ -681,8 +752,8 @@ class TestFloat32Score:
 
 class TestMixedPrecisionTraining:
     """Training passes run on the float32 copy of the parameters in a
-    float32 workspace; Adam, its moments, the trained parameters and the
-    checkpoint stay float64."""
+    float32 workspace; Adam's moments are float32, and its master, the
+    trained parameters and the checkpoint stay float64."""
 
     @pytest.mark.parametrize("method", ["dsm", "vanilla"])
     def test_objective_runs_float32_and_master_stays_float64(self, method,
@@ -719,7 +790,9 @@ class TestMixedPrecisionTraining:
             assert ws_dtype == np.float32
             assert all(a.dtype == np.float32 for a in arrays)
         adam = states[0]
-        for a in (adam.flat, adam.m, adam.v, *trained.weights, *trained.biases):
+        assert adam.m.dtype == adam.v.dtype == np.float32
+        for a in (adam.flat, *adam.params.weights, *adam.params.biases,
+                  *trained.weights, *trained.biases):
             assert a.dtype == np.float64
         assert adam.flat32.tobytes() == adam.flat.astype(np.float32).tobytes()
         path = tmp_path / "net.ckpt"
