@@ -93,54 +93,57 @@ def make_density(config):
                                   Rng(config.seed).child(7))
 
 
-def _score_net_arch(dim, hidden_widths):
-    return wsnn.mlp((dim + 1, *hidden_widths, dim))
+def fit_dsm(config, data, init_rng, train_seed):
+    """The diffusion method's fit: a (D+1)-hidden_widths-D network on the
+    (n, D) `data`, weights drawn from init_rng, trained by DSM on the
+    training seed.  Returns (arch, initial params, trained params, trace)."""
+    arch = wsnn.mlp((data.shape[1] + 1, *config.hidden_widths, data.shape[1]))
+    params0 = wsnn.init_params(arch, init_rng)
+    params, trace = train(data, arch, params0, config.schedule(),
+                          config.train_config(train_seed))
+    return arch, params0, params, trace
 
 
-def _reverse_sde(config, density, score, cell_rng):
-    cfg = sampler.SamplerConfig(config.em_steps, config.n_eval)
-    return sampler.reverse_sde_sample(score, config.schedule(), cfg,
-                                      density.dim, cell_rng.child(1))
+def reverse_sde(config, score, dim, n, rng):
+    """n reverse-SDE samples of `score` on the config's schedule and EM steps."""
+    return sampler.reverse_sde_sample(score, config.schedule(),
+                                      sampler.SamplerConfig(config.em_steps, n),
+                                      dim, rng)
 
 
-def _diffusion(config, density, data, cell_rng, cell_seed):
-    arch = _score_net_arch(density.dim, config.hidden_widths)
-    params = wsnn.init_params(arch, cell_rng.child(2))
-    params, _ = train(data, arch, params, config.schedule(),
-                      config.train_config(cell_seed))
-    return _reverse_sde(config, density, network_score(arch, params), cell_rng)
+def _fit_diffusion(config, density, data, init_rng, train_seed):
+    arch, _, params, _ = fit_dsm(config, data, init_rng, train_seed)
+    return network_score(arch, params)
 
 
-def _analytic(config, density, data, cell_rng, cell_seed):
-    score = sampler.analytic_score(density, config.schedule())
-    return _reverse_sde(config, density, score, cell_rng)
+def _fit_vanilla_sm(config, density, data, init_rng, train_seed):
+    arch = wsnn.mlp((density.dim, *config.hidden_widths, density.dim))
+    params, _ = sampler.train_vanilla_sm(data, arch, wsnn.init_params(arch, init_rng),
+                                         config.train_config(train_seed))
+    return network_score(arch, params)
+
+
+def _langevin(config, score, dim, n, rng):
+    return sampler.langevin_sample(score, config.langevin_step,
+                                   config.langevin_steps, n, dim, rng)
 
 
 def _kde(kernel):
-    def generate(config, density, data, cell_rng, cell_seed):
-        return kde.sample(kde.fit(data, kernel), config.n_eval, cell_rng.child(1))
-    return generate
+    return (lambda config, density, data, init_rng, train_seed: kde.fit(data, kernel),
+            lambda config, model, dim, n, rng: kde.sample(model, n, rng))
 
 
-def _vanilla_sm(config, density, data, cell_rng, cell_seed):
-    arch = wsnn.mlp((density.dim, *config.hidden_widths, density.dim))
-    params = wsnn.init_params(arch, cell_rng.child(2))
-    params, _ = sampler.train_vanilla_sm(data, arch, params,
-                                         config.train_config(cell_seed))
-    return sampler.langevin_sample(network_score(arch, params),
-                                   config.langevin_step, config.langevin_steps,
-                                   config.n_eval, density.dim, cell_rng.child(1))
-
-
-# method -> generate(config, density, data, cell_rng, cell_seed), which fits
-# the method on `data` and returns config.n_eval samples.  A run_case cell
-# draws from stream slot 1 + the method's position: append, never reorder.
+# method -> (fit, sample): fit(config, density, data, init_rng, train_seed)
+# returns the model (a score or a KdeModel), sample(config, model, dim, n,
+# rng) draws n samples from it.  A run_case cell draws from stream slot 1 +
+# the method's position: append, never reorder.
 METHODS = {
-    "diffusion": _diffusion,
+    "diffusion": (_fit_diffusion, reverse_sde),
     "kde-g": _kde("gaussian"),
     "kde-u": _kde("uniform"),
-    "vanilla-sm": _vanilla_sm,
-    "analytic": _analytic,
+    "vanilla-sm": (_fit_vanilla_sm, _langevin),
+    "analytic": (lambda config, density, *_: sampler.analytic_score(
+        density, config.schedule()), reverse_sde),
 }
 
 
@@ -168,11 +171,14 @@ def run_case(config, flush_path=None):
             data = density.sample(n, _cell_rng(config, n, rep, 0))
             for method in config.methods:
                 cell_rng = _cell_rng(config, n, rep, 1 + list(METHODS).index(method))
-                cell_seed = config.seed * 1000003 + cell_index
+                fit, sample = METHODS[method]
                 start = time.perf_counter()
                 try:
-                    samples = METHODS[method](config, density, data, cell_rng,
-                                              cell_seed)
+                    model = fit(config, density, data, cell_rng.child(2),
+                                config.seed * 1000003 + cell_index)
+                    samples = sample(config, model, density.dim, config.n_eval,
+                                     cell_rng.child(1))
+                    del model  # a network score's workspace goes before bpd's peak
                     bpd = densities.bpd(density, samples)
                     status = "ok" if math.isfinite(bpd) else "infinite_bpd"
                 except DiffdenError as exc:
@@ -198,10 +204,8 @@ def score_mse_study(config, n_mc=4096):
         for rep in range(config.repetitions):
             data = density.sample(n, _cell_rng(config, n, rep, 0))
             cell_rng = _cell_rng(config, n, rep, 99)
-            arch = _score_net_arch(density.dim, config.hidden_widths)
-            params0 = wsnn.init_params(arch, cell_rng.child(2))
-            tc = config.train_config(config.seed * 1000003 + cell_index)
-            params, _ = train(data, arch, params0, schedule, tc)
+            arch, params0, params, _ = fit_dsm(config, data, cell_rng.child(2),
+                                               config.seed * 1000003 + cell_index)
             init, trained = score_mse(
                 (network_score(arch, params0), network_score(arch, params)),
                 density, schedule, n_mc, cell_rng.child(3))

@@ -9,9 +9,9 @@ the error name on stderr.
 import argparse
 import sys
 
-from . import bench, densities, formats, sampler, wsnn
+from . import bench, densities, formats
 from .bench import ExperimentConfig, load_config, make_density
-from .diffusion import network_score, train
+from .diffusion import network_score
 from .errors import DiffdenError
 from .numerics import Rng
 
@@ -45,10 +45,7 @@ def cmd_gen_data(args):
 def cmd_train(args):
     cfg = _experiment_config(args)
     data = formats.read_csv(args.data)
-    arch = bench._score_net_arch(data.shape[1], cfg.hidden_widths)
-    params = wsnn.init_params(arch, Rng(cfg.seed).child(2))
-    params, trace = train(data, arch, params, cfg.schedule(),
-                          cfg.train_config(cfg.seed))
+    arch, _, params, trace = bench.fit_dsm(cfg, data, Rng(cfg.seed).child(2), cfg.seed)
     formats.save_checkpoint(args.out, arch, params)
     if args.trace:
         formats.write_trace_csv(args.trace, trace)
@@ -59,10 +56,8 @@ def cmd_train(args):
 def cmd_sample(args):
     cfg = _experiment_config(args)
     arch, params = formats.load_checkpoint(args.checkpoint)
-    score = network_score(arch, params)
-    scfg = sampler.SamplerConfig(cfg.em_steps, args.n)
-    x = sampler.reverse_sde_sample(score, cfg.schedule(), scfg,
-                                   arch.output_dim, Rng(cfg.seed).child(3))
+    x = bench.reverse_sde(cfg, network_score(arch, params), arch.output_dim,
+                          args.n, Rng(cfg.seed).child(3))
     formats.write_csv(args.out, x)
     print(f"wrote {args.n} samples to {args.out}")
     return 0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffden import bench, cli, densities, diffusion, formats, kde, sampler, wsnn
+from diffden import bench, cli, densities, diffusion, formats, sampler, wsnn
 from diffden.bench import (METHODS, ExperimentConfig, config_from_values,
                            emit_plots, load_config, make_density,
                            parse_config_text, run_case, score_mse_study)
@@ -160,16 +160,27 @@ class TestStreamLayout:
         assert np.array_equal(make_density(cfg).means, want.means)
 
     def test_run_case_slot_is_one_plus_table_position(self):
-        # kde-g is METHODS[1]: slot 2, whatever its place in the config
-        cfg = tiny_config(methods=("kde-u", "kde-g"), seed=4)
+        """Every cell fits on child(2) of slot 1 + the method's table
+        position with its grid-order training seed, then samples n_eval
+        from child(1), whatever the method's place in the config."""
+        slots = {"diffusion": 1, "kde-g": 2, "kde-u": 3, "vanilla-sm": 4, "analytic": 5}
+        assert list(METHODS) == list(slots)
+        order = ("analytic", "vanilla-sm", "kde-u", "kde-g", "diffusion")
+        cfg = tiny_config(grid_side=2, methods=order, train_sizes=(64,), n_eval=128,
+                          steps=10, em_steps=10, langevin_steps=10,
+                          hidden_widths=(8,), seed=4)
         density = make_density(cfg)
-        rows = [r for r in run_case(cfg).rows if r.method == "kde-g"]
-        assert [r.repetition for r in rows] == [0, 1]
-        for row in rows:
-            data = density.sample(100, Rng(4).child(1, 3, 100, row.repetition, 0))
-            cell = Rng(4).child(1, 3, 100, row.repetition, 2)
-            samples = kde.sample(kde.fit(data, "gaussian"), 256, cell.child(1))
-            assert row.bpd == densities.bpd(density, samples)
+        rows = run_case(cfg).rows
+        assert [(r.method, r.repetition) for r in rows] == \
+            [(m, rep) for rep in (0, 1) for m in order]
+        for i, row in enumerate(rows):
+            assert row.status == "ok"
+            data = density.sample(64, Rng(4).child(1, 2, 64, row.repetition, 0))
+            cell = Rng(4).child(1, 2, 64, row.repetition, slots[row.method])
+            fit, sample = METHODS[row.method]
+            model = fit(cfg, density, data, cell.child(2), 4 * 1000003 + i)
+            samples = sample(cfg, model, 4, 128, cell.child(1))
+            assert row.bpd == densities.bpd(density, samples), row.method
 
     def test_score_mse_slot_is_99(self):
         """Both estimates are those of separate calls on the cell's stream
@@ -213,6 +224,28 @@ class TestStreamLayout:
         density = make_density(ExperimentConfig(case=2, grid_side=3, seed=8))
         want = density.sample(40, Rng(8).child(2, 3, 40, 0, 0))
         assert np.array_equal(formats.read_csv(out), want)
+
+    def test_train_and_sample_streams(self, tmp_path):
+        """`train` initialises on Rng(seed).child(2) and trains on the seed
+        itself; `sample` draws from Rng(seed).child(3)."""
+        data_path, ckpt = tmp_path / "data.csv", tmp_path / "net.ckpt"
+        out, want_out = tmp_path / "x.csv", tmp_path / "want.csv"
+        formats.write_csv(data_path, Rng(11).normal_matrix(40, 2))
+        flags = ["--seed", "5", "--steps", "6", "--batch", "8", "--widths", "8",
+                 "--em-steps", "4"]
+        assert cli.main(["train", "--data", str(data_path), "--out", str(ckpt),
+                         *flags]) == 0
+        cfg = ExperimentConfig(seed=5, steps=6, batch_size=8, hidden_widths=(8,),
+                               em_steps=4)
+        want = bench.fit_dsm(cfg, formats.read_csv(data_path), Rng(5).child(2), 5)[2]
+        arch, params = formats.load_checkpoint(ckpt)
+        for got, exp in zip(params.weights + params.biases, want.weights + want.biases):
+            assert np.array_equal(got, exp)
+        assert cli.main(["sample", "--checkpoint", str(ckpt), "--n", "30",
+                         "--out", str(out), *flags]) == 0
+        formats.write_csv(want_out, bench.reverse_sde(
+            cfg, network_score(arch, params), 2, 30, Rng(5).child(3)))
+        assert out.read_bytes() == want_out.read_bytes()
 
     def test_unknown_method(self, capsys):
         with pytest.raises(BadConfig):
