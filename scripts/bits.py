@@ -33,6 +33,9 @@ import io
 import tempfile
 from pathlib import Path
 
+# diffden pins the BLAS threads to 1 (as the CLI runs) only if it loads
+# before numpy, so it is imported first
+import diffden  # noqa: F401
 import numpy as np
 
 from diffden import bench, cli, diffusion, sampler, wsnn

@@ -338,7 +338,7 @@ def _row_classes(x_data):
 class TraceRow:
     epoch: int
     mean_loss: float
-    score_mse: float  # nan when not probed
+    score_mse: float  # always nan: fit records no score-MSE estimate
     wall_time_s: float
 
 
@@ -356,7 +356,7 @@ class Objective(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def fit(dataset, arch, init_params, config, objective, probe=None):
+def fit(dataset, arch, init_params, config, objective):
     """Adam descent of an `Objective` over minibatches of the rows of
     dataset, a nonempty (n, D) array for a network of output width D,
     coerced once here.
@@ -374,10 +374,7 @@ def fit(dataset, arch, init_params, config, objective, probe=None):
     (`AdamState.params32`) in the one workspace of their dtype that fit
     builds, and Adam updates the float64 master, reapplies the masks and
     refreshes the copy after every step.  Losses are averaged over trace
-    epochs of config.epoch_len steps (n // batch_size by default), and
-    probe(params, rng), when given the float64 master, is recorded as the
-    epoch's score_mse with rng = Rng(config.seed).child(2, k), k the
-    epoch's last step.
+    epochs of config.epoch_len steps (n // batch_size by default).
 
     A non-finite step loss raises NonFiniteState naming the step, and so
     do trained weights whose float32 copy is not finite; float overflow on
@@ -393,8 +390,7 @@ def fit(dataset, arch, init_params, config, objective, probe=None):
         raise DimensionMismatch(f"output width {arch.output_dim} != data dimension {dim}")
     adam = AdamState(init_params, arch)
     workspace = wsnn.Workspace(arch, adam.flat32.dtype)
-    root = Rng(config.seed)
-    stream = root.child(1)
+    stream = Rng(config.seed).child(1)
     epoch_len = config.epoch_len or max(1, n // config.batch_size)
     order, cls = _row_classes(x_data)
     b = min(config.batch_size, n)
@@ -421,8 +417,7 @@ def fit(dataset, arch, init_params, config, objective, probe=None):
             adam.step(grads, config.learning_rate)
             bucket.append(loss)
             if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
-                sm = math.nan if probe is None else probe(adam.params, root.child(2, step))
-                trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), sm,
+                trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), math.nan,
                                       time.perf_counter() - t0))
                 bucket = []
     if not np.isfinite(adam.flat32).all():
@@ -430,7 +425,7 @@ def fit(dataset, arch, init_params, config, objective, probe=None):
     return adam.params, trace
 
 
-def train(dataset, arch, init_params, schedule, config, score_probe=None):
+def train(dataset, arch, init_params, schedule, config):
     """Stochastic denoising score matching with Adam, through `fit`.
 
     The network must map D + 1 -> D, checked once.  Per block of K steps
@@ -440,9 +435,7 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
     buffer); `_dsm_block` forms every step's x_t, target and float32
     network input at once, and each step is one pass in fit's workspace
     (`_dsm_step`, the step `dsm_value_and_grads` runs).  All randomness
-    derives from config.seed, so runs are repeatable.  score_probe, when
-    given as (density, n_mc), records a score-MSE estimate once per trace
-    epoch.
+    derives from config.seed, so runs are repeatable.
 
     Returns (trained float64 params, list of TraceRow).
     """
@@ -458,15 +451,7 @@ def train(dataset, arch, init_params, schedule, config, score_probe=None):
         return lambda params, k, workspace: _dsm_step(arch, params, inp[k], target[k],
                                                       workspace)
 
-    probe = None
-    if score_probe is not None:
-        density, n_mc = score_probe
-
-        def probe(params, rng):
-            return score_mse(network_score(arch, params), density, schedule,
-                             n_mc, rng).value
-
-    return fit(dataset, arch, init_params, config, Objective(1, block), probe)
+    return fit(dataset, arch, init_params, config, Objective(1, block))
 
 
 def score_mse(scores, density, schedule, n_mc, rng):

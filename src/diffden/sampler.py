@@ -1,14 +1,14 @@
 """Reverse-time SDE sampling, Langevin sampling, and vanilla score matching.
 
-The reverse sampler integrates
+Both samplers run one float32 Euler-Maruyama chain, `_chain`, on per-step
+coefficients (t, a, c, h, s).  The reverse sampler integrates
 
     dY = [alpha Y + 2 alpha f(Y, Tmax - t)] dt + sqrt(2 alpha) dB,  Y_0 ~ N(0, I)
 
-by Euler-Maruyama on a uniform grid over [0, Tmax - Tmin].  The Langevin
-sampler uses the drift +grad log p (the sign that makes p stationary).
-Both samplers step in float32: the state, drift and noise are float32,
-the normals are float32 draws (`Rng.standard_normal` into a float32
-buffer), and the samples widen to float64 on return.
+on a uniform grid over [0, Tmax - Tmin] with steps (t, alpha, 2 alpha, h,
+sqrt(2 alpha h)); the unadjusted Langevin sampler, with the drift
++grad log p (the sign that makes p stationary), has steps
+(0, 0, h, h, sqrt(2 h)).
 Vanilla score matching trains a time-free D -> D network on
 tr(grad f(x)) + |f(x)|^2 / 2 with the divergence replaced by central
 differences along random +-1 directions (sliced score matching); the
@@ -18,6 +18,7 @@ into the Langevin sampler's score, and the sample block file lives in
 `formats` with the other file formats.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +52,7 @@ class SamplerConfig:
 
 def _guard(abs_x, where, step, t=None):
     """Raise NonFiniteState naming the step (and reverse time t) after which
-    the state x, given as |x| (the loop writes it into a buffer it owns), is
+    the state x, given as |x| (the chain writes it into a buffer it owns), is
     non-finite or has left +-_BLOWUP.  One pass finds max |x|; a NaN
     propagates through it and fails the bound check."""
     big = float(np.max(abs_x))
@@ -62,64 +63,62 @@ def _guard(abs_x, where, step, t=None):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def reverse_sde_sample(score, schedule, config, dim, rng):
-    """Euler-Maruyama reverse-SDE samples, shape (n_samples, dim), on the
-    uniform forward-time grid T_max = t_0 > ... > t_n = T_min.
-
-    Per step, y += h (a y + 2 a f(y, t)) + sqrt(2 a h) z.  The state, the
-    drift and the noise are float32 buffers the loop owns, and the first
-    state and every step's noise are float32 normals drawn into them; the
-    score's output, of either float dtype, is read, never written, and is
-    rounded to float32 as it is scaled into the drift.  The samples widen
-    to float64 once, on return.  Float overflow in the score or the drift
-    is left to the guard, which raises NonFiniteState after the step,
-    instead of warning."""
-    n = config.n_samples
+def _chain(score, steps, n, dim, rng, where, timed):
+    """Euler-Maruyama samples, shape (n, dim), of the chain
+    y += h (c f(y, t) + a y) + s z over steps, an iterable of (t, a, c, h, s)
+    Python floats, from y_0 ~ N(0, I); with a = 0 the linear term and its
+    scaling by h are skipped, so c carries h.  The state, the drift and the
+    noise are float32 buffers the chain owns, with float32 normals drawn
+    into them, so every step's arithmetic stays float32; the score's
+    output, of either float dtype, is read, never written, and rounded to
+    float32 as it is scaled into the drift.  Float overflow is left to the
+    guard, which raises NonFiniteState after the step, naming where and,
+    when timed, t.  The samples widen to float64 on return."""
     y = rng.standard_normal(n * dim, out=np.empty((n, dim), np.float32))
     drift = np.empty_like(y)
     noise = np.empty_like(y)
-    # Python floats, so that every step's arithmetic stays float32
-    times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1).tolist()
-    for k in range(config.n_steps):
-        t_rev = times[k]
-        h = times[k] - times[k + 1]
-        a = float(schedule.alpha_at(t_rev))
-        np.multiply(score_at(score, y, t_rev), 2.0 * a, out=drift)
-        drift += np.multiply(y, a, out=noise)  # noise is free until the draw
+    for k, (t, a, c, h, s) in enumerate(steps):
+        np.multiply(score_at(score, y, t), c, out=drift)
+        if a:
+            drift += np.multiply(y, a, out=noise)  # noise is free until the draw
+            drift *= h
         rng.standard_normal(n * dim, out=noise)
-        drift *= h
         y += drift
-        noise *= math.sqrt(2.0 * a * h)
+        noise *= s
         y += noise
-        _guard(np.abs(y, out=noise), "reverse SDE sampling", k, t_rev)
+        _guard(np.abs(y, out=noise), where, k, t if timed else None)
     return y.astype(np.float64)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def reverse_sde_sample(score, schedule, config, dim, rng):
+    """Reverse-SDE samples, shape (n_samples, dim), on the uniform
+    forward-time grid T_max = t_0 > ... > t_n = T_min: `_chain` with step k
+    at t = t_k, h = t_k - t_{k+1} and a = alpha(t_k), formed as the chain
+    reaches it."""
+    times = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1).tolist()
+
+    def steps():
+        for t, t_next in zip(times, times[1:]):
+            a, h = float(schedule.alpha_at(t)), t - t_next
+            yield t, a, 2.0 * a, h, math.sqrt(2.0 * a * h)
+
+    return _chain(score, steps(), config.n_samples, dim, rng, "reverse SDE sampling", True)
+
+
 def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
-    """Unadjusted Langevin chain Z += h * score(Z) + sqrt(2h) * noise, with
-    the state, the drift and the noise in float32 buffers the loop owns, and
-    float overflow left to the guard, as in `reverse_sde_sample`; the
-    samples widen to float64 on return.  n_steps or n_samples below 1
-    raises InvalidSize."""
+    """Unadjusted Langevin samples, shape (n_samples, dim): `_chain` with
+    the score at t = 0 and no linear term, z += h f(z) + sqrt(2h) noise,
+    h = step_size.  A step_size not above 0 and finite raises BadConfig;
+    n_steps or n_samples below 1 raises InvalidSize."""
     if not 0 < step_size < math.inf:
         raise BadConfig(f"Langevin step_size must be > 0 and finite, got {step_size}")
     if n_steps < 1:
         raise InvalidSize("n_steps must be >= 1")
     if n_samples < 1:
         raise InvalidSize(f"n_samples must be >= 1, got {n_samples}")
-    step_size = float(step_size)
-    z = rng.standard_normal(n_samples * dim, out=np.empty((n_samples, dim), np.float32))
-    drift = np.empty_like(z)
-    noise = np.empty_like(z)
-    root_2h = math.sqrt(2.0 * step_size)
-    for k in range(n_steps):
-        rng.standard_normal(n_samples * dim, out=noise)
-        z += np.multiply(score_at(score, z, 0.0), step_size, out=drift)
-        noise *= root_2h
-        z += noise
-        _guard(np.abs(z, out=noise), "Langevin sampling", k)
-    return z.astype(np.float64)
+    h = float(step_size)
+    steps = itertools.repeat((0.0, 0.0, h, h, math.sqrt(2.0 * h)), n_steps)
+    return _chain(score, steps, n_samples, dim, rng, "Langevin sampling", False)
 
 
 # --- vanilla score matching -------------------------------------------------

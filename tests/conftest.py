@@ -2,6 +2,9 @@ import math
 import os
 import tracemalloc
 
+# diffden pins the BLAS threads to 1 (as the CLI runs) only if it loads
+# before numpy, so it is imported first
+import diffden  # noqa: F401
 import numpy as np
 import pytest
 

@@ -484,20 +484,6 @@ class TestTrain:
         assert lines[0] == "epoch,mean_loss,score_mse,wall_time_s"
         assert len(lines) == 3
 
-    def test_score_probe_recorded_in_trace(self, tmp_path, rng):
-        density = IsoGaussian(1)
-        data = density.sample(64, rng)
-        arch = wsnn.mlp((2, 8, 1))
-        params = wsnn.init_params(arch, rng.child(9))
-        cfg = TrainConfig(batch_size=16, steps=8, seed=2, epoch_len=4)
-        _, trace = train(data, arch, params, SCHED, cfg,
-                         score_probe=(density, 256))
-        assert all(math.isfinite(row.score_mse) for row in trace)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
-        cells = path.read_text().splitlines()[1].split(",")
-        assert float(cells[2]) == trace[0].score_mse
-
     @pytest.mark.parametrize("epoch_len", [0, -2])
     def test_epoch_len_below_one_is_bad_config(self, epoch_len):
         """0 used to fall back to the default and -2 to write a trace row

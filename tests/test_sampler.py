@@ -430,13 +430,17 @@ class TestLoopBuffers:
     ARCH = wsnn.mlp((5, 16, 16, 4))
 
     def test_reverse_sde_equals_reference(self):
+        """Also on a time-varying alpha, formed per step for the chain."""
         params = wsnn.init_params(self.ARCH, Rng(1))
         cfg = SamplerConfig(n_steps=20, n_samples=200)
-        for score in (network_score(self.ARCH, params),
-                      analytic_score(GridMrfGaussian(2), SCHED)):
-            got = reverse_sde_sample(score, SCHED, cfg, 4, Rng(2))
-            want = reference_reverse_sde_sample(score, SCHED, cfg, 4, Rng(2))
-            assert got.tobytes() == want.tobytes()
+        varying = DiffusionSchedule(alpha=lambda t: 1.0 + 0.5 * math.sin(t),
+                                    tau_lower=0.5, tau_upper=1.5)
+        for schedule in (SCHED, varying):
+            for score in (network_score(self.ARCH, params),
+                          analytic_score(GridMrfGaussian(2), schedule)):
+                got = reverse_sde_sample(score, schedule, cfg, 4, Rng(2))
+                want = reference_reverse_sde_sample(score, schedule, cfg, 4, Rng(2))
+                assert got.tobytes() == want.tobytes()
 
     def test_langevin_equals_reference(self):
         arch = wsnn.mlp((4, 16, 16, 4))
