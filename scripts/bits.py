@@ -11,12 +11,13 @@ float32 passes) on a plain MLP, on a masked network with two permuted
 replicas per hidden layer, on a plain MLP with a 0/1 mask on every layer
 (its masked negative weights are -0.0), on a dataset with duplicated rows
 and signed zeros, and with one full batch; one evaluation of the float32
-`network_score` at 3000 rows on the initial weights, so that it moves
-with the score's arithmetic only; reverse-SDE sampling on the trained
-network; vanilla-SM training; a DSM and a sliced vanilla-SM training
-run of two whole training blocks and a tail (`*_block_tail`); Langevin
-sampling; the dense
-matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
+`network_score` at 3000 rows on the initial weights, with biases drawn
+from a fixed stream (`init_params` leaves every bias at zero, which would
+hide how a pass adds them), so that it moves with the score's arithmetic
+only; reverse-SDE sampling on the trained network; vanilla-SM
+training; a DSM and a sliced vanilla-SM training run of two whole
+training blocks and a tail (`*_block_tail`); Langevin sampling; the
+dense matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
 negative entries are -0.0; the dataset CSV and metadata JSON that
 `diffden gen-data --meta` writes on cases 1-3; every other file the CLI
 writes (`file_*`: the checkpoint and the loss trace of `train --trace`,
@@ -107,7 +108,9 @@ put_training("dsm_masked_plain", *diffusion.train(
     diffusion.TrainConfig(batch_size=64, steps=200, seed=19)))
 
 x = Rng(22).normal_matrix(3000, 9)
-put("score32", diffusion.network_score(arch, p0)(x, Rng(23).uniform(3000, 1e-3, 3.0))
+biased = wsnn.WsnnParams(p0.weights, [Rng(30).child(i).standard_normal(b.size)
+                                      for i, b in enumerate(p0.biases)])
+put("score32", diffusion.network_score(arch, biased)(x, Rng(23).uniform(3000, 1e-3, 3.0))
     .astype(np.float64).tobytes())
 y = sampler.reverse_sde_sample(diffusion.network_score(arch, params), sched,
                                sampler.SamplerConfig(80, 3000), 9, Rng(6))

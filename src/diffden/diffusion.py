@@ -128,10 +128,12 @@ def network_score(arch, params):
     """Score callable (x, t) backed by a network, whose shape says what to
     do with t: a D + 1 -> D network computes f(concat(x, t)), and a D -> D
     network (vanilla score matching) computes f(x) and ignores t.  It
-    evaluates a float32 copy of params, cast once, here: every call writes
-    x (and t beside it) into the float32 input buffer of one workspace the
-    score owns for as long as it lives, runs the pass there and returns
-    its float32 output, a fresh array."""
+    evaluates a float32 copy of params, cast once, here, and packed as the
+    pass reads it: every call writes x (and t beside it) into the
+    transposed (rows, D + 1) view of the feature-major float32 input
+    buffer of one workspace the score owns for as long as it lives, runs
+    the pass there and returns its float32 output, the (rows, D) view of
+    a fresh (D, rows) array."""
     dim = arch.output_dim
     if arch.input_dim not in (dim, dim + 1):
         raise DimensionMismatch("score network must map D + 1 -> D or D -> D")
@@ -186,42 +188,46 @@ def dsm_value_and_grads(arch, params, schedule, x0, t, z, workspace=None):
 
 
 def _dsm_block(schedule, x0, t, z, dtype):
-    """(network inputs, targets) of K denoising steps at once, for (K, B, D)
-    batches x0 and noise z (either may broadcast) and (K, B) times t (or
-    one shared time): one mu_sigma call and one sigma_t = 0 check, then
-    x_t = mu_t x0 + sigma_t z and the target (x_t - mu_t x0) / sigma_t^2,
-    minus the conditional score, in float64, and x_t and t rounded once
-    into the (K, B, D + 1) input of dtype."""
-    mu, sigma = (np.expand_dims(a, -1) for a in schedule.mu_sigma(t))
+    """(network inputs, targets) of K denoising steps at once, feature-major,
+    for (K, B, D) batches x0 and noise z (either may broadcast) and (K, B)
+    times t (or one shared time): one mu_sigma call and one sigma_t = 0
+    check, then x_t = mu_t x0 + sigma_t z and the target
+    (x_t - mu_t x0) / sigma_t^2, minus the conditional score, in float64
+    as (K, D, B) arrays, and x_t and t rounded once into rows [:D + 1] of
+    the (K, D + 2, B) input of dtype, whose last row is ones."""
+    shape = np.broadcast_shapes(np.shape(x0), np.shape(z))
+    k_steps, b, dim = shape
+    mu, sigma = (np.broadcast_to(a, (k_steps, b))[:, None, :] for a in schedule.mu_sigma(t))
     if np.any(sigma == 0.0):
         raise SingularTime("conditional score undefined at sigma_t = 0")
-    x_t = sigma * z
-    mu_x0 = mu * x0
+    x_t = np.multiply(sigma, np.swapaxes(z, 1, 2), out=np.empty((k_steps, dim, b)))
+    mu_x0 = np.multiply(mu, np.swapaxes(x0, 1, 2), out=np.empty_like(x_t))
     x_t += mu_x0
-    dim = x_t.shape[-1]
-    inp = np.empty(x_t.shape[:-1] + (dim + 1,), dtype)
-    inp[..., :dim] = x_t
-    inp[..., dim] = t
+    inp = np.empty((k_steps, dim + 2, b), dtype)
+    inp[:, :dim] = x_t
+    inp[:, dim] = t
+    inp[:, dim + 1] = 1.0
     target = np.subtract(x_t, mu_x0, out=mu_x0)
     target /= sigma ** 2
     return inp, target
 
 
 def _dsm_step(arch, params, inp, target, workspace):
-    """(loss, grads) of one denoising step from its (B, D + 1) network input
-    and (B, D) target; the residual is formed in place in the output."""
-    b = target.shape[0]
+    """(loss, grads) of one denoising step from its feature-major (D + 2, B)
+    network input and (D, B) target; the residual is formed in place in
+    the output."""
+    b = target.shape[1]
 
     def head(out):
         resid = np.add(out, target, out=out)
-        flat = resid.ravel()
-        # the mean squared row norm as one BLAS dot of the flat residual
+        # the mean squared row norm as one BLAS dot of the residual's rows
+        flat = resid.T.ravel()
         loss = float(np.dot(flat, flat) / b)
         resid *= 2.0
         resid /= b
         return loss, resid
 
-    return wsnn.value_and_grads(arch, params, inp, head, workspace)
+    return wsnn._value_and_grads(arch, params, inp, head, workspace)
 
 
 @dataclass
@@ -247,28 +253,31 @@ class AdamState:
     """Adam over one flat float64 master buffer, with a float32 copy for the
     passes and float32 moments.
 
-    The trained parameters are a flat float64 array; `params` is a copy of
-    the initial parameters, masked by arch, whose arrays are views into
-    that buffer, so a step is one elementwise update of the whole buffer.
-    Both moment accumulators, the gradient buffer and the update arithmetic
-    are float32, the dtype of the passes' gradients, so nothing widens per
-    step until the float32 update is subtracted from the float64 master
-    (mixed-precision training's usual layout).  `params32` views a float32
-    buffer holding the parameters rounded once: one cast refreshes it after
-    every step and its mask reapplication, so a masked entry is the same
-    signed zero in both."""
+    The trained parameters are a flat float64 array laid out as the passes
+    read them (`wsnn.packed`: one column-major block [W_i | b_i] per
+    layer); `params` views it and starts as the initial parameters, masked
+    by arch, so a step is one elementwise update of the whole buffer.
+    Both moment accumulators, the gradient buffer and the update
+    arithmetic are float32, the dtype of the passes' gradients, so nothing
+    widens per step until the float32 update is subtracted from the
+    float64 master (mixed-precision training's usual layout).  `params32`
+    views a float32 buffer of that layout holding the parameters rounded
+    once: one cast refreshes it after every step and its mask
+    reapplication, so a masked entry is the same signed zero in both."""
 
     def __init__(self, params, arch):
         self.arch = arch
-        self.flat = np.concatenate(params.weights + params.biases, axis=None,
-                                   dtype=np.float64)
+        shapes = [arch.layer_shape(i) for i in range(arch.depth)]
+        self.flat = np.empty(wsnn.packed_size(shapes))
         self.flat32 = np.empty(self.flat.shape, np.float32)
-        self.params = _views(self.flat, params)
-        self.params32 = _views(self.flat32, params)
+        self.params = wsnn.packed(shapes, self.flat)
+        self.params32 = wsnn.packed(shapes, self.flat32)
+        wsnn.assign(self.params, params)
         self.m = np.zeros_like(self.flat32)
         self.v = np.zeros_like(self.flat32)
         self.t = 0
         self._grad = np.empty_like(self.flat32)
+        self._grads = wsnn.packed(shapes, self._grad)
         self._scratch = np.empty_like(self.flat32)
         self._wide = np.empty_like(self.flat)
         self._project()
@@ -284,11 +293,12 @@ class AdamState:
         update widened into a float64 buffer (a cast copy, where a mixed
         dtype subtraction would allocate numpy's cast buffer); then the
         masks and the float32 copy.  grads of either dtype are cast into
-        the float32 g."""
+        the float32 g (`wsnn.assign`: the packed gradients of a pass one
+        block at a time)."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         g, s = self._grad, self._scratch
-        np.concatenate(grads.weights + grads.biases, axis=None, out=g)
+        wsnn.assign(self._grads, grads)
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         self.m *= b1
@@ -306,14 +316,6 @@ class AdamState:
         np.copyto(self._wide, s)
         self.flat -= self._wide
         self._project()
-
-
-def _views(flat, like):
-    """WsnnParams shaped like `like` whose arrays are views into flat."""
-    arrays = like.weights + like.biases
-    ends = np.cumsum([a.size for a in arrays])
-    views = [v.reshape(a.shape) for a, v in zip(arrays, np.split(flat, ends[:-1]))]
-    return wsnn.WsnnParams(views[:len(like.weights)], views[len(like.weights):])
 
 
 def _row_classes(x_data):

@@ -126,14 +126,14 @@ def langevin_sample(score, step_size, n_steps, n_samples, dim, rng):
 
 def _divergence_exact(mats, acts):
     """tr(grad f) per batch element for a piecewise-linear (ReLU) network
-    given its materialised layer matrices and the input and post-ReLU hidden
-    activations of one pass: the input Jacobian of each activation is
-    carried forward through the ReLU masks (relu(z) > 0 exactly where
-    z > 0)."""
-    b, dim = acts[0].shape
+    given its materialised layer matrices and the feature-major input and
+    post-ReLU hidden activations of one pass, each with its ones row: the
+    input Jacobian of each activation is carried forward through the ReLU
+    masks (relu(z) > 0 exactly where z > 0), taken row by row."""
+    dim, b = acts[0].shape[0] - 1, acts[0].shape[1]
     jac = np.broadcast_to(np.eye(dim), (b, dim, dim))
-    for A, a in zip(mats[:-1], acts[1:]):
-        jac = (a > 0.0)[:, :, None] * np.einsum("oh,bhd->bod", A, jac)
+    for A, h in zip(mats[:-1], acts[1:]):
+        jac = (h[:-1] > 0.0).T.copy()[:, :, None] * np.einsum("oh,bhd->bod", A, jac)
     return np.einsum("oh,bho->b", mats[-1], jac)
 
 
@@ -148,8 +148,9 @@ def vanilla_sm_pointwise(arch, params, x):
     if x.shape[1] != arch.input_dim:
         raise DimensionMismatch("input width does not match the network")
     wsnn._check_params(arch, params)
-    f, mats, acts = wsnn._forward_cache(arch, params, x, wsnn.Workspace(arch))
-    return _divergence_exact(mats, acts) + 0.5 * np.sum(f * f, axis=1)
+    ws = wsnn.Workspace(arch)
+    f, layers, acts = wsnn._forward_cache(arch, params, ws.load(x), ws)
+    return _divergence_exact(layers.weights, acts) + 0.5 * np.sum(f * f, axis=0)
 
 
 def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None):
@@ -174,34 +175,40 @@ def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None)
 
 
 def _sliced_block(x, v, delta, dtype):
-    """The stacked inputs of K sliced steps at once, for (K, B, D) batches x
-    (which may broadcast) and (K, k, B, D) float64 directions v: each
-    step's 2k + 1 blocks [x; x + delta v_j; x - delta v_j], whatever D is,
-    formed in float64 and rounded once into a (K, (2k + 1) B, D) array of
-    dtype, so that each step is one stacked pass."""
+    """The stacked inputs of K sliced steps at once, feature-major, for
+    (K, B, D) batches x (which may broadcast) and (K, k, B, D) float64
+    directions v: each step's 2k + 1 column blocks
+    [x; x + delta v_j; x - delta v_j], whatever D is, formed in float64 and
+    rounded once into rows [:D] of a (K, D + 1, (2k + 1) B) array of dtype
+    whose last row is ones, so that each step is one stacked pass."""
     n_steps, k, b, dim = v.shape
-    stacked = np.empty((n_steps, 2 * k + 1, b, dim), dtype)
-    shift = delta * v
-    stacked[:, 0] = x
-    stacked[:, 1:k + 1] = x[:, None] + shift
-    stacked[:, k + 1:] = x[:, None] - shift
-    return stacked.reshape(n_steps, -1, dim)
+    stacked = np.empty((n_steps, dim + 1, 2 * k + 1, b), dtype)
+    shift = delta * np.moveaxis(v, 3, 1)
+    x = np.swapaxes(x, 1, 2)[:, :, None]
+    stacked[:, :dim, :1] = x
+    stacked[:, :dim, 1:k + 1] = x + shift
+    stacked[:, :dim, k + 1:] = x - shift
+    stacked[:, dim] = 1.0
+    return stacked.reshape(n_steps, dim + 1, -1)
 
 
 def _sliced_step(arch, params, stacked, v, delta, workspace):
-    """(loss, grads) of one sliced step from its ((2k + 1) B, D) stacked
-    input and its (k, B, D) float64 directions."""
+    """(loss, grads) of one sliced step from its feature-major
+    (D + 1, (2k + 1) B) stacked input and its (k, B, D) float64
+    directions."""
     k, b, dim = v.shape
     scale = 1.0 / (2.0 * delta * k)
+    v = np.moveaxis(v, 2, 0)
 
     def head(out):
-        out = out.reshape(2 * k + 1, b, dim)
-        f = out[0]
-        div = np.einsum("jbd,jbd->b", v, out[1:k + 1] - out[k + 1:]) * scale
-        g = np.concatenate([f[None] / b, v * (scale / b), v * (-scale / b)], dtype=out.dtype)
-        return float(np.mean(div + 0.5 * np.sum(f * f, axis=1))), g.reshape(-1, dim)
+        out = out.reshape(dim, 2 * k + 1, b)
+        f = out[:, 0]
+        div = np.einsum("djb,djb->b", v, out[:, 1:k + 1] - out[:, k + 1:]) * scale
+        g = np.concatenate([f[:, None] / b, v * (scale / b), v * (-scale / b)], axis=1,
+                           dtype=out.dtype)
+        return float(np.mean(div + 0.5 * np.sum(f * f, axis=0))), g.reshape(dim, -1)
 
-    return wsnn.value_and_grads(arch, params, stacked, head, workspace)
+    return wsnn._value_and_grads(arch, params, stacked, head, workspace)
 
 
 def train_vanilla_sm(dataset, arch, init_params, config):

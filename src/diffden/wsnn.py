@@ -17,31 +17,67 @@ identity replica) is its own dense layer: the architecture marks it once
 (`plain`), and a pass uses its W_i, b_i and their gradients as they are,
 with neither sum nor fold.
 
+Every pass is feature-major, with each bias folded into its layer's
+product.  A layer is read as one augmented block [A_i | c_i] of shape
+(d_{i+1}, d_i + 1), and its input as a (d_i + 1, rows) array whose last
+row is ones, so that one product [A_i | c_i] @ H_{i-1} is the
+pre-activation, bias included, and one in-place ReLU on its rows [:-1]
+gives the next layer's input, whose ones row stays in place.  The ones
+row comes last, so the bias is the last term of each BLAS dot product,
+which at 3000 rows gives the bytes of a product followed by a bias add
+(and at 500; at 128 rows OpenBLAS's kernels round differently).
+Row-major, the ones would be a last column, and each layer's product
+and ReLU would write the strided view of every row but its last entry:
+that layout measured slower than a product and a bias add, where
+feature-major rows [:-1] are one contiguous slice that BLAS and the ReLU
+write in one sweep.  Reverse mode forms each gradient block
+as one product, [dW_i | db_i]^T = H_{i-1} @ delta_i^T, the bias gradient
+being the ones row's share.  A weight-sharing layer routes the augmented
+block as one weight matrix, its Q permutations extended by the ones
+column mapped to itself (`WsnnArchitecture.q_blocks`), so weights and
+biases take one routing through `replica_sum` and `replica_fold`.  The
+public functions keep their (B, d) inputs and outputs, the outputs as
+transposed views of fresh (d, B) arrays.
+
+Blocks are column-major: the memory of [W_i | b_i] is the C-ordered
+(d_i + 1, d_{i+1}) [W_i | b_i]^T, so b_i is one contiguous row of it and
+a gradient block is written by its product in place.  BLAS then gets
+each block as a transposed operand, whose kernels round every output
+column alike whatever the row count; as a no-transpose operand, a
+C-ordered block had OpenBLAS round the last few columns of some row
+counts differently, so a row's score would depend on the batch it came
+in.  `WsnnParams` holds W_i and b_i as separate arrays.  Packed
+parameters are the column views W_i = block[:, :-1], b_i = block[:, -1]
+of such blocks, which they keep (`WsnnParams.blocks`): a pass reads
+those blocks as they are, where for other parameters it packs a copy
+first (`blocks`).  Training's float64 master and float32 copy, views of
+two flat buffers (`packed`, `diffusion.AdamState`), every cast copy
+(`WsnnParams.astype`, what a sampling score evaluates) and the fresh
+gradients of `value_and_grads` are packed.
+
 `value_and_grads` runs the network once per call: the forward pass keeps
 only each layer's post-ReLU activations, and reverse mode takes its ReLU
 masks from them (relu(z) > 0 exactly where z > 0) instead of running the
 forward pass again.  It returns the value and the parameter gradients,
 stopping at the first layer's: only `backward` forms the input gradient.
-Each bias gradient, a column sum of the layer's delta, is taken as one
-product with a ones vector, ones @ delta, which BLAS runs far faster at
-these shapes than numpy's row-by-row `sum(axis=0)`.
 
 A `Workspace` holds the per-layer arrays a pass writes into: the hidden
-activations, and for reverse mode each hidden layer's delta and bool ReLU
-mask, and the (rows,) ones vector of the bias gradients.  It also holds
-one (rows, d_1) input buffer, which the pass only reads: a caller that
-builds its input from parts (a score network's x_t and t) writes them
-there side by side and hands the buffer to the pass, instead of
-concatenating a fresh input per call.  A loop that evaluates the network
-step after step (training, sampling) owns one workspace and hands it to
-every `forward` or `value_and_grads` call, so no step allocates or
-page-faults them afresh; the arrays are reallocated only when the row count changes, and the
-input and backward-only ones only on first use.  A call without a
-workspace makes a throwaway one that dies with the call, so a one-off
-evaluation keeps nothing alive.  The workspace never holds a result: the
-network output and every gradient are fresh arrays the caller owns, so a
-kept output is not overwritten by the next call.  Results are
-bit-identical with and without a reused workspace.
+activations, each (width + 1, rows) with its ones row, and for reverse
+mode each hidden layer's delta and bool ReLU mask.  It also holds the
+(d_1 + 1, rows) input buffer with its ones row, whose (rows, d_1)
+transposed view `inputs` hands out: a caller that builds its input from
+parts (a score network's x_t and t) writes them there and hands the view
+to the pass, which then reads the buffer in place; any other input is
+copied into it, transposed.  A loop that evaluates the network step
+after step (training, sampling) owns one workspace and hands it to every
+`forward` or `value_and_grads` call, so no step allocates or page-faults
+them afresh; the arrays are reallocated only when the row count
+changes, and the input and backward-only ones only on first use.  A call
+without a workspace makes a throwaway one that dies with the call, so a
+one-off evaluation keeps nothing alive.  The workspace never holds a
+result: the network output and every gradient are fresh arrays the
+caller owns, so a kept output is not overwritten by the next call.
+Results are bit-identical with and without a reused workspace.
 
 A pass runs in the dtype of the parameters: the input is cast to it and
 the workspace's arrays are of it.  Training passes are float32, on the
@@ -92,6 +128,9 @@ class WsnnArchitecture:
     weight_bound: float = 0.0
     weight_masks: tuple = None  # optional per-layer 0/1 arrays, None = dense
     plain: tuple = field(init=False, repr=False, compare=False)  # per hidden layer
+    # per hidden layer: its Q permutations extended to the augmented block
+    # [W_i | b_i], the ones column d_i mapped to itself
+    q_blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -118,6 +157,9 @@ class WsnnArchitecture:
         object.__setattr__(self, "plain", tuple(  # one identity replica
             m == 1 and all(np.array_equal(p[0].idx, np.arange(p[0].size)) for p in qr)
             for m, qr in zip(replicas, zip(self.q_perms, self.r_perms))))
+        object.__setattr__(self, "q_blocks", tuple(
+            tuple(Permutation(np.append(q.idx, widths[i])) for q in qs)
+            for i, qs in enumerate(self.q_perms)))
         masks = self.weight_masks
         if masks is not None:
             if not isinstance(masks, (tuple, list)) or len(masks) != self.depth:
@@ -159,15 +201,62 @@ def mlp(widths, sparsity=0, weight_bound=0.0):
 class WsnnParams:
     weights: list  # W_i of shape (d_{i+1}, d_i)
     biases: list   # b_i of shape (d_{i+1},)
+    # packed parameters only: the (d_{i+1}, d_i + 1) blocks [W_i | b_i],
+    # column-major, whose column views the weights and biases are (`packed`)
+    blocks: list = field(default=None, repr=False, compare=False)
 
     def copy(self):
         return WsnnParams([w.copy() for w in self.weights],
                           [b.copy() for b in self.biases])
 
     def astype(self, dtype):
-        """A copy with every array cast to dtype."""
-        return WsnnParams([w.astype(dtype) for w in self.weights],
-                          [b.astype(dtype) for b in self.biases])
+        """A packed copy with every array cast to dtype."""
+        out = _split([np.empty((w.shape[1] + 1, w.shape[0]), dtype).T for w in self.weights])
+        assign(out, self)
+        return out
+
+
+def packed(shapes, flat):
+    """Packed WsnnParams whose arrays view flat, for layers of the given
+    (d_{i+1}, d_i) shapes: one column-major block [W_i | b_i] of shape
+    (d_{i+1}, d_i + 1) per layer, in layer order (see the module
+    docstring)."""
+    blocks, start = [], 0
+    for dout, din in shapes:
+        blocks.append(flat[start:start + dout * (din + 1)].reshape(din + 1, dout).T)
+        start += dout * (din + 1)
+    if start != flat.size:
+        raise DimensionMismatch(f"{flat.size} values do not pack layers of shapes {shapes}")
+    return _split(blocks)
+
+
+def _split(blocks):
+    """Packed WsnnParams of the given column-major blocks [W_i | b_i]."""
+    return WsnnParams([b[:, :-1] for b in blocks], [b[:, -1] for b in blocks], blocks)
+
+
+def packed_size(shapes):
+    """The number of values `packed` lays out for layers of these shapes."""
+    return sum(dout * (din + 1) for dout, din in shapes)
+
+
+def blocks(params):
+    """Per layer, the column-major (d_{i+1}, d_i + 1) array [W_i | b_i]:
+    the blocks of packed params, else those of a packed copy."""
+    if params.blocks is not None:
+        return params.blocks
+    return params.astype(params.weights[0].dtype).blocks
+
+
+def assign(dst, src):
+    """Copy the arrays of src into the packed dst, cast to its dtype:
+    block by block when src is packed too, else array by array."""
+    if src.blocks is not None:
+        pairs = zip(dst.blocks, src.blocks)
+    else:
+        pairs = zip(dst.weights + dst.biases, src.weights + src.biases)
+    for d, s in pairs:
+        np.copyto(d, s)
 
 
 def init_params(arch, rng):
@@ -212,61 +301,89 @@ def _check_params(arch, params):
         if params.biases[i].shape != (arch.widths[i + 1],):
             raise DimensionMismatch(f"b_{i + 1} shape {params.biases[i].shape} "
                                     f"!= {(arch.widths[i + 1],)}")
+        # a pass reads packed params through their blocks, so an array
+        # rebound in place of a block's view would be ignored
+        if params.blocks is not None and not (
+                np.may_share_memory(params.weights[i], params.blocks[i])
+                and np.may_share_memory(params.biases[i], params.blocks[i])):
+            raise DimensionMismatch(f"W_{i + 1} or b_{i + 1} is no longer a view of "
+                                    f"its packed block [W_{i + 1} | b_{i + 1}]")
     return params.weights[0].dtype
 
 
-def replica_sum(W, b, q_perms, r_perms):
-    """Dense (A, c) = (sum_j R^(j) W Q^(j), sum_j R^(j) b) of one layer.
+def replica_sum(W, q_perms, r_perms):
+    """The dense A = sum_j R^(j) W Q^(j) of one layer's shared block W.
 
     Replica j routes input coordinate q.idx[d] into weight column d and
     weight row k onto output coordinate r.idx[k], so W[k, d] lands on
     A[r.idx[k], q.idx[d]].  The replicas are added in order onto zeros, so
     an entry that every replica leaves at -0.0 comes out +0.0;
-    `replica_fold` is the exact adjoint."""
-    A, c = np.zeros_like(W), np.zeros_like(b)
+    `replica_fold` is the exact adjoint.  A pass routes the augmented
+    block [W | b] as W, through Q permutations that map its ones column
+    to itself (`WsnnArchitecture.q_blocks`), so that the last column of A
+    is the dense bias sum_j R^(j) b."""
+    A = np.zeros_like(W)
     for q, r in zip(q_perms, r_perms):
         # exact: a Permutation has no repeated index, so no entry is hit twice
         A[np.ix_(r.idx, q.idx)] += W
-        c[r.idx] += b
-    return A, c
+    return A
 
 
-def replica_fold(dA, dc, q_perms, r_perms):
-    """Gradients on the shared (W, b) from gradients on the dense (A, c):
-    each replica reads dA and dc where `replica_sum` put its copy."""
-    dW, db = np.zeros_like(dA), np.zeros_like(dc)
+def replica_fold(dA, q_perms, r_perms):
+    """The gradient on the shared W from the gradient on the dense A:
+    each replica reads dA where `replica_sum` put its copy."""
+    dW = np.zeros_like(dA)
     for q, r in zip(q_perms, r_perms):
         dW += dA[np.ix_(r.idx, q.idx)]
-        db += dc[r.idx]
-    return dW, db
+    return dW
+
+
+def _with_ones(width, rows, dtype):
+    """A (width + 1, rows) array whose last row is ones."""
+    a = np.empty((width + 1, rows), dtype)
+    a[-1] = 1.0
+    return a
 
 
 class Workspace:
-    """The (rows, width) arrays one pass writes per hidden layer, and the
+    """The feature-major arrays one pass writes per hidden layer, and the
     network input buffer, reused by every call that is handed this
-    workspace; see the module docstring.  They are of `dtype`, the dtype
-    of the parameters of every pass run here."""
+    workspace; see the module docstring.  Each activation and the input
+    are (width + 1, rows) with a last row of ones, which a pass never
+    writes.  They are of `dtype`, the dtype of the parameters of every
+    pass run here."""
 
     def __init__(self, arch, dtype=np.float64):
         self.input_dim = arch.input_dim
         self.widths = arch.widths[1:-1]
         self.dtype = np.dtype(dtype)
         self.rows = None
-        self.input = self.acts = self.deltas = self.masks = self.ones = None
+        self.input = self.input_rows = self.acts = self.deltas = self.masks = None
 
     def _fit(self, rows):
         if rows != self.rows:
             self.rows = rows
-            self.acts = [np.empty((rows, w), self.dtype) for w in self.widths]
-            self.input = self.deltas = self.masks = self.ones = None
+            self.acts = [_with_ones(w, rows, self.dtype) for w in self.widths]
+            self.input = self.input_rows = self.deltas = self.masks = None
 
     def inputs(self, rows):
-        """The (rows, d_1) network input buffer, for a caller that assembles
-        the input in place (a score network's x and t side by side) and
-        then runs the pass on it in this workspace."""
+        """The (rows, d_1) transposed view of the (d_1 + 1, rows) input
+        buffer, the same object for as long as the row count holds: a
+        caller assembles the input in it (a score network's x and t side
+        by side) and hands it to a pass in this workspace, which then
+        reads the buffer in place."""
         self._fit(rows)
         if self.input is None:
-            self.input = np.empty((rows, self.input_dim), self.dtype)
+            self.input = _with_ones(self.input_dim, rows, self.dtype)
+            self.input_rows = self.input[:-1].T
+        return self.input_rows
+
+    def load(self, x):
+        """The input buffer holding the (rows, d_1) batch x: x itself when
+        it is the view `inputs` hands out, else x copied in, transposed."""
+        view = self.inputs(x.shape[0])
+        if x is not view:
+            view[...] = x
         return self.input
 
     def hidden(self, rows):
@@ -275,15 +392,13 @@ class Workspace:
         return self.acts
 
     def reverse(self, rows):
-        """(deltas, ReLU masks, ones) for reverse mode over `rows` rows:
-        the per-layer buffers and the (rows,) ones vector whose product
-        with a delta is its bias gradient."""
+        """(deltas, ReLU masks), the (width, rows) per-layer buffers of
+        reverse mode over `rows` rows."""
         self._fit(rows)
         if self.deltas is None:
-            self.deltas = [np.empty((rows, w), self.dtype) for w in self.widths]
-            self.masks = [np.empty((rows, w), dtype=bool) for w in self.widths]
-            self.ones = np.ones(rows, self.dtype)
-        return self.deltas, self.masks, self.ones
+            self.deltas = [np.empty((w, rows), self.dtype) for w in self.widths]
+            self.masks = [np.empty((w, rows), dtype=bool) for w in self.widths]
+        return self.deltas, self.masks
 
 
 def _workspace(arch, workspace, dtype):
@@ -300,28 +415,30 @@ def _workspace(arch, workspace, dtype):
 
 def forward(arch, params, x, workspace=None):
     """Evaluate the network; accepts a single vector or a (B, d_1) batch.
-    The output is a fresh array; the hidden layers go to `workspace`."""
+    The output is the (B, d_{L+1}) view of a fresh array; the hidden
+    layers go to `workspace`."""
     dtype = _check_params(arch, params)
     a, single = _as_batch(x, arch.input_dim, dtype)
-    out = _forward_cache(arch, params, a, _workspace(arch, workspace, dtype))[0]
+    ws = _workspace(arch, workspace, dtype)
+    out = _forward_cache(arch, params, ws.load(a), ws)[0].T
     return out[0] if single else out
 
 
-def _forward_cache(arch, params, a, ws):
+def _forward_cache(arch, params, h, ws):
     """(output, dense layers, [input, post-ReLU activations]) of one pass
-    over the (B, d_1) batch a, whose dtype is that of params and of ws.
-    Each hidden layer is computed in place in its `ws` buffer (product,
-    bias, ReLU); only the output is a fresh array."""
-    mats, bs = effective_layers(arch, params)
-    acts = [a]
-    for A, b, z in zip(mats[:-1], bs[:-1], ws.hidden(a.shape[0])):
-        np.matmul(a, A.T, out=z)
-        z += b
-        a = np.maximum(z, 0.0, out=z)
-        acts.append(a)
-    out = a @ mats[-1].T
-    out += bs[-1]
-    return out, mats, acts
+    over the feature-major (d_1 + 1, B) input h with its ones row, of the
+    dtype of params and of ws; the dense layers are `effective_layers`.
+    Each hidden layer is one product of its dense block [A_i | c_i] into
+    rows [:-1] of its `ws` buffer and one in-place ReLU there; only the
+    (d_{L+1}, B) output is a fresh array."""
+    layers = effective_layers(arch, params)
+    acts = [h]
+    for P, z in zip(layers.blocks[:-1], ws.hidden(h.shape[1])):
+        pre = np.matmul(P, h, out=z[:-1])
+        np.maximum(pre, 0.0, out=pre)
+        h = z
+        acts.append(h)
+    return layers.blocks[-1] @ h, layers, acts
 
 
 def value_and_grads(arch, params, x, head, workspace=None):
@@ -329,60 +446,80 @@ def value_and_grads(arch, params, x, head, workspace=None):
 
     head(out) -> (value, grad_output) turns the (B, d_{L+1}) output into a
     value and its gradient with respect to the output.  Returns (value,
-    WsnnParams of parameter gradients), fresh arrays; the per-layer arrays
-    go to `workspace`, where reverse mode stops, leaving the first layer's
-    delta.  Each bias gradient is the product ones @ delta with the
-    workspace's ones vector (ones @ grad_output at the output layer).
-    Shared-weight gradients accumulate over all replicas of a layer; the
-    ReLU derivative at exactly 0 is taken as 0.
+    WsnnParams of parameter gradients), packed and fresh; the per-layer
+    arrays go to `workspace`, where reverse mode stops, leaving the first
+    layer's delta.  Each gradient block is one product
+    [dW_i | db_i]^T = H_{i-1} @ delta_i^T of the layer's input, ones row
+    included, and its delta.  Shared-weight gradients accumulate over all
+    replicas of a layer; the ReLU derivative at exactly 0 is taken as 0.
     """
     dtype = _check_params(arch, params)
     a, _ = _as_batch(x, arch.input_dim, dtype)
     ws = _workspace(arch, workspace, dtype)
-    out, mats, acts = _forward_cache(arch, params, a, ws)
-    value, g = head(out)
-    if g.shape != out.shape:
-        raise DimensionMismatch("grad_output batch size does not match input")
 
-    deltas, masks, ones = ws.reverse(a.shape[0])
-    dws, dbs = [None] * arch.depth, [None] * arch.depth
-    dws[-1] = g.T @ acts[-1]
-    dbs[-1] = ones @ g
-    delta = np.matmul(g, mats[-1], out=deltas[-1])
+    def feature_major(out):
+        value, g = head(out.T)
+        return value, np.transpose(g)
+
+    return _value_and_grads(arch, params, ws.load(a), feature_major, ws)
+
+
+def _value_and_grads(arch, params, h, head, ws):
+    """`value_and_grads` on the feature-major (d_1 + 1, B) input h with its
+    ones row, of the dtype of params and of ws, with a feature-major head:
+    head(out) -> (value, g) on the (d_{L+1}, B) output."""
+    out, layers, acts = _forward_cache(arch, params, h, ws)
+    dense = layers.blocks
+    value, g = head(out)
+    if np.shape(g) != out.shape:
+        raise DimensionMismatch("grad_output batch size does not match input")
+    g = np.ascontiguousarray(g)
+
+    deltas, masks = ws.reverse(h.shape[1])
+    grads = _split([np.empty(P.T.shape, out.dtype).T for P in dense])
+    np.matmul(acts[-1], g.T, out=grads.blocks[-1].T)
+    delta = np.matmul(dense[-1][:, :-1].T, g, out=deltas[-1])
     for i in range(arch.depth - 2, -1, -1):
-        delta *= np.greater(acts[i + 1], 0.0, out=masks[i])
-        dws[i], dbs[i] = delta.T @ acts[i], ones @ delta
-        if not arch.plain[i]:
-            dws[i], dbs[i] = replica_fold(dws[i], dbs[i], arch.q_perms[i], arch.r_perms[i])
+        delta *= np.greater(acts[i + 1][:-1], 0.0, out=masks[i])
+        if arch.plain[i]:
+            np.matmul(acts[i], delta.T, out=grads.blocks[i].T)
+        else:
+            grads.blocks[i][...] = replica_fold((acts[i] @ delta.T).T,
+                                                arch.q_blocks[i], arch.r_perms[i])
         if i:
-            delta = np.matmul(delta, mats[i], out=deltas[i - 1])
-    return value, apply_masks(WsnnParams(dws, dbs), arch)
+            delta = np.matmul(dense[i][:, :-1].T, delta, out=deltas[i - 1])
+    return value, apply_masks(grads, arch)
 
 
 def backward(arch, params, x, grad_output):
     """Reverse-mode gradients of sum(grad_output * forward(x)).
 
     Returns (WsnnParams of gradients, gradient w.r.t. x); see
-    `value_and_grads`.  The input gradient is the first layer's delta,
-    which that pass leaves in its workspace, times the first dense layer.
+    `value_and_grads`.  The input gradient is the first dense layer,
+    transposed, times the first layer's delta, which that pass leaves in
+    its workspace.
     """
     ws = Workspace(arch, _check_params(arch, params))
     g, _ = _as_batch(grad_output, arch.output_dim, ws.dtype)
     _, grads = value_and_grads(arch, params, x, lambda out: (None, g), ws)
-    dx = ws.deltas[0] @ effective_layers(arch, params)[0][0]
+    dx = (effective_layers(arch, params).blocks[0][:, :-1].T @ ws.deltas[0]).T
     return grads, (dx[0] if np.ndim(x) == 1 else dx)
 
 
 def effective_layers(arch, params):
-    """All layers as plain (A_i, b_i) affine maps: a plain hidden layer and
-    the output layer are their own (W_i, b_i), the very arrays of params,
-    and every other hidden layer is its materialised replica sum."""
+    """All layers as plain affine maps: a WsnnParams of the dense (A_i, c_i)
+    and their blocks [A_i | c_i].  A plain
+    hidden layer and the output layer are their own (W_i, b_i), the very
+    arrays of params, and their own blocks (`blocks`); every other hidden
+    layer is the replica sum of its shared block, whose A_i and c_i are
+    column views of that sum."""
+    dense = list(blocks(params))
     mats, bs = list(params.weights), list(params.biases)
     for i, plain in enumerate(arch.plain):
         if not plain:
-            mats[i], bs[i] = replica_sum(params.weights[i], params.biases[i],
-                                         arch.q_perms[i], arch.r_perms[i])
-    return mats, bs
+            dense[i] = replica_sum(dense[i], arch.q_blocks[i], arch.r_perms[i])
+            mats[i], bs[i] = dense[i][:, :-1], dense[i][:, -1]
+    return WsnnParams(mats, bs, dense)
 
 
 # --- convolution as a weight-sharing layer ---------------------------------
@@ -408,8 +545,7 @@ class ConvAsWsnn:
         return W
 
     def materialize(self, filter_vec):
-        return replica_sum(self.place_filter(filter_vec), np.zeros(self.d_out),
-                           self.q_perms, self.r_perms)[0]
+        return replica_sum(self.place_filter(filter_vec), self.q_perms, self.r_perms)
 
 
 def conv_as_wsnn(input_side, filter_side):

@@ -47,7 +47,8 @@ def finite_diff_param_grads(loss_fn, params, eps=1e-5):
 def relu_pattern(arch, params, x):
     """Which hidden pre-activations are > 0, per row of the (B, d_1) batch x,
     all hidden layers side by side: the linear region each row lies in."""
-    mats, biases = wsnn.effective_layers(arch, params)
+    layers = wsnn.effective_layers(arch, params)
+    mats, biases = layers.weights, layers.biases
     a, pattern = np.atleast_2d(x), []
     for A, c in zip(mats[:-1], biases[:-1]):
         z = a @ A.T + c
@@ -183,24 +184,22 @@ def reference_backward(arch, params, x, g):
 # The per-replica scatter and gather loops, written out independently of
 # `wsnn.replica_sum` / `wsnn.replica_fold`: replica j adds W onto
 # A[r_j][:, q_j] and reads the fold from there, replicas in order onto zeros.
+# Both take one matrix; a layer's augmented block [W | b] is routed as W
+# through its Q permutations extended by the ones column, as a pass does.
 
 
-def reference_replica_sum(W, b, q_perms, r_perms):
+def reference_replica_sum(W, q_perms, r_perms):
     A = np.zeros_like(W)
-    c = np.zeros_like(b)
     for q, r in zip(q_perms, r_perms):
         A[np.ix_(r.idx, q.idx)] += W
-        c[r.idx] += b
-    return A, c
+    return A
 
 
-def reference_replica_fold(dA, dc, q_perms, r_perms):
+def reference_replica_fold(dA, q_perms, r_perms):
     dW = np.zeros_like(dA)
-    db = np.zeros_like(dc)
     for q, r in zip(q_perms, r_perms):
         dW += dA[np.ix_(r.idx, q.idx)]
-        db += dc[r.idx]
-    return dW, db
+    return dW
 
 
 def warm_peak(call):
@@ -268,7 +267,8 @@ def rademacher(rng, k, b, dim):
 def reference_vanilla_sm_pointwise(arch, params, x):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     f = np.atleast_2d(wsnn.forward(arch, params, x))
-    mats, biases = wsnn.effective_layers(arch, params)
+    layers = wsnn.effective_layers(arch, params)
+    mats, biases = layers.weights, layers.biases
     b, dim = x.shape
     a = x
     jac = np.broadcast_to(np.eye(dim), (b, dim, dim))
@@ -467,47 +467,58 @@ def dsm_loss(arch, params, schedule, x0, x_t, t):
 # single identity replica included, is materialised by `wsnn.replica_sum` and
 # its dense gradients are folded back by `wsnn.replica_fold`, and reverse mode
 # runs on through the first layer to the input gradient.  Same products in
-# the same order as `wsnn.value_and_grads`, so the bytes must agree.
+# the same order as `wsnn.value_and_grads`, so the bytes must agree: each
+# layer is one augmented block [A | c] times a feature-major input whose last
+# row is ones, and each gradient block [dW | db] one product with it.
 
 
 def reference_effective_layers(arch, params):
-    mats, bs = [], []
+    """The dense blocks [A | c], column-major as the pass reads them, every
+    hidden layer's block routed through `wsnn.replica_sum` with the ones
+    column mapped to itself."""
+    blocks = []
+    for w, b in zip(params.weights, params.biases):
+        blocks.append(np.empty((w.shape[1] + 1, w.shape[0]), w.dtype).T)
+        blocks[-1][:, :-1], blocks[-1][:, -1] = w, b
     for i in range(arch.depth - 1):
-        A, c = wsnn.replica_sum(params.weights[i], params.biases[i],
-                                arch.q_perms[i], arch.r_perms[i])
-        mats.append(A)
-        bs.append(c)
-    return mats + [params.weights[-1]], bs + [params.biases[-1]]
+        blocks[i] = wsnn.replica_sum(blocks[i], arch.q_blocks[i], arch.r_perms[i])
+    return blocks
 
 
 def reference_dense_pass(arch, params, x):
-    """(output, dense layers, [input, post-ReLU activations]) of one pass,
-    run in the dtype of params: x is cast to it."""
+    """(output, dense blocks, [input, post-ReLU activations]) of one pass,
+    run in the dtype of params: x is cast to it.  The input and every
+    activation are feature-major with a last row of ones; the output is
+    returned as (B, d_{L+1})."""
     a = np.atleast_2d(np.asarray(x, dtype=params.weights[0].dtype))
-    mats, bs = reference_effective_layers(arch, params)
-    acts = [a]
-    for A, b in zip(mats[:-1], bs[:-1]):
-        a = np.maximum(a @ A.T + b, 0.0)
-        acts.append(a)
-    return a @ mats[-1].T + bs[-1], mats, acts
+    blocks = reference_effective_layers(arch, params)
+    h = np.ones((a.shape[1] + 1, a.shape[0]), a.dtype)
+    h[:-1] = a.T
+    acts = [h]
+    for P in blocks[:-1]:
+        h = np.ones((P.shape[0] + 1, h.shape[1]), h.dtype)
+        h[:-1] = np.maximum(P @ acts[-1], 0.0)
+        acts.append(h)
+    return (blocks[-1] @ h).T, blocks, acts
 
 
 def reference_value_and_grads(arch, params, x, head):
-    """(value, parameter gradients, input gradient); each bias gradient is
-    the column sum of its delta taken as a product with a ones vector."""
-    out, mats, acts = reference_dense_pass(arch, params, x)
+    """(value, parameter gradients, input gradient); each gradient block
+    [dW | db] is the transpose of the layer's input with its ones row
+    times the transposed feature-major delta."""
+    out, blocks, acts = reference_dense_pass(arch, params, x)
     value, g = head(out)
-    ones = np.ones(out.shape[0], out.dtype)
-    dws, dbs = [None] * arch.depth, [None] * arch.depth
-    dws[-1] = g.T @ acts[-1]
-    dbs[-1] = ones @ g
-    delta = g @ mats[-1]
+    g = np.ascontiguousarray(np.transpose(g))
+    grads = [None] * arch.depth
+    grads[-1] = (acts[-1] @ g.T).T
+    delta = blocks[-1][:, :-1].T @ g
     for i in range(arch.depth - 2, -1, -1):
-        delta *= acts[i + 1] > 0.0
-        dws[i], dbs[i] = wsnn.replica_fold(delta.T @ acts[i], ones @ delta,
-                                           arch.q_perms[i], arch.r_perms[i])
-        delta = delta @ mats[i]
-    return value, wsnn.apply_masks(wsnn.WsnnParams(dws, dbs), arch), delta
+        delta *= acts[i + 1][:-1] > 0.0
+        grads[i] = wsnn.replica_fold((acts[i] @ delta.T).T, arch.q_blocks[i],
+                                     arch.r_perms[i])
+        delta = blocks[i][:, :-1].T @ delta
+    grads = wsnn.WsnnParams([d[:, :-1] for d in grads], [d[:, -1] for d in grads])
+    return value, wsnn.apply_masks(grads, arch), delta.T
 
 
 def normal32(rng, shape):

@@ -82,7 +82,8 @@ def test_criterion_2_wsnn_correctness():
         g = gen.normal(size=arch.output_dim)
         # keep away from ReLU kinks so the FD comparison is valid
         pres_ok = True
-        mats, biases = wsnn.effective_layers(arch, params)
+        layers = wsnn.effective_layers(arch, params)
+        mats, biases = layers.weights, layers.biases
         a = x
         for i in range(arch.depth - 1):
             z = mats[i] @ a + biases[i]

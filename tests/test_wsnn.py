@@ -82,6 +82,17 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             forward(arch, params, np.ones(3))
 
+    def test_packed_array_rebound_off_its_block_is_refused(self):
+        # a pass reads packed params through their blocks, so a rebound
+        # entry would be ignored; the shapes still fit
+        arch = mlp((3, 4, 2))
+        for i, kind in ((0, "weights"), (1, "biases")):
+            params = zero_params(arch).astype(np.float64)
+            forward(arch, params, np.ones(3))
+            getattr(params, kind)[i] = np.ones_like(getattr(params, kind)[i])
+            with pytest.raises(DimensionMismatch):
+                forward(arch, params, np.ones(3))
+
     def test_single_vector_matches_batch_row(self):
         gen = np.random.default_rng(4)
         arch = random_arch(gen)
@@ -94,9 +105,9 @@ class TestForward:
 
 def _away_from_kinks(arch, params, x, margin=1e-4):
     a = np.atleast_2d(x)
+    layers = effective_layers(arch, params)
     for i in range(arch.depth - 1):
-        mats, biases = effective_layers(arch, params)
-        z = a @ mats[i].T + biases[i]
+        z = a @ layers.weights[i].T + layers.biases[i]
         if np.min(np.abs(z)) < margin:
             return False
         a = np.maximum(z, 0.0)
@@ -327,12 +338,19 @@ class TestWorkspace:
             lambda: value_and_grads(self.ARCH, params, x, self._head, ws))
         assert peak < rows * 64 * 8
 
-    def test_warm_time_free_score_allocates_less_than_one_activation(self):
-        score = network_score(self.ARCH, init_params(self.ARCH, Rng(3)))
-        rows = 3000  # one Langevin step at n_eval = 3000
+    @pytest.mark.parametrize("widths", [(9, 64, 64, 9), (10, 64, 64, 9)],
+                             ids=["untimed", "timed"])
+    def test_warm_time_free_score_allocates_less_than_one_activation(self, widths):
+        """Also for the timed score, which writes x and t into the
+        feature-major input buffer in place of a per-call input copy."""
+        arch = mlp(widths)
+        score = network_score(arch, init_params(arch, Rng(3)))
+        rows = 3000  # one Langevin or reverse-SDE step at n_eval = 3000
         x = Rng(4).normal_matrix(rows, 9)
         peak = warm_peak(lambda: score(x, 0.0))
         assert peak < rows * 64 * 8
+        # the fresh float32 (D, rows) output, and no input-sized copy beside it
+        assert peak < 2 * rows * 9 * 4
 
     def test_alternating_row_counts_match_fresh_workspace(self):
         params = init_params(self.ARCH, Rng(5))
@@ -427,8 +445,9 @@ class TestPlainLayers:
 
     def test_plain_layers_are_the_parameters(self):
         params = self._params()
-        mats, biases = effective_layers(self.ARCH, params)
-        assert all(a is b for a, b in zip(mats + biases, params.weights + params.biases))
+        layers = effective_layers(self.ARCH, params)
+        assert all(a is b for a, b in zip(layers.weights + layers.biases,
+                                          params.weights + params.biases))
 
     def test_pass_bytes_equal_reference(self):
         params = self._params()
@@ -584,9 +603,9 @@ class TestMaterialize:
         gen = np.random.default_rng(17)
         arch = random_arch(gen)
         params = random_params(gen, arch)
-        mats, biases = effective_layers(arch, params)
+        layers = effective_layers(arch, params)
         x = gen.normal(size=arch.input_dim)
         ref_z = wsnn_layer_forward_np(
             x[None, :], params.weights[0], params.biases[0],
             *perm_tables(arch, 0))[0]
-        assert np.allclose(ref_z, mats[0] @ x + biases[0], atol=1e-12)
+        assert np.allclose(ref_z, layers.weights[0] @ x + layers.biases[0], atol=1e-12)

@@ -96,19 +96,19 @@ def test_dense_backward_matches_replica_sum(case):
 @SETTINGS
 @given(architectures(), st.integers(0, 2 ** 32 - 1))
 def test_fold_is_adjoint_of_materialize(case, seed):
-    """<replica_sum(W, b), (dA, dc)> == <(W, b), replica_fold(dA, dc)>."""
+    """<replica_sum(W), dA> == <W, replica_fold(dA)>, for each layer's
+    augmented block [W | b] routed through its ones-extended Q
+    permutations, as a pass routes it."""
     arch, params, _, _ = case
     gen = np.random.default_rng(seed)
     for i in range(arch.depth - 1):
-        W, b = params.weights[i], params.biases[i]
+        W = np.column_stack([params.weights[i], params.biases[i]])
         dA = gen.normal(size=W.shape)
-        dc = gen.normal(size=b.shape)
-        q, r = arch.q_perms[i], arch.r_perms[i]
-        A, c = replica_sum(W, b, q, r)
-        dW, db = replica_fold(dA, dc, q, r)
-        lhs = np.sum(A * dA) + np.sum(c * dc)
-        rhs = np.sum(W * dW) + np.sum(b * db)
-        scale = np.sum(np.abs(A * dA)) + np.sum(np.abs(c * dc))
+        q, r = arch.q_blocks[i], arch.r_perms[i]
+        A = replica_sum(W, q, r)
+        lhs = np.sum(A * dA)
+        rhs = np.sum(W * replica_fold(dA, q, r))
+        scale = np.sum(np.abs(A * dA))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale)
 
 
@@ -121,18 +121,13 @@ def test_index_gathers_equal_replica_loops(case, seed):
     arch, params, _, _ = case
     gen = np.random.default_rng(seed)
     for i in range(arch.depth - 1):
-        q, r = arch.q_perms[i], arch.r_perms[i]
-        dA = gen.normal(size=arch.layer_shape(i))
-        dc = gen.normal(size=arch.widths[i + 1])
+        q, r = arch.q_blocks[i], arch.r_perms[i]
+        W = np.column_stack([params.weights[i], params.biases[i]])
+        dA = gen.normal(size=W.shape)
         dA *= gen.random(dA.shape) < 0.7
-        dc *= gen.random(dc.shape) < 0.7
-        for got, want in ((replica_sum(params.weights[i], params.biases[i], q, r),
-                           reference_replica_sum(params.weights[i], params.biases[i],
-                                                 q, r)),
-                          (replica_fold(dA, dc, q, r),
-                           reference_replica_fold(dA, dc, q, r))):
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        for got, want in ((replica_sum(W, q, r), reference_replica_sum(W, q, r)),
+                          (replica_fold(dA, q, r), reference_replica_fold(dA, q, r))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @SETTINGS
