@@ -108,8 +108,8 @@ put_training("dsm_masked_plain", *diffusion.train(
     diffusion.TrainConfig(batch_size=64, steps=200, seed=19)))
 
 x = Rng(22).normal_matrix(3000, 9)
-biased = wsnn.WsnnParams(p0.weights, [Rng(30).child(i).standard_normal(b.size)
-                                      for i, b in enumerate(p0.biases)])
+biased = wsnn.WsnnParams.of(p0.weights, [Rng(30).child(i).standard_normal(b.size)
+                                         for i, b in enumerate(p0.biases)])
 put("score32", diffusion.network_score(arch, biased)(x, Rng(23).uniform(3000, 1e-3, 3.0))
     .astype(np.float64).tobytes())
 y = sampler.reverse_sde_sample(diffusion.network_score(arch, params), sched,

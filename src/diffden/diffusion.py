@@ -128,12 +128,12 @@ def network_score(arch, params):
     """Score callable (x, t) backed by a network, whose shape says what to
     do with t: a D + 1 -> D network computes f(concat(x, t)), and a D -> D
     network (vanilla score matching) computes f(x) and ignores t.  It
-    evaluates a float32 copy of params, cast once, here, and packed as the
-    pass reads it: every call writes x (and t beside it) into the
-    transposed (rows, D + 1) view of the feature-major float32 input
-    buffer of one workspace the score owns for as long as it lives, runs
-    the pass there and returns its float32 output, the (rows, D) view of
-    a fresh (D, rows) array."""
+    evaluates a float32 copy of params, cast once, here, into fresh
+    blocks: every call writes x (and t beside it) into the transposed
+    (rows, D + 1) view of the feature-major float32 input buffer of one
+    workspace the score owns for as long as it lives, runs the pass there
+    and returns its float32 output, the (rows, D) view of a fresh
+    (D, rows) array."""
     dim = arch.output_dim
     if arch.input_dim not in (dim, dim + 1):
         raise DimensionMismatch("score network must map D + 1 -> D or D -> D")
@@ -253,10 +253,10 @@ class AdamState:
     """Adam over one flat float64 master buffer, with a float32 copy for the
     passes and float32 moments.
 
-    The trained parameters are a flat float64 array laid out as the passes
-    read them (`wsnn.packed`: one column-major block [W_i | b_i] per
-    layer); `params` views it and starts as the initial parameters, masked
-    by arch, so a step is one elementwise update of the whole buffer.
+    The trained parameters are the blocks [W_i | b_i] of `params`, views
+    of one flat float64 array (`wsnn.packed`), which start as the initial
+    parameters, masked by arch, so a step is one elementwise update of the
+    whole buffer.
     Both moment accumulators, the gradient buffer and the update
     arithmetic are float32, the dtype of the passes' gradients, so nothing
     widens per step until the float32 update is subtracted from the
@@ -266,18 +266,15 @@ class AdamState:
     reapplication, so a masked entry is the same signed zero in both."""
 
     def __init__(self, params, arch):
+        wsnn._check_params(arch, params)
         self.arch = arch
-        shapes = [arch.layer_shape(i) for i in range(arch.depth)]
-        self.flat = np.empty(wsnn.packed_size(shapes))
-        self.flat32 = np.empty(self.flat.shape, np.float32)
-        self.params = wsnn.packed(shapes, self.flat)
-        self.params32 = wsnn.packed(shapes, self.flat32)
+        self.flat, self.params = wsnn.packed(arch, np.float64)
+        self.flat32, self.params32 = wsnn.packed(arch, np.float32)
         wsnn.assign(self.params, params)
         self.m = np.zeros_like(self.flat32)
         self.v = np.zeros_like(self.flat32)
         self.t = 0
-        self._grad = np.empty_like(self.flat32)
-        self._grads = wsnn.packed(shapes, self._grad)
+        self._grad, self._grads = wsnn.packed(arch, np.float32)
         self._scratch = np.empty_like(self.flat32)
         self._wide = np.empty_like(self.flat)
         self._project()
@@ -293,8 +290,7 @@ class AdamState:
         update widened into a float64 buffer (a cast copy, where a mixed
         dtype subtraction would allocate numpy's cast buffer); then the
         masks and the float32 copy.  grads of either dtype are cast into
-        the float32 g (`wsnn.assign`: the packed gradients of a pass one
-        block at a time)."""
+        the float32 g one block at a time (`wsnn.assign`)."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         g, s = self._grad, self._scratch
@@ -378,6 +374,7 @@ def fit(dataset, arch, init_params, config, objective):
     refreshes the copy after every step.  Losses are averaged over trace
     epochs of config.epoch_len steps (n // batch_size by default).
 
+    Initial params whose blocks do not fit arch raise DimensionMismatch.
     A non-finite step loss raises NonFiniteState naming the step, and so
     do trained weights whose float32 copy is not finite; float overflow on
     the way there is left to these checks instead of warning.

@@ -271,7 +271,7 @@ def load_checkpoint(path):
                 raise CorruptFile(f"{path}: layer {i + 1} has a non-finite "
                                   f"weight or bias")
         expect_eof(fh)
-    return arch, WsnnParams(weights, biases)
+    return arch, WsnnParams.of(weights, biases)
 
 
 def write_samples_binary(path, x):

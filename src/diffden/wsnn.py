@@ -46,14 +46,14 @@ each block as a transposed operand, whose kernels round every output
 column alike whatever the row count; as a no-transpose operand, a
 C-ordered block had OpenBLAS round the last few columns of some row
 counts differently, so a row's score would depend on the batch it came
-in.  `WsnnParams` holds W_i and b_i as separate arrays.  Packed
-parameters are the column views W_i = block[:, :-1], b_i = block[:, -1]
-of such blocks, which they keep (`WsnnParams.blocks`): a pass reads
-those blocks as they are, where for other parameters it packs a copy
-first (`blocks`).  Training's float64 master and float32 copy, views of
-two flat buffers (`packed`, `diffusion.AdamState`), every cast copy
-(`WsnnParams.astype`, what a sampling score evaluates) and the fresh
-gradients of `value_and_grads` are packed.
+in.  `WsnnParams` is these blocks alone; its `weights` and `biases` are
+read-only tuples of their column views W_i = block[:, :-1] and
+b_i = block[:, -1].  A pass reads the blocks as they are, and separate
+arrays become parameters only as a copy into fresh blocks
+(`WsnnParams.of`).  Training's float64 master and float32 copy are
+blocks viewing two flat buffers (`packed`, `diffusion.AdamState`); every
+cast copy (`WsnnParams.astype`, what a sampling score evaluates) and the
+gradients of `value_and_grads` are fresh blocks.
 
 `value_and_grads` runs the network once per call: the forward pass keeps
 only each layer's post-ReLU activations, and reverse mode takes its ReLU
@@ -197,77 +197,81 @@ def mlp(widths, sparsity=0, weight_bound=0.0):
     return WsnnArchitecture(widths, (1,) * n_hidden, q, r, sparsity, weight_bound)
 
 
+def _block(shape, dtype):
+    """A fresh column-major array of this shape and dtype."""
+    return np.empty(shape[::-1], dtype).T
+
+
 @dataclass
 class WsnnParams:
-    weights: list  # W_i of shape (d_{i+1}, d_i)
-    biases: list   # b_i of shape (d_{i+1},)
-    # packed parameters only: the (d_{i+1}, d_i + 1) blocks [W_i | b_i],
-    # column-major, whose column views the weights and biases are (`packed`)
-    blocks: list = field(default=None, repr=False, compare=False)
+    """Per layer the column-major (d_{i+1}, d_i + 1) block [W_i | b_i]
+    (see the module docstring); W_i and b_i are its column views."""
+
+    blocks: list
+
+    @property
+    def weights(self):
+        """Per layer W_i = block[:, :-1], of shape (d_{i+1}, d_i)."""
+        return tuple(P[:, :-1] for P in self.blocks)
+
+    @property
+    def biases(self):
+        """Per layer b_i = block[:, -1], of shape (d_{i+1},)."""
+        return tuple(P[:, -1] for P in self.blocks)
+
+    @classmethod
+    def of(cls, weights, biases):
+        """Fresh blocks holding copies of W_i and b_i, of W_1's dtype."""
+        if not weights or len(weights) != len(biases):
+            raise DimensionMismatch(f"{len(weights)} weight matrices and "
+                                    f"{len(biases)} bias vectors")
+        dtype = np.asarray(weights[0]).dtype
+        blocks = []
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if np.ndim(w) != 2 or np.shape(b) != np.shape(w)[:1]:
+                raise DimensionMismatch(f"W_{i + 1} of shape {np.shape(w)} and "
+                                        f"b_{i + 1} of shape {np.shape(b)}")
+            blocks.append(_block((len(b), np.shape(w)[1] + 1), dtype))
+            blocks[-1][:, :-1], blocks[-1][:, -1] = w, b
+        return cls(blocks)
 
     def copy(self):
-        return WsnnParams([w.copy() for w in self.weights],
-                          [b.copy() for b in self.biases])
+        return self.astype(self.blocks[0].dtype)
 
     def astype(self, dtype):
-        """A packed copy with every array cast to dtype."""
-        out = _split([np.empty((w.shape[1] + 1, w.shape[0]), dtype).T for w in self.weights])
+        """Fresh blocks holding these cast to dtype."""
+        out = WsnnParams([_block(P.shape, dtype) for P in self.blocks])
         assign(out, self)
         return out
 
 
-def packed(shapes, flat):
-    """Packed WsnnParams whose arrays view flat, for layers of the given
-    (d_{i+1}, d_i) shapes: one column-major block [W_i | b_i] of shape
-    (d_{i+1}, d_i + 1) per layer, in layer order (see the module
-    docstring)."""
+def packed(arch, dtype):
+    """(flat, params): a fresh flat array of dtype, and WsnnParams whose
+    blocks view it, one per layer of arch in layer order."""
+    shapes = [arch.layer_shape(i) for i in range(arch.depth)]
+    flat = np.empty(sum(dout * (din + 1) for dout, din in shapes), dtype)
     blocks, start = [], 0
     for dout, din in shapes:
         blocks.append(flat[start:start + dout * (din + 1)].reshape(din + 1, dout).T)
         start += dout * (din + 1)
-    if start != flat.size:
-        raise DimensionMismatch(f"{flat.size} values do not pack layers of shapes {shapes}")
-    return _split(blocks)
-
-
-def _split(blocks):
-    """Packed WsnnParams of the given column-major blocks [W_i | b_i]."""
-    return WsnnParams([b[:, :-1] for b in blocks], [b[:, -1] for b in blocks], blocks)
-
-
-def packed_size(shapes):
-    """The number of values `packed` lays out for layers of these shapes."""
-    return sum(dout * (din + 1) for dout, din in shapes)
-
-
-def blocks(params):
-    """Per layer, the column-major (d_{i+1}, d_i + 1) array [W_i | b_i]:
-    the blocks of packed params, else those of a packed copy."""
-    if params.blocks is not None:
-        return params.blocks
-    return params.astype(params.weights[0].dtype).blocks
+    return flat, WsnnParams(blocks)
 
 
 def assign(dst, src):
-    """Copy the arrays of src into the packed dst, cast to its dtype:
-    block by block when src is packed too, else array by array."""
-    if src.blocks is not None:
-        pairs = zip(dst.blocks, src.blocks)
-    else:
-        pairs = zip(dst.weights + dst.biases, src.weights + src.biases)
-    for d, s in pairs:
+    """Copy the blocks of src into those of dst, cast to their dtype."""
+    for d, s in zip(dst.blocks, src.blocks):
         np.copyto(d, s)
 
 
 def init_params(arch, rng):
     """He-style fan-in initialisation, deterministic per rng stream."""
-    weights, biases = [], []
+    blocks = []
     for i in range(arch.depth):
         dout, din = arch.layer_shape(i)
-        scale = math.sqrt(2.0 / din)
-        weights.append(scale * rng.normal_matrix(dout, din))
-        biases.append(np.zeros(dout))
-    params = WsnnParams(weights, biases)
+        blocks.append(_block((dout, din + 1), np.float64))
+        blocks[-1][:, :-1] = math.sqrt(2.0 / din) * rng.normal_matrix(dout, din)
+        blocks[-1][:, -1] = 0.0
+    params = WsnnParams(blocks)
     apply_masks(params, arch)
     return params
 
@@ -291,24 +295,15 @@ def _as_batch(x, width, dtype):
 
 
 def _check_params(arch, params):
-    """The dtype a pass on params runs in, once their shapes fit arch."""
-    if len(params.weights) != arch.depth or len(params.biases) != arch.depth:
+    """The dtype a pass on params runs in, once their blocks fit arch."""
+    if len(params.blocks) != arch.depth:
         raise DimensionMismatch("params depth does not match architecture")
-    for i in range(arch.depth):
-        if params.weights[i].shape != arch.layer_shape(i):
-            raise DimensionMismatch(f"W_{i + 1} shape {params.weights[i].shape} "
-                                    f"!= {arch.layer_shape(i)}")
-        if params.biases[i].shape != (arch.widths[i + 1],):
-            raise DimensionMismatch(f"b_{i + 1} shape {params.biases[i].shape} "
-                                    f"!= {(arch.widths[i + 1],)}")
-        # a pass reads packed params through their blocks, so an array
-        # rebound in place of a block's view would be ignored
-        if params.blocks is not None and not (
-                np.may_share_memory(params.weights[i], params.blocks[i])
-                and np.may_share_memory(params.biases[i], params.blocks[i])):
-            raise DimensionMismatch(f"W_{i + 1} or b_{i + 1} is no longer a view of "
-                                    f"its packed block [W_{i + 1} | b_{i + 1}]")
-    return params.weights[0].dtype
+    for i, P in enumerate(params.blocks):
+        dout, din = arch.layer_shape(i)
+        if P.shape != (dout, din + 1):
+            raise DimensionMismatch(f"[W_{i + 1} | b_{i + 1}] shape {P.shape} "
+                                    f"!= {(dout, din + 1)}")
+    return params.blocks[0].dtype
 
 
 def replica_sum(W, q_perms, r_perms):
@@ -446,7 +441,7 @@ def value_and_grads(arch, params, x, head, workspace=None):
 
     head(out) -> (value, grad_output) turns the (B, d_{L+1}) output into a
     value and its gradient with respect to the output.  Returns (value,
-    WsnnParams of parameter gradients), packed and fresh; the per-layer
+    WsnnParams of parameter gradients) in fresh blocks; the per-layer
     arrays go to `workspace`, where reverse mode stops, leaving the first
     layer's delta.  Each gradient block is one product
     [dW_i | db_i]^T = H_{i-1} @ delta_i^T of the layer's input, ones row
@@ -476,7 +471,7 @@ def _value_and_grads(arch, params, h, head, ws):
     g = np.ascontiguousarray(g)
 
     deltas, masks = ws.reverse(h.shape[1])
-    grads = _split([np.empty(P.T.shape, out.dtype).T for P in dense])
+    grads = WsnnParams([_block(P.shape, out.dtype) for P in dense])
     np.matmul(acts[-1], g.T, out=grads.blocks[-1].T)
     delta = np.matmul(dense[-1][:, :-1].T, g, out=deltas[-1])
     for i in range(arch.depth - 2, -1, -1):
@@ -507,19 +502,15 @@ def backward(arch, params, x, grad_output):
 
 
 def effective_layers(arch, params):
-    """All layers as plain affine maps: a WsnnParams of the dense (A_i, c_i)
-    and their blocks [A_i | c_i].  A plain
-    hidden layer and the output layer are their own (W_i, b_i), the very
-    arrays of params, and their own blocks (`blocks`); every other hidden
-    layer is the replica sum of its shared block, whose A_i and c_i are
-    column views of that sum."""
-    dense = list(blocks(params))
-    mats, bs = list(params.weights), list(params.biases)
+    """All layers as plain affine maps: WsnnParams of the dense blocks
+    [A_i | c_i].  A plain hidden layer and the output layer are their own
+    block [W_i | b_i], the very array of params; every other hidden layer
+    is the replica sum of its shared block, column-major like it."""
+    dense = list(params.blocks)
     for i, plain in enumerate(arch.plain):
         if not plain:
             dense[i] = replica_sum(dense[i], arch.q_blocks[i], arch.r_perms[i])
-            mats[i], bs[i] = dense[i][:, :-1], dense[i][:, -1]
-    return WsnnParams(mats, bs, dense)
+    return WsnnParams(dense)
 
 
 # --- convolution as a weight-sharing layer ---------------------------------

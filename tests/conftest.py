@@ -25,21 +25,21 @@ def rng():
 
 
 def finite_diff_param_grads(loss_fn, params, eps=1e-5):
-    """Central-difference gradients of loss_fn(params) for every entry."""
+    """Central-difference gradients of loss_fn(params) for every entry.
+    Each entry is indexed in its array, a strided view of its block, so
+    the nudge lands in the block a pass reads (`ravel` would copy it)."""
     grads_w, grads_b = [], []
     for arrays, grads in ((params.weights, grads_w), (params.biases, grads_b)):
         for a in arrays:
-            g = np.zeros_like(a)
-            flat = a.ravel()
-            gflat = g.ravel()
-            for i in range(flat.size):
-                old = flat[i]
-                flat[i] = old + eps
+            g = np.zeros(a.shape, a.dtype)
+            for i in np.ndindex(a.shape):
+                old = a[i]
+                a[i] = old + eps
                 up = loss_fn(params)
-                flat[i] = old - eps
+                a[i] = old - eps
                 down = loss_fn(params)
-                flat[i] = old
-                gflat[i] = (up - down) / (2 * eps)
+                a[i] = old
+                g[i] = (up - down) / (2 * eps)
             grads.append(g)
     return grads_w, grads_b
 
@@ -68,13 +68,12 @@ def kink_free_entries(pattern, params, eps=1e-5):
     flags = []
     for a in params.weights + params.biases:
         ok = np.ones(a.shape, dtype=bool)
-        flat, okflat = a.ravel(), ok.ravel()
-        for i in range(flat.size):
-            old = flat[i]
+        for i in np.ndindex(a.shape):
+            old = a[i]
             for moved in (old + eps, old - eps):
-                flat[i] = moved
-                okflat[i] &= np.array_equal(pattern(params), at)
-            flat[i] = old
+                a[i] = moved
+                ok[i] &= np.array_equal(pattern(params), at)
+            a[i] = old
         flags.append(ok)
     return flags
 
@@ -517,7 +516,7 @@ def reference_value_and_grads(arch, params, x, head):
         grads[i] = wsnn.replica_fold((acts[i] @ delta.T).T, arch.q_blocks[i],
                                      arch.r_perms[i])
         delta = blocks[i][:, :-1].T @ delta
-    grads = wsnn.WsnnParams([d[:, :-1] for d in grads], [d[:, -1] for d in grads])
+    grads = wsnn.WsnnParams.of([d[:, :-1] for d in grads], [d[:, -1] for d in grads])
     return value, wsnn.apply_masks(grads, arch), delta.T
 
 
@@ -602,7 +601,7 @@ def conditional_score(schedule, x0, x_t, t):
 
 
 def zero_params(arch):
-    return WsnnParams(
+    return WsnnParams.of(
         [np.zeros(arch.layer_shape(i)) for i in range(arch.depth)],
         [np.zeros(arch.widths[i + 1]) for i in range(arch.depth)])
 
@@ -633,5 +632,5 @@ def linear_network(weight, bias=None):
     w1 = np.vstack([weight, -weight])
     b1 = np.concatenate([bias, -bias])
     w2 = np.hstack([np.eye(dout), -np.eye(dout)])
-    params = WsnnParams([w1, w2], [b1, np.zeros(dout)])
+    params = WsnnParams.of([w1, w2], [b1, np.zeros(dout)])
     return arch, params

@@ -98,17 +98,17 @@ def test_criterion_2_wsnn_correctness():
         for arrays, got in ((params.weights, grads.weights),
                             (params.biases, grads.biases)):
             for arr, garr in zip(arrays, got):
-                flat, gflat = arr.ravel(), garr.ravel()
-                for i in range(flat.size):
-                    old = flat[i]
-                    flat[i] = old + eps
+                # indexed in place: arr is a strided view of its block
+                for i in np.ndindex(arr.shape):
+                    old = arr[i]
+                    arr[i] = old + eps
                     up = float(np.dot(wsnn.forward(arch, params, x), g))
-                    flat[i] = old - eps
+                    arr[i] = old - eps
                     down = float(np.dot(wsnn.forward(arch, params, x), g))
-                    flat[i] = old
+                    arr[i] = old
                     fd = (up - down) / (2 * eps)
                     if abs(fd) > 1e-6:
-                        assert abs(gflat[i] - fd) / abs(fd) < 1e-5
+                        assert abs(garr[i] - fd) / abs(fd) < 1e-5
         checked += 1
     # (c) convolution embedding
     plan = wsnn.conv_as_wsnn(4, 2)

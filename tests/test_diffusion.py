@@ -442,8 +442,8 @@ class TestTrain:
         ref = ReferenceAdamState(want)
         gen = np.random.default_rng(22)
         for _ in range(20):
-            g = wsnn.WsnnParams([gen.normal(size=w.shape) for w in p0.weights],
-                                [gen.normal(size=b.shape) for b in p0.biases])
+            g = wsnn.WsnnParams.of([gen.normal(size=w.shape) for w in p0.weights],
+                                   [gen.normal(size=b.shape) for b in p0.biases])
             adam.step(g, 1e-2)
             ref.step(want, g, 1e-2)
         for got, ref_a, a0, b0 in zip(adam.params.weights + adam.params.biases,
@@ -529,6 +529,14 @@ class TestFit:
     def test_output_width_mismatch(self):
         with pytest.raises(DimensionMismatch, match="output width 2 != data dimension 3"):
             self._fit(np.zeros((8, 3)), lambda *args: (0.0, zero_params(self.ARCH)))
+
+    def test_initial_params_of_a_deeper_network_are_refused(self):
+        # their first two blocks fit ARCH, so a block-by-block copy alone
+        # would take them and drop the third
+        deeper = zero_params(wsnn.mlp((3, 4, 2, 2)))
+        with pytest.raises(DimensionMismatch, match="params depth"):
+            fit(np.zeros((8, 2)), self.ARCH, deeper, TrainConfig(steps=1),
+                self._objective(lambda *args: (0.0, zero_params(self.ARCH))))
 
     def test_one_float32_workspace_for_every_step(self):
         seen = []

@@ -21,7 +21,7 @@ from diffden.sampler import SamplerConfig, reverse_sde_sample
 from diffden.wsnn import (Permutation, WsnnArchitecture, WsnnParams,
                           Workspace, backward, conv_as_wsnn,
                           covering_bound_numerator, covering_log_bound,
-                          effective_layers, forward, init_params, mlp,
+                          effective_layers, forward, init_params, mlp, packed,
                           value_and_grads)
 
 
@@ -37,7 +37,7 @@ def random_arch(gen, max_width=32, max_depth=4, max_replicas=3):
 
 
 def random_params(gen, arch):
-    return WsnnParams(
+    return WsnnParams.of(
         [gen.normal(size=arch.layer_shape(i)) for i in range(arch.depth)],
         [gen.normal(size=arch.widths[i + 1]) for i in range(arch.depth)])
 
@@ -77,21 +77,26 @@ class TestForward:
         arch = mlp((3, 4, 2))
         with pytest.raises(DimensionMismatch):
             forward(arch, zero_params(arch), np.ones(5))
-        params = zero_params(arch)
-        params.biases[-1] = np.zeros(1)
+        # an output block [W_2 | b_2] one row short
+        params = WsnnParams([zero_params(arch).blocks[0], np.zeros((5, 1)).T])
         with pytest.raises(DimensionMismatch):
             forward(arch, params, np.ones(3))
 
-    def test_packed_array_rebound_off_its_block_is_refused(self):
-        # a pass reads packed params through their blocks, so a rebound
-        # entry would be ignored; the shapes still fit
-        arch = mlp((3, 4, 2))
-        for i, kind in ((0, "weights"), (1, "biases")):
-            params = zero_params(arch).astype(np.float64)
-            forward(arch, params, np.ones(3))
-            getattr(params, kind)[i] = np.ones_like(getattr(params, kind)[i])
+    def test_of_refuses_arrays_that_do_not_pair_up(self):
+        w = [np.zeros((4, 3)), np.zeros((2, 4))]
+        for biases in ([np.zeros(4)], [np.zeros(4), np.zeros(3)]):
             with pytest.raises(DimensionMismatch):
-                forward(arch, params, np.ones(3))
+                WsnnParams.of(w, biases)
+
+    def test_packed_array_rebound_off_its_block_is_refused(self):
+        # W_i and b_i are views of the blocks a pass reads, held in
+        # tuples, so none can be rebound away from its block
+        params = zero_params(mlp((3, 4, 2)))
+        for kind in ("weights", "biases"):
+            with pytest.raises(TypeError):
+                getattr(params, kind)[0] = np.ones_like(getattr(params, kind)[0])
+            with pytest.raises(AttributeError):
+                setattr(params, kind, getattr(params, kind))
 
     def test_single_vector_matches_batch_row(self):
         gen = np.random.default_rng(4)
@@ -126,7 +131,7 @@ class TestBackward:
             g = gen_g.normal(size=(4, arch.output_dim))
             grads, gx = backward(arch, params, x, g)
             dws, dbs, want_x = reference_backward(arch, params, x, g)
-            for got, want in zip(grads.weights + grads.biases + [gx],
+            for got, want in zip(grads.weights + grads.biases + (gx,),
                                  dws + dbs + [want_x]):
                 assert max_scaled_dev(got, want) <= 1e-12
 
@@ -211,8 +216,8 @@ class TestConvAsWsnn:
         filt = gen.normal(size=4)
         arch = WsnnArchitecture(
             (16, 9, 9), (plan.m,), (plan.q_perms,), (plan.r_perms,))
-        params = WsnnParams([plan.place_filter(filt), np.eye(9)],
-                            [np.zeros(9), np.zeros(9)])
+        params = WsnnParams.of([plan.place_filter(filt), np.eye(9)],
+                               [np.zeros(9), np.zeros(9)])
         x = np.abs(gen.normal(size=16)) + 1.0  # positive pre-activations
         image = x.reshape(4, 4)
         got = forward(arch, params, x)
@@ -446,8 +451,7 @@ class TestPlainLayers:
     def test_plain_layers_are_the_parameters(self):
         params = self._params()
         layers = effective_layers(self.ARCH, params)
-        assert all(a is b for a, b in zip(layers.weights + layers.biases,
-                                          params.weights + params.biases))
+        assert all(a is b for a, b in zip(layers.blocks, params.blocks))
 
     def test_pass_bytes_equal_reference(self):
         params = self._params()
@@ -502,6 +506,42 @@ class TestPlainLayers:
               TrainConfig(batch_size=16, steps=3, seed=1))
         each = 0 if m == 1 else 2 * 3  # once per hidden layer and step
         assert sorted(calls) == ["replica_fold"] * each + ["replica_sum"] * each
+
+
+def _loaded(arch, tmp_path):
+    save_checkpoint(tmp_path / "net.bin", arch, init_params(arch, Rng(0)))
+    return load_checkpoint(tmp_path / "net.bin")[1]
+
+
+class TestBlockLayout:
+    """Every parameter block is column-major, its transpose C-contiguous,
+    whatever made it: a pass hands BLAS each block as a transposed
+    operand, and a C-ordered block would make a row's score depend on the
+    batch it came in (see the wsnn module docstring)."""
+
+    ARCH = replicated(np.random.default_rng(31), (4, 6, 5, 3), 2)
+    SOURCES = {
+        "init_params": lambda arch, tmp_path: init_params(arch, Rng(0)),
+        "of": lambda arch, tmp_path: WsnnParams.of(
+            [np.ones(arch.layer_shape(i)) for i in range(arch.depth)],
+            [np.ones(arch.widths[i + 1]) for i in range(arch.depth)]),
+        "copy": lambda arch, tmp_path: init_params(arch, Rng(0)).copy(),
+        "astype": lambda arch, tmp_path: init_params(arch, Rng(0)).astype(np.float32),
+        "packed": lambda arch, tmp_path: packed(arch, np.float32)[1],
+        "load_checkpoint": _loaded,
+        "value_and_grads": lambda arch, tmp_path: value_and_grads(
+            arch, init_params(arch, Rng(0)), np.ones((5, 4)), lambda out: (0.0, out))[1],
+        "effective_layers": lambda arch, tmp_path: effective_layers(
+            arch, init_params(arch, Rng(0))),
+    }
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_blocks_are_column_major(self, tmp_path, source):
+        params = self.SOURCES[source](self.ARCH, tmp_path)
+        assert self.ARCH.plain == (False, False)  # both hidden layers replica sums
+        assert len(params.blocks) == self.ARCH.depth
+        for P in params.blocks:
+            assert P.T.flags.c_contiguous
 
 
 class TestCheckpoint:

@@ -64,7 +64,7 @@ def architectures(draw, square=False):
                       if draw(st.booleans()) else None for i in range(depth))
     arch = WsnnArchitecture(widths, replicas, tuple(q), tuple(r),
                             weight_masks=masks)
-    params = WsnnParams(
+    params = WsnnParams.of(
         [gen.normal(size=arch.layer_shape(i)) for i in range(depth)],
         [gen.normal(size=widths[i + 1]) for i in range(depth)])
     apply_masks(params, arch)
@@ -88,7 +88,7 @@ def test_dense_backward_matches_replica_sum(case):
     arch, params, x, g = case
     grads, gx = backward(arch, params, x, g)
     dws, dbs, want_x = reference_backward(arch, params, x, g)
-    for got, want in zip(grads.weights + grads.biases + [gx],
+    for got, want in zip(grads.weights + grads.biases + (gx,),
                          dws + dbs + [want_x]):
         assert max_scaled_dev(got, want) <= 1e-12
 
