@@ -314,22 +314,16 @@ class AdamState:
         self._project()
 
 
-def _row_classes(x_data):
-    """(order, cls): the lexicographic row order of x_data, and for each row
-    the index of its class of equal rows in that order.  When the first
-    column, sorted, is strictly increasing (no ties, no +-0.0 pair, no NaN),
-    its stable argsort is that order; otherwise the rows are lexsorted."""
+def _lex_order(x_data):
+    """The lexicographic row order of x_data, equal rows in input order.
+    When the first column, sorted, is strictly increasing (no ties, no
+    +-0.0 pair, no NaN), its stable argsort is that order; otherwise the
+    rows are lexsorted."""
     order = np.argsort(x_data[:, 0], kind="stable")
     first = x_data[order, 0]
-    if not np.all(first[1:] > first[:-1]):
-        order = np.lexsort(x_data.T[::-1])
-    new = np.zeros(order.size, dtype=np.int64)
-    for col in x_data.T:
-        c = col[order]
-        new[1:] |= c[1:] != c[:-1]
-    cls = np.empty_like(order)
-    cls[order] = np.cumsum(new)
-    return order, cls
+    if np.all(first[1:] > first[:-1]):
+        return order
+    return np.lexsort(x_data.T[::-1])
 
 
 @dataclass
@@ -364,17 +358,20 @@ def fit(dataset, arch, init_params, config, objective):
     time (B = min(batch_size, n); the last block takes the remaining
     steps): first the block's (K, B) minibatch indices, drawn with
     replacement (none when the batch covers every row: each step then
-    gets all rows), then whatever objective.block draws.  The dataset is
-    sorted once per fit, and each minibatch is ordered by the sorted place
-    of its rows, equal rows kept in draw order (one stable argsort over
-    the block): the bytes a stable sort of the minibatch itself gives.
+    gets all rows), then whatever objective.block draws.  The indices
+    address the dataset sorted once per fit into lexicographic row order,
+    so training depends on it only as a set of rows, at every batch size
+    (rows that compare equal keep their input order and differ at most in
+    the sign of a zero, which drops out unless it meets only zeros).
     Each step runs its pass on the float32 copy of the parameters
     (`AdamState.params32`) in the one workspace of their dtype that fit
     builds, and Adam updates the float64 master, reapplies the masks and
     refreshes the copy after every step.  Losses are averaged over trace
     epochs of config.epoch_len steps (n // batch_size by default).
 
-    Initial params whose blocks do not fit arch raise DimensionMismatch.
+    Initial params whose blocks do not fit arch raise DimensionMismatch,
+    and a non-finite data entry raises NonFiniteState, naming how many
+    rows hold one and the first, before anything is drawn.
     A non-finite step loss raises NonFiniteState naming the step, and so
     do trained weights whose float32 copy is not finite; float overflow on
     the way there is left to these checks instead of warning.
@@ -387,27 +384,26 @@ def fit(dataset, arch, init_params, config, objective):
         raise EmptyDataset("training requires a nonempty dataset")
     if arch.output_dim != dim:
         raise DimensionMismatch(f"output width {arch.output_dim} != data dimension {dim}")
+    bad = ~np.isfinite(x_data).all(axis=1)
+    if bad.any():
+        raise NonFiniteState(f"training data has non-finite entries in {bad.sum()} of "
+                             f"{n} rows, first in row {bad.argmax()}")
     adam = AdamState(init_params, arch)
     workspace = wsnn.Workspace(arch, adam.flat32.dtype)
     stream = Rng(config.seed).child(1)
     epoch_len = config.epoch_len or max(1, n // config.batch_size)
-    order, cls = _row_classes(x_data)
+    order = _lex_order(x_data)
     b = min(config.batch_size, n)
     block_steps = max(1, _BLOCK_ROWS // (objective.rows * b))
-    full = x_data[order] if b == n else None
 
     trace = []
     bucket = []
     t0 = time.perf_counter()
     for first in range(0, config.steps, block_steps):
         k_steps = min(block_steps, config.steps - first)
-        if full is None:
-            idx = stream.integers(0, n, (k_steps, b))
-            idx = np.take_along_axis(idx, np.argsort(cls[idx], axis=1, kind="stable"), 1)
-            batches = x_data[idx]
-        else:
-            batches = np.broadcast_to(full, (k_steps, n, dim))
-        step_of = objective.block(batches, stream, workspace.dtype)
+        rows = (order[stream.integers(0, n, (k_steps, b))] if b < n
+                else np.broadcast_to(order, (k_steps, n)))
+        step_of = objective.block(x_data[rows], stream, workspace.dtype)
         for k in range(k_steps):
             step = first + k
             loss, grads = step_of(adam.params32, k, workspace)

@@ -281,10 +281,11 @@ def reference_vanilla_sm_pointwise(arch, params, x):
 
 # --- training-loop references -------------------------------------------------
 #
-# What `diffusion.fit` did per step before it sorted the dataset once, ran
-# Adam over one flat buffer and formed its steps' inputs a block at a time:
-# sort each minibatch lexicographically, run each step's objective on its
-# own, and update each parameter array with its own moment pair.
+# `diffusion.fit` read one step at a time: sort the dataset lexicographically
+# once (`np.lexsort` over every column, where fit may take the first
+# column's argsort), take each minibatch from the sorted rows, run each
+# step's objective on its own, and update each parameter array with its own
+# moment pair.
 
 
 def reference_canonical_order(batch):
@@ -297,11 +298,12 @@ def reference_fit(dataset, arch, init_params, config, rows, draw, step):
     takes what is left), the fit stream Rng(config.seed).child(1) gives the
     (K, B) minibatch indices (none for a full batch) and then the arrays
     draw(stream, K, (B, D)) returns, each with the block's K steps on its
-    first axis.  Step j of a block sorts its own minibatch and runs
+    first axis, the indices addressing the dataset sorted once.  Step j of
+    a block takes its minibatch of the sorted rows and runs
     step(params32, batch, [its slice of each drawn array], workspace) ->
     (loss, grads) on AdamState's float32 copy in one float32 workspace.
     Returns (trained float64 params, the per-step losses)."""
-    x = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
+    x = reference_canonical_order(np.atleast_2d(np.asarray(dataset, dtype=np.float64)))
     n, dim = x.shape
     b = min(config.batch_size, n)
     block_steps = max(1, diffusion._BLOCK_ROWS // (rows * b))
@@ -314,8 +316,7 @@ def reference_fit(dataset, arch, init_params, config, rows, draw, step):
         idx = stream.integers(0, n, (k_steps, b)) if b < n else [slice(None)] * k_steps
         drawn = draw(stream, k_steps, (b, dim))
         for j in range(k_steps):
-            loss, grads = step(adam.params32, reference_canonical_order(x[idx[j]]),
-                               [a[j] for a in drawn], workspace)
+            loss, grads = step(adam.params32, x[idx[j]], [a[j] for a in drawn], workspace)
             adam.step(grads, config.learning_rate)
             losses.append(loss)
     return adam.params, losses

@@ -335,20 +335,41 @@ class TestTrain:
                          for p in (params, trained))
         assert after <= 0.5 * before
 
-    def test_full_batch_permutation_invariance(self, rng):
-        data, arch, params = self._toy(rng, n=32)
-        cfg = TrainConfig(batch_size=32, steps=25, seed=7)
-        ref, _ = train(data, arch, params, SCHED, cfg)
-        perm = data[::-1]
-        out, _ = train(perm, arch, params, SCHED, cfg)
-        for a, b in zip(ref.weights + ref.biases, out.weights + out.biases):
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("data_kind", ["continuous", "duplicates"])
+    @pytest.mark.parametrize("batch_size", [8, 32])
+    @pytest.mark.parametrize("method", ["dsm", "vanilla"])
+    def test_permutation_invariance(self, rng, method, batch_size, data_kind):
+        """Training on the dataset reversed or shuffled gives the bytes of
+        the weights and trace of training on it as given, at a minibatch
+        of 8 and a full batch of all 32 rows, for both trainers; also on
+        rows with duplicates and a first column of +-0.0 pairs, where the
+        dataset is lexsorted and equal rows keep their input order."""
+        data = IsoGaussian(2).sample(32, rng)
+        if data_kind == "duplicates":
+            data = data[np.random.default_rng(24).integers(0, 8, 32)]
+            data[::3, 0] = 0.0
+            data[1::3, 0] = -0.0
+        arch = wsnn.mlp((3 if method == "dsm" else 2, 16, 16, 2))
+        params = wsnn.init_params(arch, rng.child(9))
+        cfg = TrainConfig(batch_size=batch_size, steps=25, seed=7, epoch_len=5)
+
+        def trainer(x):
+            if method == "dsm":
+                return train(x, arch, params, SCHED, cfg)
+            return sampler.train_vanilla_sm(x, arch, params, cfg)
+
+        ref, ref_trace = trainer(data)
+        for perm in (data[::-1], data[np.random.default_rng(25).permutation(32)]):
+            out, trace = trainer(perm)
+            for a, b in zip(ref.blocks, out.blocks):
+                assert a.tobytes() == b.tobytes()
+            assert [r.mean_loss for r in trace] == [r.mean_loss for r in ref_trace]
 
     def test_dataset_sorted_once_per_fit(self, rng, monkeypatch):
-        """A fit sorts its dataset once, whichever sort it keeps: continuous
-        data by the stable argsort of its first column alone, data whose
-        first column ties by a lexsort after that argsort.  The per-block
-        minibatch argsorts are over (K, B) class ids, not the dataset."""
+        """A fit sorts once, whichever sort it keeps, and never per block:
+        continuous data by the stable argsort of its first column alone,
+        data whose first column ties by a lexsort after that argsort.  Every
+        argsort is counted, of any shape, over 2K + 3 steps in three blocks."""
         data, arch, params = self._toy(rng)
         calls = []
         lexsort, argsort = np.lexsort, np.argsort
@@ -358,8 +379,7 @@ class TestTrain:
             return lexsort(keys)
 
         def counted_argsort(a, *args, **kwargs):
-            if np.ndim(a) == 1:
-                calls.append("argsort")
+            calls.append("argsort")
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "lexsort", counted_lexsort)
@@ -374,9 +394,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("batch_size", [16, 40, 64])
     def test_batches_equal_sorted_minibatch(self, batch_size):
-        """Every batch the objective sees has the bytes of the minibatch
-        sorted on its own, on a dataset of 40 rows with duplicates and rows
-        equal up to the sign of a zero; 40 and 64 are full batches.  The
+        """Every batch the objective sees is a minibatch of the sorted
+        dataset: the bytes of the lexsorted rows at the drawn indices, on a
+        dataset of 40 rows with duplicates and rows equal up to the sign of
+        a zero; 40 and 64 are full batches, all sorted rows in order.  The
         fit runs 2K + 3 steps, K a block's steps, and with an objective
         that draws nothing each block's (K, B) indices follow the last
         block's in the fit stream Rng(seed).child(1)."""
@@ -399,18 +420,20 @@ class TestTrain:
             Objective(1, block))
         assert [len(batches) for batches in seen] == [block_steps, block_steps, 3]
         stream = Rng(5).child(1)
+        sorted_x = reference_canonical_order(x)
         for batches in seen:
             idx = (stream.integers(0, 40, (len(batches), b)) if b < 40
                    else [slice(None)] * len(batches))
             for got, rows in zip(batches, idx):
-                want = reference_canonical_order(x[rows])
+                want = sorted_x[rows]
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["continuous", "first-column ties", "signed zeros",
                                       "one column", "one row", "nan"])
     def test_row_classes_equal_lexsort(self, case):
-        """The first-column argsort, where it is kept, gives the lexsort's
-        order and class ids; ties, a +-0.0 pair or a NaN in the first column
+        """`_lex_order`, the order that puts each class of equal rows
+        together: the first-column argsort, where it is kept, gives the
+        lexsort's order; ties, a +-0.0 pair or a NaN in the first column
         fall back to the lexsort itself."""
         x = np.random.default_rng(23).normal(size=(200, 4))
         if case == "first-column ties":
@@ -424,14 +447,7 @@ class TestTrain:
             x = x[:1]
         elif case == "nan":
             x[5, 0] = np.nan
-        order, cls = diffusion._row_classes(x)
-        want = np.lexsort(x.T[::-1])
-        assert np.array_equal(order, want)
-        rows = x[want]
-        new = np.concatenate([[0], np.any(rows[1:] != rows[:-1], axis=1)])
-        want_cls = np.empty_like(want)
-        want_cls[want] = np.cumsum(new)
-        assert np.array_equal(cls, want_cls)
+        assert np.array_equal(diffusion._lex_order(x), np.lexsort(x.T[::-1]))
 
     def test_flat_adam_matches_per_array_reference(self, rng):
         arch = wsnn.mlp((4, 6, 5, 3))
@@ -473,6 +489,30 @@ class TestTrain:
         with pytest.raises(EmptyDataset):
             train(np.empty((0, 1)), arch, zero_params(arch), SCHED,
                   TrainConfig(steps=1))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("method", ["dsm", "vanilla"])
+    def test_non_finite_data_is_refused_up_front(self, monkeypatch, method, bad):
+        """A dataset holding inf or NaN is refused before the first draw,
+        naming how many rows hold one and the first, not as a divergence."""
+        data = Rng(3).normal_matrix(300, 2)
+        data[7, 1] = bad
+        data[250, 0] = -bad
+        draws = []
+        monkeypatch.setattr(diffusion.Rng, "integers",
+                            lambda *a, **k: draws.append(1))
+        cfg = TrainConfig(batch_size=32, steps=20, seed=1)
+        with pytest.raises(NonFiniteState) as err:
+            if method == "dsm":
+                arch = wsnn.mlp((3, 8, 2))
+                train(data, arch, zero_params(arch), SCHED, cfg)
+            else:
+                arch = wsnn.mlp((2, 8, 2))
+                sampler.train_vanilla_sm(data, arch, zero_params(arch), cfg)
+        assert str(err.value) == ("training data has non-finite entries in 2 of 300 "
+                                  "rows, first in row 7")
+        assert "diverged" not in str(err.value)
+        assert not draws
 
     def test_trace_csv(self, tmp_path, rng):
         data, arch, params = self._toy(rng)
