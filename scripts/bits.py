@@ -16,7 +16,13 @@ from a fixed stream (`init_params` leaves every bias at zero, which would
 hide how a pass adds them), so that it moves with the score's arithmetic
 only; reverse-SDE sampling on the trained network; vanilla-SM
 training; a DSM and a sliced vanilla-SM training run of two whole
-training blocks and a tail (`*_block_tail`); Langevin sampling; the
+training blocks and a tail (`*_block_tail`); Langevin sampling;
+`wsnn.backward`'s parameter and input gradients on a masked network
+with two permuted replicas per hidden layer and random biases
+(`backward_replicated`); one float32-parameter step each of
+`dsm_value_and_grads` and `vanilla_sm_sliced_value_and_grads`, loss
+and gradients, at batch 128 on random biases (`dsm_step32`,
+`sliced_step32`); the
 dense matrix `conv_as_wsnn(5, 2).materialize` builds from a filter whose
 negative entries are -0.0; the dataset CSV and metadata JSON that
 `diffden gen-data --meta` writes on cases 1-3; every other file the CLI
@@ -129,6 +135,25 @@ put_training("sliced_block_tail", *sampler.train_vanilla_sm(
 z = sampler.langevin_sample(diffusion.network_score(varch, vp), 0.01, 80,
                             3000, 9, Rng(9))
 put("langevin", z.tobytes())
+rp = wsnn.init_params(rarch, Rng(31))
+rp = wsnn.WsnnParams.of(rp.weights, [Rng(32).child(i).standard_normal(b.size)
+                                     for i, b in enumerate(rp.biases)])
+grads, dx = wsnn.backward(rarch, rp, Rng(33).normal_matrix(300, 10),
+                          Rng(34).normal_matrix(300, 9))
+put("backward_replicated", b"".join(a.tobytes() for a in grads.weights + grads.biases)
+    + dx.tobytes())
+loss, grads = diffusion.dsm_value_and_grads(
+    arch, biased.astype(np.float32), sched, Rng(35).normal_matrix(128, 9),
+    Rng(36).uniform(128, 1e-3, 3.0), Rng(37).normal_matrix(128, 9))
+put("dsm_step32", repr(loss).encode()
+    + b"".join(a.tobytes() for a in grads.weights + grads.biases))
+vb = wsnn.WsnnParams.of(vp.weights, [Rng(38).child(i).standard_normal(b.size)
+                                     for i, b in enumerate(vp.biases)])
+loss, grads = sampler.vanilla_sm_sliced_value_and_grads(
+    varch, vb.astype(np.float32), Rng(39).normal_matrix(128, 9),
+    2.0 * Rng(40).integers(0, 2, (3, 128, 9)) - 1.0, 0.1)
+put("sliced_step32", repr(loss).encode()
+    + b"".join(a.tobytes() for a in grads.weights + grads.biases))
 filt = np.random.default_rng(20).normal(size=4)
 filt *= filt > 0  # negative entries become -0.0
 put("conv_materialize", wsnn.conv_as_wsnn(5, 2).materialize(filt).tobytes())

@@ -111,11 +111,18 @@ class DiffusionSchedule:
         return mu, sigma
 
 
+def _check_times(t, rows):
+    """Refuse t unless it is one time or one time per row of `rows` rows."""
+    if np.shape(t) not in ((), (1,), (rows,)):
+        raise DimensionMismatch(f"times of shape {np.shape(t)} for {rows} rows")
+
+
 def forward_sample(schedule, x0, t, rng):
-    """Draw x_t = mu_t x0 + sigma_t z with z ~ N(0, I)."""
+    """Draw x_t = mu_t x0 + sigma_t z, z ~ N(0, I), at one time or one per row."""
     x0 = np.asarray(x0, dtype=np.float64)
     single = x0.ndim == 1
     x = x0[None, :] if single else x0
+    _check_times(t, x.shape[0])
     mu, sigma = schedule.mu_sigma(t)
     mu = np.broadcast_to(np.asarray(mu), (x.shape[0],))
     sigma = np.broadcast_to(np.asarray(sigma), (x.shape[0],))
@@ -133,7 +140,7 @@ def network_score(arch, params):
     (rows, D + 1) view of the feature-major float32 input buffer of one
     workspace the score owns for as long as it lives, runs the pass there
     and returns its float32 output, the (rows, D) view of a fresh
-    (D, rows) array."""
+    (D, rows) array.  t is one time or one time per row of x."""
     dim = arch.output_dim
     if arch.input_dim not in (dim, dim + 1):
         raise DimensionMismatch("score network must map D + 1 -> D or D -> D")
@@ -149,6 +156,7 @@ def network_score(arch, params):
         inp = workspace.inputs(xb.shape[0])
         inp[:, :dim] = xb
         if timed:
+            _check_times(t, xb.shape[0])
             inp[:, dim] = t
         out = wsnn.forward(arch, params32, inp, workspace)
         return out[0] if x.ndim == 1 else out
@@ -172,31 +180,30 @@ def dsm_value_and_grads(arch, params, schedule, x0, t, z, workspace=None):
     """(loss, parameter gradients) of the batch-mean denoising loss
     |f(x_t, t) + (x_t - mu_t x0) / sigma_t^2|^2 at x_t = mu_t x0 + sigma_t z,
     for a (B, D) batch x0, its (B, D) noise z and one time per row (or one
-    shared time): the one-step block of `_dsm_block`, whose input is of
-    the dtype of params, and `_dsm_step` on it.  The pass runs in that
-    dtype, and `workspace` must be of it.  z is only read."""
+    shared time): a training step's pass and `_dsm_head` on the one-step
+    block of `_dsm_block`, whose input is of the dtype of params.  The
+    pass runs in that dtype, and `workspace` must be of it.  z is only read."""
     x0 = np.asarray(x0, dtype=np.float64)
     b, dim = x0.shape
     if np.shape(z) != (b, dim) or dim + 1 != arch.input_dim:
         raise DimensionMismatch(f"batch {x0.shape} and noise {np.shape(z)} do not "
                                 f"fit a network of input width {arch.input_dim}")
-    ws = wsnn._workspace(arch, workspace, wsnn._check_params(arch, params))
-    t = np.asarray(t, dtype=np.float64)
-    inp, target = _dsm_block(schedule, x0[None], t[None] if t.ndim else t,
-                             np.asarray(z)[None], ws.dtype)
-    return _dsm_step(arch, params, inp[0], target[0], ws)
+    _check_times(t, b)
+    inp, target = _dsm_block(schedule, x0[None], t, np.asarray(z)[None],
+                             wsnn._check_params(arch, params))
+    return wsnn.value_and_grads(arch, params, inp[0],
+                                lambda out: _dsm_head(out, target[0]), workspace)
 
 
 def _dsm_block(schedule, x0, t, z, dtype):
     """(network inputs, targets) of K denoising steps at once, feature-major,
-    for (K, B, D) batches x0 and noise z (either may broadcast) and (K, B)
-    times t (or one shared time): one mu_sigma call and one sigma_t = 0
+    for (K, B, D) batches x0 and noise z and (K, B) times t (each may
+    broadcast, t from one shared time): one mu_sigma call and one sigma_t = 0
     check, then x_t = mu_t x0 + sigma_t z and the target
     (x_t - mu_t x0) / sigma_t^2, minus the conditional score, in float64
     as (K, D, B) arrays, and x_t and t rounded once into rows [:D + 1] of
     the (K, D + 2, B) input of dtype, whose last row is ones."""
-    shape = np.broadcast_shapes(np.shape(x0), np.shape(z))
-    k_steps, b, dim = shape
+    k_steps, b, dim = np.broadcast_shapes(np.shape(x0), np.shape(z))
     mu, sigma = (np.broadcast_to(a, (k_steps, b))[:, None, :] for a in schedule.mu_sigma(t))
     if np.any(sigma == 0.0):
         raise SingularTime("conditional score undefined at sigma_t = 0")
@@ -212,22 +219,18 @@ def _dsm_block(schedule, x0, t, z, dtype):
     return inp, target
 
 
-def _dsm_step(arch, params, inp, target, workspace):
-    """(loss, grads) of one denoising step from its feature-major (D + 2, B)
-    network input and (D, B) target; the residual is formed in place in
-    the output."""
+def _dsm_head(out, target):
+    """(loss, output gradient) of one denoising step from the network's
+    (D, B) output and the step's (D, B) target; the residual is formed in
+    place in the output."""
     b = target.shape[1]
-
-    def head(out):
-        resid = np.add(out, target, out=out)
-        # the mean squared row norm as one BLAS dot of the residual's rows
-        flat = resid.T.ravel()
-        loss = float(np.dot(flat, flat) / b)
-        resid *= 2.0
-        resid /= b
-        return loss, resid
-
-    return wsnn._value_and_grads(arch, params, inp, head, workspace)
+    resid = np.add(out, target, out=out)
+    # the mean squared row norm as one BLAS dot of the residual's rows
+    flat = resid.T.ravel()
+    loss = float(np.dot(flat, flat) / b)
+    resid *= 2.0
+    resid /= b
+    return loss, resid
 
 
 @dataclass
@@ -330,7 +333,6 @@ def _lex_order(x_data):
 class TraceRow:
     epoch: int
     mean_loss: float
-    score_mse: float  # always nan: fit records no score-MSE estimate
     wall_time_s: float
 
 
@@ -339,12 +341,14 @@ class Objective(NamedTuple):
 
     `rows` is the number of network input rows a step passes per batch row.
     block(batches, rng, dtype) takes the block's (K, B, D) minibatches,
-    draws from rng what its K steps need, forms their network inputs of
-    dtype at once and returns step(params, k, workspace) -> (loss, grads),
-    the pass of the block's step k."""
+    draws from rng what its K steps need and returns (inputs, aux): the
+    (K, d_1 + 1, rows B) network inputs of dtype, with their ones rows,
+    and what each step's head reads.  head(out, aux[k]) -> (loss, g)
+    gives step k's loss and its gradient with respect to the output."""
 
     rows: int
     block: Callable
+    head: Callable
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -363,10 +367,11 @@ def fit(dataset, arch, init_params, config, objective):
     so training depends on it only as a set of rows, at every batch size
     (rows that compare equal keep their input order and differ at most in
     the sign of a zero, which drops out unless it meets only zeros).
-    Each step runs its pass on the float32 copy of the parameters
-    (`AdamState.params32`) in the one workspace of their dtype that fit
-    builds, and Adam updates the float64 master, reapplies the masks and
-    refreshes the copy after every step.  Losses are averaged over trace
+    Each step is one `wsnn.value_and_grads` call, with the objective's
+    head, on the float32 copy of the parameters (`AdamState.params32`) in
+    the one workspace of their dtype that fit builds, and Adam updates
+    the float64 master, reapplies the masks and refreshes the copy after
+    every step.  Losses are averaged over trace
     epochs of config.epoch_len steps (n // batch_size by default).
 
     Initial params whose blocks do not fit arch raise DimensionMismatch,
@@ -403,16 +408,18 @@ def fit(dataset, arch, init_params, config, objective):
         k_steps = min(block_steps, config.steps - first)
         rows = (order[stream.integers(0, n, (k_steps, b))] if b < n
                 else np.broadcast_to(order, (k_steps, n)))
-        step_of = objective.block(x_data[rows], stream, workspace.dtype)
+        inputs, aux = objective.block(x_data[rows], stream, workspace.dtype)
         for k in range(k_steps):
             step = first + k
-            loss, grads = step_of(adam.params32, k, workspace)
+            loss, grads = wsnn.value_and_grads(
+                arch, adam.params32, inputs[k], lambda out: objective.head(out, aux[k]),
+                workspace)
             if not math.isfinite(loss):
                 raise NonFiniteState(f"training diverged at step {step}: loss {loss}")
             adam.step(grads, config.learning_rate)
             bucket.append(loss)
             if (step + 1) % epoch_len == 0 or step + 1 == config.steps:
-                trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)), math.nan,
+                trace.append(TraceRow(len(trace) + 1, float(np.mean(bucket)),
                                       time.perf_counter() - t0))
                 bucket = []
     if not np.isfinite(adam.flat32).all():
@@ -428,9 +435,9 @@ def train(dataset, arch, init_params, schedule, config):
     t ~ Uniform[t_min, t_max], one per row, then the (K, B, D) forward
     noise as float32 normals (`Rng.standard_normal` into a float32 block
     buffer); `_dsm_block` forms every step's x_t, target and float32
-    network input at once, and each step is one pass in fit's workspace
-    (`_dsm_step`, the step `dsm_value_and_grads` runs).  All randomness
-    derives from config.seed, so runs are repeatable.
+    network input at once, and each step's head is `_dsm_head` on its
+    target, as in `dsm_value_and_grads`.  All randomness derives from
+    config.seed, so runs are repeatable.
 
     Returns (trained float64 params, list of TraceRow).
     """
@@ -442,11 +449,9 @@ def train(dataset, arch, init_params, schedule, config):
         k_steps, b, _ = batches.shape
         t = rng.uniform(k_steps * b, schedule.t_min, schedule.t_max).reshape(k_steps, b)
         z = rng.standard_normal(batches.size, out=np.empty(batches.shape, np.float32))
-        inp, target = _dsm_block(schedule, batches, t, z, dtype)
-        return lambda params, k, workspace: _dsm_step(arch, params, inp[k], target[k],
-                                                      workspace)
+        return _dsm_block(schedule, batches, t, z, dtype)
 
-    return fit(dataset, arch, init_params, config, Objective(1, block))
+    return fit(dataset, arch, init_params, config, Objective(1, block, _dsm_head))
 
 
 def score_mse(scores, density, schedule, n_mc, rng):

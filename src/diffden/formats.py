@@ -164,12 +164,12 @@ def append_report_row(path, row):
 
 
 def write_trace_csv(path, trace):
-    """The `diffusion.TraceRow`s of a fit, one line per trace epoch."""
+    """The `diffusion.TraceRow`s of a fit, one line per trace epoch, with
+    an empty score_mse column (fit records no score-MSE estimate)."""
     with open(path, "w") as fh:
         fh.write("epoch,mean_loss,score_mse,wall_time_s\n")
         for row in trace:
-            sm = "" if math.isnan(row.score_mse) else repr(row.score_mse)
-            fh.write(f"{row.epoch},{row.mean_loss!r},{sm},{row.wall_time_s!r}\n")
+            fh.write(f"{row.epoch},{row.mean_loss!r},,{row.wall_time_s!r}\n")
 
 
 def write_score_mse_csv(path, rows):

@@ -159,9 +159,9 @@ def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None)
     over the directions v, a (k, B, D) array of +-1 entries: Hutchinson's
     trace estimator, as in finite-difference sliced score matching.  Unlike
     the exact divergence it is continuous in the parameters, which is what
-    makes gradient descent on a ReLU network stable here.  The step is the
-    one-step block of `_sliced_block`, in the dtype of params, and
-    `_sliced_step` on it."""
+    makes gradient descent on a ReLU network stable here.  The step is a
+    training step's pass and `_sliced_head` on the one-step block of
+    `_sliced_block`, in the dtype of params."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, dim = x.shape
     if dim != arch.input_dim:
@@ -169,9 +169,9 @@ def vanilla_sm_sliced_value_and_grads(arch, params, x, v, delta, workspace=None)
     v = np.asarray(v, dtype=np.float64)
     if v.shape[1:] != (b, dim) or len(v) < 1:
         raise DimensionMismatch(f"directions of shape {v.shape} are not (k, {b}, {dim})")
-    ws = wsnn._workspace(arch, workspace, wsnn._check_params(arch, params))
-    stacked = _sliced_block(x[None], v[None], delta, ws.dtype)
-    return _sliced_step(arch, params, stacked[0], v, delta, ws)
+    stacked = _sliced_block(x[None], v[None], delta, wsnn._check_params(arch, params))
+    return wsnn.value_and_grads(arch, params, stacked[0],
+                                lambda out: _sliced_head(out, v, delta), workspace)
 
 
 def _sliced_block(x, v, delta, dtype):
@@ -192,23 +192,19 @@ def _sliced_block(x, v, delta, dtype):
     return stacked.reshape(n_steps, dim + 1, -1)
 
 
-def _sliced_step(arch, params, stacked, v, delta, workspace):
-    """(loss, grads) of one sliced step from its feature-major
-    (D + 1, (2k + 1) B) stacked input and its (k, B, D) float64
-    directions."""
+def _sliced_head(out, v, delta):
+    """(loss, output gradient) of one sliced step from the network's
+    (D, (2k + 1) B) output on its stacked input and the step's (k, B, D)
+    float64 directions."""
     k, b, dim = v.shape
     scale = 1.0 / (2.0 * delta * k)
     v = np.moveaxis(v, 2, 0)
-
-    def head(out):
-        out = out.reshape(dim, 2 * k + 1, b)
-        f = out[:, 0]
-        div = np.einsum("djb,djb->b", v, out[:, 1:k + 1] - out[:, k + 1:]) * scale
-        g = np.concatenate([f[:, None] / b, v * (scale / b), v * (-scale / b)], axis=1,
-                           dtype=out.dtype)
-        return float(np.mean(div + 0.5 * np.sum(f * f, axis=0))), g.reshape(dim, -1)
-
-    return wsnn._value_and_grads(arch, params, stacked, head, workspace)
+    out = out.reshape(dim, 2 * k + 1, b)
+    f = out[:, 0]
+    div = np.einsum("djb,djb->b", v, out[:, 1:k + 1] - out[:, k + 1:]) * scale
+    g = np.concatenate([f[:, None] / b, v * (scale / b), v * (-scale / b)], axis=1,
+                       dtype=out.dtype)
+    return float(np.mean(div + 0.5 * np.sum(f * f, axis=0))), g.reshape(dim, -1)
 
 
 def train_vanilla_sm(dataset, arch, init_params, config):
@@ -221,8 +217,8 @@ def train_vanilla_sm(dataset, arch, init_params, config):
     motion and empirically ratchets the loss upward): per block of K steps
     the objective draws the (K, _DIRECTIONS, B, D) signs from fit's stream
     after the minibatches, `_sliced_block` forms every step's stacked
-    input at once, and each step is one pass in fit's workspace
-    (`_sliced_step`, the step `vanilla_sm_sliced_value_and_grads` runs).
+    input at once, and each step's head is `_sliced_head` on its signs, as
+    in `vanilla_sm_sliced_value_and_grads`.
     A step passes (2 _DIRECTIONS + 1) B rows, so at batch 128 a block is
     one step.  `fit` checks the data and the output width and keeps the
     float64 master.
@@ -234,9 +230,8 @@ def train_vanilla_sm(dataset, arch, init_params, config):
     def block(batches, rng, dtype):
         k_steps, b, dim = batches.shape
         v = 2.0 * rng.integers(0, 2, (k_steps, _DIRECTIONS, b, dim)) - 1.0
-        stacked = _sliced_block(batches, v, _DIVERGENCE_STEP, dtype)
-        return lambda params, k, workspace: _sliced_step(
-            arch, params, stacked[k], v[k], _DIVERGENCE_STEP, workspace)
+        return _sliced_block(batches, v, _DIVERGENCE_STEP, dtype), v
 
     return fit(dataset, arch, init_params, config,
-               Objective(2 * _DIRECTIONS + 1, block))
+               Objective(2 * _DIRECTIONS + 1, block,
+                         lambda out, v: _sliced_head(out, v, _DIVERGENCE_STEP)))

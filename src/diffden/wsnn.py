@@ -35,9 +35,10 @@ as one product, [dW_i | db_i]^T = H_{i-1} @ delta_i^T, the bias gradient
 being the ones row's share.  A weight-sharing layer routes the augmented
 block as one weight matrix, its Q permutations extended by the ones
 column mapped to itself (`WsnnArchitecture.q_blocks`), so weights and
-biases take one routing through `replica_sum` and `replica_fold`.  The
-public functions keep their (B, d) inputs and outputs, the outputs as
-transposed views of fresh (d, B) arrays.
+biases take one routing through `replica_sum` and `replica_fold`.
+`forward` and `backward` keep (B, d) inputs and outputs, the outputs as
+transposed views of fresh (d, B) arrays; `value_and_grads`, every
+training step's pass, is feature-major in its input and its head.
 
 Blocks are column-major: the memory of [W_i | b_i] is the C-ordered
 (d_i + 1, d_{i+1}) [W_i | b_i]^T, so b_i is one contiguous row of it and
@@ -68,23 +69,23 @@ mode each hidden layer's delta and bool ReLU mask.  It also holds the
 transposed view `inputs` hands out: a caller that builds its input from
 parts (a score network's x_t and t) writes them there and hands the view
 to the pass, which then reads the buffer in place; any other input is
-copied into it, transposed.  A loop that evaluates the network step
-after step (training, sampling) owns one workspace and hands it to every
-`forward` or `value_and_grads` call, so no step allocates or page-faults
-them afresh; the arrays are reallocated only when the row count
-changes, and the input and backward-only ones only on first use.  A call
-without a workspace makes a throwaway one that dies with the call, so a
-one-off evaluation keeps nothing alive.  The workspace never holds a
+copied into it, transposed (`Workspace.load`).  A loop that evaluates the
+network step after step (training, sampling) owns one workspace and
+hands it to every `forward` or `value_and_grads` call, so no step
+allocates or page-faults them afresh; the arrays are reallocated only
+when the row count changes, and the input and backward-only ones only on
+first use.  A call without a workspace makes a throwaway one that dies
+with the call, so a one-off evaluation keeps nothing alive.  The workspace never holds a
 result: the network output and every gradient are fresh arrays the
 caller owns, so a kept output is not overwritten by the next call.
 Results are bit-identical with and without a reused workspace.
 
-A pass runs in the dtype of the parameters: the input is cast to it and
-the workspace's arrays are of it.  Training passes are float32, on the
-float32 copy `diffusion.AdamState` keeps of its float64 master weights,
-in a float32 workspace the training loop owns; a score built for sampling
-evaluates a float32 copy of its parameters (`WsnnParams.astype`) in a
-float32 workspace of its own.
+A pass runs in the dtype of the parameters: its input is cast to it
+(`value_and_grads` takes it so) and the workspace's arrays are of it.
+Training passes are float32, on the float32 copy `diffusion.AdamState`
+keeps of its float64 master weights, in a float32 workspace the training
+loop owns; a score built for sampling evaluates a float32 copy of its
+parameters (`WsnnParams.astype`) in a float32 workspace of its own.
 """
 
 import math
@@ -188,13 +189,13 @@ class WsnnArchitecture:
         return self.widths[i + 1], self.widths[i]
 
 
-def mlp(widths, sparsity=0, weight_bound=0.0):
-    """Plain sparse-MLP special case: one identity replica per hidden layer."""
+def mlp(widths):
+    """Plain MLP special case: one identity replica per hidden layer."""
     widths = tuple(int(w) for w in widths)
     n_hidden = len(widths) - 2
     q = tuple((Permutation.identity(widths[i]),) for i in range(n_hidden))
     r = tuple((Permutation.identity(widths[i + 1]),) for i in range(n_hidden))
-    return WsnnArchitecture(widths, (1,) * n_hidden, q, r, sparsity, weight_bound)
+    return WsnnArchitecture(widths, (1,) * n_hidden, q, r)
 
 
 def _block(shape, dtype):
@@ -436,38 +437,35 @@ def _forward_cache(arch, params, h, ws):
     return layers.blocks[-1] @ h, layers, acts
 
 
-def value_and_grads(arch, params, x, head, workspace=None):
-    """One network pass on the (B, d_1) batch x, then reverse mode through it.
+def value_and_grads(arch, params, h, head, workspace=None):
+    """One network pass on the feature-major (d_1 + 1, B) input h of the
+    dtype of params, then reverse mode through it.  h's last row must be
+    ones, which is not checked (`Workspace.load` forms such an input).
 
-    head(out) -> (value, grad_output) turns the (B, d_{L+1}) output into a
-    value and its gradient with respect to the output.  Returns (value,
-    WsnnParams of parameter gradients) in fresh blocks; the per-layer
-    arrays go to `workspace`, where reverse mode stops, leaving the first
-    layer's delta.  Each gradient block is one product
-    [dW_i | db_i]^T = H_{i-1} @ delta_i^T of the layer's input, ones row
-    included, and its delta.  Shared-weight gradients accumulate over all
-    replicas of a layer; the ReLU derivative at exactly 0 is taken as 0.
-    """
+    head(out) -> (value, g) turns the (d_{L+1}, B) output into a value and
+    its gradient with respect to the output.  Returns (value, WsnnParams
+    of parameter gradients) in fresh blocks; the per-layer arrays go to
+    `workspace`, where reverse mode stops, leaving the first layer's
+    delta.  Each gradient block [dW_i | db_i]^T = H_{i-1} @ delta_i^T is
+    one product of the layer's input, ones row included, and its delta.
+    Shared-weight gradients accumulate over all replicas of a layer; the
+    ReLU derivative at exactly 0 is taken as 0.  Misfit params, input
+    height or workspace raise DimensionMismatch, and an input or workspace
+    of another dtype PreconditionViolated."""
     dtype = _check_params(arch, params)
-    a, _ = _as_batch(x, arch.input_dim, dtype)
+    shape = np.shape(h)
+    if len(shape) != 2 or shape[0] != arch.input_dim + 1:
+        raise DimensionMismatch(f"input of shape {shape} is not "
+                                f"(d_1 + 1, rows) = ({arch.input_dim + 1}, rows)")
+    if h.dtype != dtype:
+        raise PreconditionViolated(f"{h.dtype} input for a {dtype} pass")
     ws = _workspace(arch, workspace, dtype)
-
-    def feature_major(out):
-        value, g = head(out.T)
-        return value, np.transpose(g)
-
-    return _value_and_grads(arch, params, ws.load(a), feature_major, ws)
-
-
-def _value_and_grads(arch, params, h, head, ws):
-    """`value_and_grads` on the feature-major (d_1 + 1, B) input h with its
-    ones row, of the dtype of params and of ws, with a feature-major head:
-    head(out) -> (value, g) on the (d_{L+1}, B) output."""
     out, layers, acts = _forward_cache(arch, params, h, ws)
     dense = layers.blocks
     value, g = head(out)
     if np.shape(g) != out.shape:
-        raise DimensionMismatch("grad_output batch size does not match input")
+        raise DimensionMismatch(f"head gradient of shape {np.shape(g)} != output "
+                                f"shape {out.shape}")
     g = np.ascontiguousarray(g)
 
     deltas, masks = ws.reverse(h.shape[1])
@@ -489,16 +487,17 @@ def _value_and_grads(arch, params, h, head, ws):
 def backward(arch, params, x, grad_output):
     """Reverse-mode gradients of sum(grad_output * forward(x)).
 
-    Returns (WsnnParams of gradients, gradient w.r.t. x); see
-    `value_and_grads`.  The input gradient is the first dense layer,
-    transposed, times the first layer's delta, which that pass leaves in
-    its workspace.
+    Returns (WsnnParams of gradients, gradient w.r.t. x) of
+    `value_and_grads` on x loaded into a fresh workspace.  The input
+    gradient is the first dense layer, transposed, times the first
+    layer's delta, which that pass leaves in its workspace.
     """
     ws = Workspace(arch, _check_params(arch, params))
+    a, single = _as_batch(x, arch.input_dim, ws.dtype)
     g, _ = _as_batch(grad_output, arch.output_dim, ws.dtype)
-    _, grads = value_and_grads(arch, params, x, lambda out: (None, g), ws)
+    _, grads = value_and_grads(arch, params, ws.load(a), lambda out: (None, g.T), ws)
     dx = (effective_layers(arch, params).blocks[0][:, :-1].T @ ws.deltas[0]).T
-    return grads, (dx[0] if np.ndim(x) == 1 else dx)
+    return grads, (dx[0] if single else dx)
 
 
 def effective_layers(arch, params):

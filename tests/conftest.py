@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffden import diffusion, sampler, wsnn
-from diffden.diffusion import Objective, forward_sample, score_at, score_t_batch
+from diffden.diffusion import forward_sample, score_at, score_t_batch
 from diffden.errors import SingularTime
 from diffden.numerics import McEstimate, Rng
 from diffden.wsnn import WsnnParams, mlp
@@ -322,10 +322,9 @@ def reference_fit(dataset, arch, init_params, config, rows, draw, step):
     return adam.params, losses
 
 
-def reference_train(dataset, arch, init_params, schedule, config):
-    """`diffusion.train` as `reference_fit`: each block draws its (K, B)
-    times, then its (K, B, D) float32 noise, and each step is one
-    `dsm_value_and_grads` call."""
+def dsm_draw(schedule):
+    """A `reference_fit` draw: the block's (K, B) times, then its (K, B, D)
+    float32 noise, as `diffusion.train` draws them."""
 
     def draw(stream, k_steps, shape):
         t = stream.uniform(k_steps * shape[0], schedule.t_min, schedule.t_max)
@@ -333,11 +332,18 @@ def reference_train(dataset, arch, init_params, schedule, config):
                                    out=np.empty((k_steps, *shape), np.float32))
         return t.reshape(k_steps, shape[0]), z
 
+    return draw
+
+
+def reference_train(dataset, arch, init_params, schedule, config):
+    """`diffusion.train` as `reference_fit`: each block draws its times and
+    noise (`dsm_draw`), and each step is one `dsm_value_and_grads` call."""
+
     def step(params, batch, drawn, workspace):
         return diffusion.dsm_value_and_grads(arch, params, schedule, batch, *drawn,
                                              workspace)
 
-    return reference_fit(dataset, arch, init_params, config, 1, draw, step)
+    return reference_fit(dataset, arch, init_params, config, 1, dsm_draw(schedule), step)
 
 
 def reference_train_vanilla_sm(dataset, arch, init_params, config):
@@ -418,26 +424,19 @@ def reference_dsm_value_and_grads(arch, params, schedule, x0, x_t, t):
     return loss, grads
 
 
-def reference_dsm_objective(arch, schedule):
-    """The `fit` objective `diffusion.train` builds, in the replaced form:
-    the block's times and float32 noise drawn as `train` draws them, then
-    per step x_t = mu_t x0 + sigma_t z as `forward_sample` forms it and the
-    unfused step on it."""
+def reference_dsm_train(dataset, arch, init_params, schedule, config):
+    """`diffusion.train` as `reference_fit` in the replaced form: each block
+    draws its times and float32 noise as `train` draws them, then per step
+    x_t = mu_t x0 + sigma_t z as `forward_sample` forms it and the unfused
+    row-major step on it."""
 
-    def block(batches, rng, dtype):
-        k_steps, b, _ = batches.shape
-        t = rng.uniform(k_steps * b, schedule.t_min, schedule.t_max).reshape(k_steps, b)
-        z = rng.standard_normal(batches.size, out=np.empty(batches.shape, np.float32))
+    def step(params, batch, drawn, workspace):
+        t, z = drawn
+        mu, sigma = schedule.mu_sigma(t)
+        x_t = mu[:, None] * batch + sigma[:, None] * z
+        return reference_dsm_value_and_grads(arch, params, schedule, batch, x_t, t)
 
-        def step(params, k, workspace):
-            mu, sigma = schedule.mu_sigma(t[k])
-            x_t = mu[:, None] * batches[k] + sigma[:, None] * z[k]
-            return reference_dsm_value_and_grads(arch, params, schedule, batches[k],
-                                                 x_t, t[k])
-
-        return step
-
-    return Objective(1, block)
+    return reference_fit(dataset, arch, init_params, config, 1, dsm_draw(schedule), step)
 
 
 def reference_network_score(arch, params):

@@ -7,7 +7,7 @@ import pytest
 from conftest import (ReferenceAdamState, conditional_score, dsm_loss,
                       finite_diff_param_grads, kink_free_entries, linear_network,
                       max_scaled_dev, reference_canonical_order,
-                      reference_dense_pass, reference_dsm_objective, reference_train,
+                      reference_dense_pass, reference_dsm_train, reference_train,
                       reference_train_vanilla_sm,
                       rademacher, reference_dsm_value_and_grads, reference_network_score,
                       reference_score_mse, relative_error, relu_pattern, replicated, time_input,
@@ -137,6 +137,12 @@ class TestForwardSample:
         t = np.array([0.1, 0.5, 1.0, 2.0])
         xt = forward_sample(SCHED, x0, t, rng)
         assert xt.shape == (4, 1)
+
+    def test_times_of_wrong_shape_are_refused(self, rng):
+        """t is one time or one time per row: 4 times for 5 rows raise
+        DimensionMismatch naming both shapes, not numpy's broadcast error."""
+        with pytest.raises(DimensionMismatch, match=r"times of shape \(4,\) for 5 rows"):
+            forward_sample(SCHED, np.zeros((5, 2)), np.full(4, 0.5), rng)
 
 
 class TestConditionalScore:
@@ -271,6 +277,36 @@ class TestOnePass:
                                           rng.normal_matrix(32, 3),
                                           rademacher(rng, 3, 32, 3), 0.1)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("method", ["dsm", "vanilla"])
+    def test_trainers_run_one_value_and_grads_per_step(self, monkeypatch, method):
+        """Every training step is one `wsnn.value_and_grads` call, in fit's
+        one float32 workspace, on the float32 copy of the parameters and a
+        float32 (d_1 + 1, rows B) input whose last row is ones."""
+        calls = []
+        real = wsnn.value_and_grads
+
+        def recorded(arch, params, h, head, workspace=None):
+            calls.append((params, h, workspace))
+            return real(arch, params, h, head, workspace)
+
+        monkeypatch.setattr(wsnn, "value_and_grads", recorded)
+        data = Rng(70).normal_matrix(100, 3)
+        cfg = TrainConfig(batch_size=16, steps=11, seed=71)
+        if method == "dsm":
+            arch, rows = wsnn.mlp((4, 16, 16, 3)), 1
+            train(data, arch, wsnn.init_params(arch, Rng(72)), SCHED, cfg)
+        else:
+            arch, rows = wsnn.mlp((3, 16, 16, 3)), 2 * sampler._DIRECTIONS + 1
+            sampler.train_vanilla_sm(data, arch, wsnn.init_params(arch, Rng(72)), cfg)
+        assert len(calls) == cfg.steps
+        workspace = calls[0][2]
+        assert isinstance(workspace, wsnn.Workspace) and workspace.dtype == np.float32
+        for params, h, ws in calls:
+            assert ws is workspace
+            assert all(P.dtype == np.float32 for P in params.blocks)
+            assert h.shape == (arch.input_dim + 1, rows * 16) and h.dtype == np.float32
+            assert np.all(h[-1] == 1.0)
 
     def test_exact_vanilla_sm_loss_runs_one_forward_pass(self, rng, monkeypatch):
         """One pass and one materialisation of the dense layers: the exact
@@ -413,11 +449,11 @@ class TestTrain:
 
         def block(batches, rng, dtype):
             seen.append(batches.copy())
-            return lambda params, k, workspace: (0.0, zero_params(arch))
+            return np.ones((len(batches), 4, b), dtype), range(len(batches))
 
         fit(x, arch, zero_params(arch),
             TrainConfig(batch_size=batch_size, steps=2 * block_steps + 3, seed=5),
-            Objective(1, block))
+            Objective(1, block, lambda out, aux: (0.0, np.zeros_like(out))))
         assert [len(batches) for batches in seen] == [block_steps, block_steps, 3]
         stream = Rng(5).child(1)
         sorted_x = reference_canonical_order(x)
@@ -523,6 +559,7 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,mean_loss,score_mse,wall_time_s"
         assert len(lines) == 3
+        assert [line.split(",")[2] for line in lines[1:]] == ["", ""]
 
     @pytest.mark.parametrize("epoch_len", [0, -2])
     def test_epoch_len_below_one_is_bad_config(self, epoch_len):
@@ -539,36 +576,46 @@ class TestTrain:
 
 
 class TestFit:
-    """The boundary `fit` owns, seen through stub objectives."""
+    """The boundary `fit` owns, seen through stub objectives: all-ones
+    network inputs and a head that returns the chosen loss and output
+    gradient."""
 
     ARCH = wsnn.mlp((3, 4, 2))
 
-    def _fit(self, data, step, steps=4):
+    def _fit(self, data, head, steps=4):
         return fit(data, self.ARCH, zero_params(self.ARCH),
-                   TrainConfig(batch_size=4, steps=steps, seed=1), self._objective(step))
+                   TrainConfig(batch_size=4, steps=steps, seed=1), self._objective(head))
+
+    @classmethod
+    def _objective(cls, head):
+        """An Objective whose steps' head is head(out, i), i counting the
+        fit's steps from 0 across its blocks."""
+        count = itertools.count()
+
+        def block(batches, rng, dtype):
+            k_steps, b, _ = batches.shape
+            return np.ones((k_steps, cls.ARCH.input_dim + 1, b), dtype), range(k_steps)
+
+        return Objective(1, block, lambda out, k: head(out, next(count)))
 
     @staticmethod
-    def _objective(step):
-        """An Objective whose steps are step(params, i, workspace), i
-        counting the fit's steps from 0 across its blocks."""
-        count = itertools.count()
-        return Objective(1, lambda batches, rng, dtype:
-                         lambda params, k, workspace: step(params, next(count), workspace))
+    def _zero_loss(out, i):
+        return 0.0, np.zeros_like(out)
 
     def test_empty_dataset_raises_before_any_step(self):
         calls = []
 
-        def step(params, i, workspace):
+        def head(out, i):
             calls.append(1)
-            return 0.0, zero_params(self.ARCH)
+            return 0.0, np.zeros_like(out)
 
         with pytest.raises(EmptyDataset):
-            self._fit(np.empty((0, 2)), step)
+            self._fit(np.empty((0, 2)), head)
         assert not calls
 
     def test_output_width_mismatch(self):
         with pytest.raises(DimensionMismatch, match="output width 2 != data dimension 3"):
-            self._fit(np.zeros((8, 3)), lambda *args: (0.0, zero_params(self.ARCH)))
+            self._fit(np.zeros((8, 3)), self._zero_loss)
 
     def test_initial_params_of_a_deeper_network_are_refused(self):
         # their first two blocks fit ARCH, so a block-by-block copy alone
@@ -576,29 +623,31 @@ class TestFit:
         deeper = zero_params(wsnn.mlp((3, 4, 2, 2)))
         with pytest.raises(DimensionMismatch, match="params depth"):
             fit(np.zeros((8, 2)), self.ARCH, deeper, TrainConfig(steps=1),
-                self._objective(lambda *args: (0.0, zero_params(self.ARCH))))
+                self._objective(self._zero_loss))
 
-    def test_one_float32_workspace_for_every_step(self):
+    def test_one_float32_workspace_for_every_step(self, monkeypatch):
         seen = []
+        real = wsnn.value_and_grads
 
-        def step(params, i, workspace):
+        def recorded(arch, params, h, head, workspace=None):
             seen.append(workspace)
             assert params.weights[0].dtype == np.float32
-            return 0.0, zero_params(self.ARCH)
+            return real(arch, params, h, head, workspace)
 
-        self._fit(np.zeros((8, 2)), step)
+        monkeypatch.setattr(wsnn, "value_and_grads", recorded)
+        self._fit(np.zeros((8, 2)), self._zero_loss)
         assert len(seen) == 4 and all(ws is seen[0] for ws in seen)
         assert isinstance(seen[0], wsnn.Workspace)
         assert seen[0].dtype == np.float32
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_loss_raises_naming_the_step(self, bad):
-        def step(params, i, workspace):
-            return (bad if i == 2 else 1.0), zero_params(self.ARCH)
+        def head(out, i):
+            return (bad if i == 2 else 1.0), np.zeros_like(out)
 
         with pytest.raises(NonFiniteState,
                            match=f"training diverged at step 2: loss {bad}$"):
-            self._fit(np.zeros((8, 2)), step)
+            self._fit(np.zeros((8, 2)), head)
 
     def test_non_finite_loss_in_a_later_block_names_its_step(self):
         """A NaN loss at step K + 2, in the second block of K steps, is
@@ -606,27 +655,28 @@ class TestFit:
         block_steps = diffusion._BLOCK_ROWS // 4
         seen = []
 
-        def step(params, i, workspace):
+        def head(out, i):
             seen.append(i)
-            return (math.nan if i == block_steps + 2 else 1.0), zero_params(self.ARCH)
+            return (math.nan if i == block_steps + 2 else 1.0), np.zeros_like(out)
 
         with pytest.raises(NonFiniteState, match=f"training diverged at step "
                                                  f"{block_steps + 2}: loss nan$"):
-            self._fit(np.zeros((8, 2)), step, steps=2 * block_steps + 3)
+            self._fit(np.zeros((8, 2)), head, steps=2 * block_steps + 3)
         assert seen == list(range(block_steps + 3))
 
     def test_non_finite_weights_are_never_returned(self):
-        """A last step with a finite loss but an infinite gradient leaves a
+        """A last step with a finite loss but an output gradient whose
+        batch sum overflows gives infinite bias gradients, which leave a
         NaN master (inf / inf in Adam's ratio); the check after the loop
         refuses it, without a numpy warning escaping."""
-        grads = zero_params(self.ARCH)
-        grads.biases[-1][:] = math.inf
 
-        def step(params, i, workspace):
-            return 1.0, grads if i == 3 else zero_params(self.ARCH)
+        def head(out, i):
+            if i < 3:
+                return 1.0, np.zeros_like(out)
+            return 1.0, np.full_like(out, np.finfo(out.dtype).max)
 
         with pytest.raises(NonFiniteState, match="at step 3: weights not finite$"):
-            self._fit(np.zeros((8, 2)), step)
+            self._fit(np.zeros((8, 2)), head)
 
 
 class TestScoreMse:
@@ -800,16 +850,13 @@ class TestMixedPrecisionTraining:
                 states.append(self)
 
         monkeypatch.setattr(diffusion, "AdamState", Recorded)
-        module = diffusion if method == "dsm" else sampler
-        # the per-step pass of each trainer's training blocks
-        name = "_dsm_step" if method == "dsm" else "_sliced_step"
-        real = getattr(module, name)
+        real = wsnn.value_and_grads  # the pass of every training step
 
-        def recorded(arch, params, *args):
-            seen.append((params.weights + params.biases, args[-1].dtype))
-            return real(arch, params, *args)
+        def recorded(arch, params, h, head, workspace=None):
+            seen.append((params.weights + params.biases, workspace.dtype))
+            return real(arch, params, h, head, workspace)
 
-        monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(wsnn, "value_and_grads", recorded)
         data = Rng(60).normal_matrix(100, 3)
         cfg = TrainConfig(batch_size=32, steps=4, seed=61)
         if method == "dsm":
@@ -847,13 +894,13 @@ class TestMixedPrecisionTraining:
         arch = with_masks(gen, wsnn.mlp(widths) if m == 1 else replicated(gen, widths, m))
         p0 = wsnn.init_params(arch, Rng(64))
         copies = []
-        real = diffusion._dsm_step
+        real = wsnn.value_and_grads
 
         def recorded(arch, params, *args):
             copies.append(params)
             return real(arch, params, *args)
 
-        monkeypatch.setattr(diffusion, "_dsm_step", recorded)
+        monkeypatch.setattr(wsnn, "value_and_grads", recorded)
         trained, _ = train(Rng(65).normal_matrix(200, 9), arch, p0, SCHED,
                            TrainConfig(batch_size=32, steps=30, seed=66))
         copy = copies[-1]  # views of the copy: the last refresh is in them
@@ -993,15 +1040,22 @@ class TestFusedDsm:
 
     @pytest.mark.parametrize("n, batch_size", [(300, 32), (40, 64)])
     def test_train_equals_reference_objective(self, rng, n, batch_size):
+        """`train` gives the bytes of the unfused row-major step run step by
+        step (`reference_dsm_train`), weights and per-step losses."""
         data = IsoGaussian(3).sample(n, rng)
         p0 = wsnn.init_params(self.ARCH, rng.child(1))
-        cfg = TrainConfig(batch_size=batch_size, steps=30, seed=5, epoch_len=10)
+        cfg = TrainConfig(batch_size=batch_size, steps=30, seed=5, epoch_len=1)
         got, trace = train(data, self.ARCH, p0, SCHED, cfg)
-        want, want_trace = fit(data, self.ARCH, p0, cfg,
-                               reference_dsm_objective(self.ARCH, SCHED))
+        want, losses = reference_dsm_train(data, self.ARCH, p0, SCHED, cfg)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.tobytes() == b.tobytes()
-        assert [r.mean_loss for r in trace] == [r.mean_loss for r in want_trace]
+        assert [r.mean_loss for r in trace] == losses
+
+    def test_step_times_of_wrong_shape_are_refused(self, rng):
+        params = wsnn.init_params(self.ARCH, rng.child(1))
+        x0, z = rng.normal_matrix(5, 3), rng.child(2).normal_matrix(5, 3)
+        with pytest.raises(DimensionMismatch, match=r"times of shape \(4,\) for 5 rows"):
+            dsm_value_and_grads(self.ARCH, params, SCHED, x0, np.full(4, 0.5), z)
 
     def test_one_mu_sigma_call_per_block(self, rng, monkeypatch):
         """2K + 3 steps at batch 16 are three blocks, K steps, K steps and
@@ -1036,6 +1090,11 @@ class TestFusedDsm:
             assert got.shape == x.shape
             assert got.tobytes() == ref(x, t).tobytes()
             assert x.tobytes() == kept.tobytes()
+
+    def test_network_score_times_of_wrong_shape_are_refused(self, rng):
+        score = network_score(self.ARCH, wsnn.init_params(self.ARCH, rng))
+        with pytest.raises(DimensionMismatch, match=r"times of shape \(4,\) for 5 rows"):
+            score(np.zeros((5, 3)), np.full(4, 0.5))
 
     def test_network_score_input_width_checked(self, rng):
         score = network_score(self.ARCH, wsnn.init_params(self.ARCH, rng))

@@ -358,13 +358,13 @@ class TestTrainVanillaSm:
         the fit stream Rng(seed).child(1) gives after the block's (K, B)
         minibatch indices, step k of the block getting the k-th."""
         seen = []
-        real = sampler._sliced_step
+        real = sampler._sliced_head
 
-        def recorded(arch, params, stacked, v, *args):
+        def recorded(out, v, delta):
             seen.append(v)
-            return real(arch, params, stacked, v, *args)
+            return real(out, v, delta)
 
-        monkeypatch.setattr(sampler, "_sliced_step", recorded)
+        monkeypatch.setattr(sampler, "_sliced_head", recorded)
         arch = wsnn.mlp((2, 8, 2))
         block_steps = diffusion._BLOCK_ROWS // ((2 * _DIRECTIONS + 1) * 16)
         cfg = TrainConfig(batch_size=16, steps=2 * block_steps + 3, seed=7)

@@ -7,12 +7,12 @@ import pytest
 
 from conftest import (conv2d_valid, finite_diff_param_grads, linear_network,
                       max_scaled_dev, perm_tables, random_perm, reference_backward,
-                      reference_dense_pass, reference_dsm_objective,
+                      reference_dense_pass, reference_dsm_train,
                       reference_forward, reference_network_score,
                       reference_value_and_grads, relative_error, replicated,
                       warm_peak, with_masks, wsnn_layer_forward_np, zero_params)
 from diffden import wsnn
-from diffden.diffusion import DiffusionSchedule, TrainConfig, fit, network_score, train
+from diffden.diffusion import DiffusionSchedule, TrainConfig, network_score, train
 from diffden.errors import (CorruptFile, DimensionMismatch, InvalidSize,
                             PreconditionViolated)
 from diffden.formats import load_checkpoint, save_checkpoint
@@ -340,7 +340,7 @@ class TestWorkspace:
         x = Rng(2).normal_matrix(rows, 9)
         ws = Workspace(self.ARCH)
         peak = warm_peak(
-            lambda: value_and_grads(self.ARCH, params, x, self._head, ws))
+            lambda: value_and_grads(self.ARCH, params, ws.load(x), self._head, ws))
         assert peak < rows * 64 * 8
 
     @pytest.mark.parametrize("widths", [(9, 64, 64, 9), (10, 64, 64, 9)],
@@ -362,8 +362,9 @@ class TestWorkspace:
         ws = Workspace(self.ARCH)
         for rows in (128, 896, 128):
             x = Rng(6).child(rows).normal_matrix(rows, 9)
-            got = value_and_grads(self.ARCH, params, x, self._head, ws)
-            want = value_and_grads(self.ARCH, params, x, self._head, Workspace(self.ARCH))
+            h = ws.load(x)
+            got = value_and_grads(self.ARCH, params, h, self._head, ws)
+            want = value_and_grads(self.ARCH, params, h.copy(), self._head)
             assert got[0] == want[0]
             for a, b in zip(got[1].weights + got[1].biases,
                             want[1].weights + want[1].biases):
@@ -380,11 +381,28 @@ class TestWorkspace:
         score(2.0 * x, 0.0)
         assert np.array_equal(first, kept)
         ws = Workspace(self.ARCH)
-        _, grads = value_and_grads(self.ARCH, params, x, self._head, ws)
+        _, grads = value_and_grads(self.ARCH, params, ws.load(x), self._head, ws)
         kept = [a.copy() for a in grads.weights + grads.biases]
-        value_and_grads(self.ARCH, params, 2.0 * x, self._head, ws)
+        value_and_grads(self.ARCH, params, ws.load(2.0 * x), self._head, ws)
         for a, b in zip(grads.weights + grads.biases, kept):
             assert np.array_equal(a, b)
+
+    def test_value_and_grads_refuses_bad_input_and_workspace(self):
+        """The input is (d_1 + 1, rows) of the params' dtype, and the
+        workspace is of the params' architecture and dtype."""
+        params = init_params(self.ARCH, Rng(15))
+        h = Workspace(self.ARCH).load(Rng(16).normal_matrix(6, 9))
+        for bad in (h[:-1], np.ones((11, 6)), h[:, 0], h.T):
+            with pytest.raises(DimensionMismatch, match="input of shape"):
+                value_and_grads(self.ARCH, params, bad, self._head)
+        with pytest.raises(PreconditionViolated, match="float32 input for a float64"):
+            value_and_grads(self.ARCH, params, h.astype(np.float32), self._head)
+        for other in (mlp((9, 32, 9)), mlp((10, 64, 64, 9))):
+            with pytest.raises(DimensionMismatch, match="workspace"):
+                value_and_grads(self.ARCH, params, h, self._head, Workspace(other))
+        with pytest.raises(PreconditionViolated, match="float32 workspace"):
+            value_and_grads(self.ARCH, params, h, self._head,
+                            Workspace(self.ARCH, np.float32))
 
     def test_forward_only_workspace_has_no_reverse_arrays(self):
         ws = Workspace(self.ARCH)
@@ -463,7 +481,8 @@ class TestPlainLayers:
 
         want_out = reference_dense_pass(self.ARCH, params, x)[0]
         want_value, want, want_dx = reference_value_and_grads(self.ARCH, params, x, head)
-        value, grads = value_and_grads(self.ARCH, params, x, head)
+        value, grads = value_and_grads(self.ARCH, params, Workspace(self.ARCH).load(x),
+                                       lambda out: (float(np.sum(out.T * g)), g.T))
         back, dx = backward(self.ARCH, params, x, g)
         assert forward(self.ARCH, params, x).tobytes() == want_out.tobytes()
         assert value == want_value
@@ -475,13 +494,12 @@ class TestPlainLayers:
     def test_train_and_sampling_bytes_equal_reference(self):
         p0 = self._params()
         data = Rng(24).normal_matrix(400, 9)
-        cfg = TrainConfig(batch_size=64, steps=200, seed=25)
+        cfg = TrainConfig(batch_size=64, steps=200, seed=25, epoch_len=1)
         got, trace = train(data, self.ARCH, p0, self.SCHED, cfg)
-        want, want_trace = fit(data, self.ARCH, p0, cfg,
-                               reference_dsm_objective(self.ARCH, self.SCHED))
+        want, losses = reference_dsm_train(data, self.ARCH, p0, self.SCHED, cfg)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.tobytes() == b.tobytes()
-        assert [r.mean_loss for r in trace] == [r.mean_loss for r in want_trace]
+        assert [r.mean_loss for r in trace] == losses
         config = SamplerConfig(60, 500)
         y = reverse_sde_sample(network_score(self.ARCH, got), self.SCHED, config, 9,
                                Rng(26))
@@ -530,7 +548,8 @@ class TestBlockLayout:
         "packed": lambda arch, tmp_path: packed(arch, np.float32)[1],
         "load_checkpoint": _loaded,
         "value_and_grads": lambda arch, tmp_path: value_and_grads(
-            arch, init_params(arch, Rng(0)), np.ones((5, 4)), lambda out: (0.0, out))[1],
+            arch, init_params(arch, Rng(0)), Workspace(arch).load(np.ones((5, 4))),
+            lambda out: (0.0, out))[1],
         "effective_layers": lambda arch, tmp_path: effective_layers(
             arch, init_params(arch, Rng(0))),
     }
